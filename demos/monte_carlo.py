@@ -1,10 +1,12 @@
 """Seeded simulation against the exact series, side by side.
 
-Every replication draws tests until all q banks are exhausted, using a
-counter-based generator keyed by (seed, replication index) so the result is
-one specific number: independent of worker count, stable across runs.  This
-script runs a moderate experiment, compares mean and variance to the exact
-series, and prints the empirical distribution near the centre.
+Every replication is the time until all q banks are exhausted, drawn as the
+largest of q per-bank sums of geometric stage waits.  Replications come in
+blocks, each from a counter-based generator keyed by (seed, block index), so
+the result is one specific number: independent of worker count, stable
+across runs.  This script runs a moderate experiment, compares mean and
+variance to the exact series, and prints the empirical distribution near the
+centre.
 
 Run:  python3 demos/monte_carlo.py
 """

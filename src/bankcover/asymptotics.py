@@ -60,6 +60,9 @@ def decay_rate(a: int) -> float:
 
 def gumbel_cdf(x: float) -> float:
     """Standard Gumbel distribution function ``exp(-e**(-x))``."""
+    if x < -40.0:
+        # The cdf is already 0.0 below about -6.6, and exp(-x) overflows below -709.
+        return 0.0
     return math.exp(-math.exp(-x))
 
 

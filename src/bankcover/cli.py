@@ -1,8 +1,10 @@
 """Command line surface: expectation queries, tables, simulation, self-checks.
 
 Exit codes: 0 success, 1 validation failure, 2 bad usage, 3 series cap
-exceeded, 4 I/O failure.  The BANKCOVER_OUT_DIR environment variable sets the
-default output directory for table and figure files; --out wins over it.
+exceeded, 4 I/O failure, 5 internal error (any other exception, reported as
+one ``error: internal:`` line on stderr).  The BANKCOVER_OUT_DIR environment
+variable sets the default output directory for table and figure files; --out
+wins over it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 __all__ = [
     "MAX_ALTERNATIVES",
-    "ExactRational",
     "InvalidSpecError",
     "UnsupportedAlternativesError",
     "OracleRangeError",
@@ -39,9 +38,6 @@ __all__ = [
     "expected_tests_multisum",
     "variance_tests",
 ]
-
-# Exact rational arithmetic for oracles and aggregation.
-ExactRational = Fraction
 
 # Beyond 64 alternatives the alternating closed form loses too much to
 # cancellation for a certified double-precision answer, so we refuse.
@@ -97,14 +93,13 @@ class BankSpec:
 class TruncationPolicy:
     """Stopping rule for the infinite series over test counts.
 
-    A series terminates once its current term drops below ``eps_term`` and,
-    when ``tail_bound_required`` is set, a certified geometric bound on the
-    discarded tail is at most ``10 * eps_term``.
+    A series terminates once its current term drops below ``eps_term`` and a
+    certified geometric bound on the discarded tail is at most
+    ``10 * eps_term``.
     """
 
     eps_term: float = 1e-12
     n_cap: int = 100_000
-    tail_bound_required: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_term < 1.0:
@@ -369,6 +364,10 @@ def _coverage_survival_term(a: int, q: int, n: int) -> float:
     s = _survival_and_cdf(a, n)[0].p
     if s == 0.0:
         return 0.0
+    if s == 1.0:
+        # F(n) rounds to 0 just above n = a for large a, and log1p(-1) is a
+        # domain error; 1 is the limit of -expm1(q * log1p(-s)) as s -> 1.
+        return 1.0
     return -math.expm1(q * math.log1p(-s))
 
 
@@ -388,7 +387,7 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
         term = _coverage_survival_term(a, q, n)
         if n >= anchor and term < policy.eps_term:
             tail = 2.0 * a * q * decay ** (n - 1) / (1.0 - decay)
-            if tail <= 10.0 * policy.eps_term or not policy.tail_bound_required:
+            if tail <= 10.0 * policy.eps_term:
                 return SeriesEstimate(acc.total, tail, n)
         acc.add(term)
     raise SeriesCapError(
@@ -415,7 +414,7 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
         if n >= anchor and weighted < policy.eps_term:
             geo = decay ** (n - 1) / (1.0 - decay)
             tail = 2.0 * a * q * geo * ((2 * n + 1) + 2.0 * decay / (1.0 - decay))
-            if tail <= 10.0 * policy.eps_term or not policy.tail_bound_required:
+            if tail <= 10.0 * policy.eps_term:
                 mean = mean_acc.total
                 return SeriesEstimate(second_acc.total - mean * mean, tail, n)
         mean_acc.add(term)

@@ -1,8 +1,12 @@
 """Seeded Monte Carlo for the bank-coverage process.
 
-Replication ``i`` of an experiment always consumes its own generator, derived
-from ``(seed, i)`` with a counter-based bit generator, so results are
-bit-identical no matter how replications are split across workers.
+One bank is covered after a sum of independent geometric waits, one per
+stage: with k - 1 alternatives seen, the next new one takes Geom((a-k+1)/a)
+tests.  A replication is the maximum of q such stage sums.  Replications are
+drawn in blocks whose size depends only on q; block ``b`` consumes its
+own counter-based generator keyed by ``(seed, b)``, and workers take
+contiguous ranges of whole blocks, so results are bit-identical no matter
+how the work is split.
 """
 
 from __future__ import annotations
@@ -21,17 +25,16 @@ __all__ = [
     "GENERATOR_ID",
     "SimulationConfig",
     "SimulationResult",
-    "replication_stream",
-    "simulate_one",
     "run_experiment",
-    "max_of_single_banks",
     "variance_std_error",
 ]
 
-GENERATOR_ID = f"philox4x64/numpy-{np.__version__}"
+GENERATOR_ID = f"philox4x64-stagesum-blocks/numpy-{np.__version__}"
 
-# Stream family for the cross-check sampler, disjoint from replication streams.
-_ALT_SAMPLER_SALT = 0x6D61785F
+# Replications per keyed block, and the most (replication, bank) cells one
+# draw array may hold (2**17 int64 cells = 1 MiB), so memory stays flat in q.
+_BLOCK_REPS = 1024
+_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -65,57 +68,40 @@ class SimulationResult:
     generator_id: str = GENERATOR_ID
 
 
-def replication_stream(seed: int, index: int) -> np.random.Generator:
-    """Generator owned by replication ``index``; a pure function of (seed, index)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+def _block_size(q: int) -> int:
+    """Replications per keyed block; fixed by the spec, never by the workers."""
+    return max(1, min(_BLOCK_REPS, _BLOCK_CELLS // q))
 
 
-def _block_hint(a: int, q: int) -> int:
-    # Size the draw block so most replications finish in one pass; drawing
-    # past the stopping test is harmless because the stream prefix is fixed.
-    rate = -math.log1p(-1.0 / a)
-    return max(16, int((math.log(a * q) + 4.0) / rate) + 2)
+def _block_maxima(a: int, q: int, seed: int, block: int, rows: int) -> np.ndarray:
+    """Coverage times of ``rows`` replications drawn from block ``block``'s stream.
 
-
-def simulate_one(spec: BankSpec, stream: np.random.Generator) -> int:
-    """Tests generated until every alternative of every bank has appeared.
-
-    Draws one uniform alternative per bank per test, in test order, tracking
-    per-bank coverage as 64-bit bitsets.  Blocks of tests are evaluated at
-    once for speed; the draw sequence, and therefore the result, matches the
-    one-test-at-a-time loop exactly.
+    Banks are taken in column slices of at most ``_BLOCK_CELLS`` cells; within
+    a slice the stages run in order k = 2..a (stage 1 always takes one test).
     """
-    a, q = spec.a, spec.q
-    if a == 1:
-        # The first test covers everything; no randomness is consumed.
-        return 1
-    full = np.uint64(2 ** a - 1)
-    one = np.uint64(1)
-    block = _block_hint(a, q)
-    covered = np.zeros(q, dtype=np.uint64)
-    base = 0
-    while True:
-        draws = stream.integers(0, a, size=(block, q))
-        bits = one << draws.astype(np.uint64)
-        np.bitwise_or.accumulate(bits, axis=0, out=bits)
-        bits |= covered
-        done = (bits == full).all(axis=1)
-        if done.any():
-            return base + int(done.argmax()) + 1
-        covered = bits[-1].copy()
-        base += block
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    best = np.zeros(rows, dtype=np.int64)
+    width = min(q, _BLOCK_CELLS)
+    for lo in range(0, q, width):
+        totals = np.ones((rows, min(width, q - lo)), dtype=np.int64)
+        for k in range(2, a + 1):
+            totals += rng.geometric((a - k + 1) / a, size=totals.shape)
+        np.maximum(best, totals.max(axis=1), out=best)
+    return best
 
 
-def _count_range(a: int, q: int, seed: int, start: int, stop: int) -> Counter:
-    spec = BankSpec(a, q)
+def _count_blocks(a: int, q: int, seed: int, reps: int, start: int, stop: int) -> Counter:
+    size = _block_size(q)
     hist: Counter = Counter()
-    for i in range(start, stop):
-        hist[simulate_one(spec, replication_stream(seed, i))] += 1
+    for block in range(start, stop):
+        rows = min(size, reps - block * size)
+        values, counts = np.unique(_block_maxima(a, q, seed, block, rows), return_counts=True)
+        hist.update(dict(zip(values.tolist(), counts.tolist())))
     return hist
 
 
-def _chunk_ranges(reps: int, workers: int) -> list[tuple[int, int]]:
-    size, extra = divmod(reps, workers)
+def _chunk_ranges(items: int, workers: int) -> list[tuple[int, int]]:
+    size, extra = divmod(items, workers)
     ranges = []
     start = 0
     for w in range(workers):
@@ -130,16 +116,17 @@ def run_experiment(config: SimulationConfig) -> SimulationResult:
     """Run ``config.reps`` independent replications and aggregate exactly.
 
     The histogram, and every statistic derived from it, is independent of
-    ``workers``: replication i is a pure function of (seed, i).
+    ``workers``: block b is a pure function of (a, q, reps, seed, b).
     """
     spec, reps, seed = config.spec, config.reps, config.seed
-    chunks = _chunk_ranges(reps, config.workers)
-    if config.workers == 1 or len(chunks) == 1:
-        parts = [_count_range(spec.a, spec.q, seed, s, e) for s, e in chunks]
+    blocks = -(-reps // _block_size(spec.q))
+    chunks = _chunk_ranges(blocks, config.workers)
+    if len(chunks) == 1:
+        parts = [_count_blocks(spec.a, spec.q, seed, reps, 0, blocks)]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
-                pool.submit(_count_range, spec.a, spec.q, seed, s, e)
+                pool.submit(_count_blocks, spec.a, spec.q, seed, reps, s, e)
                 for s, e in chunks
             ]
             parts = [f.result() for f in futures]
@@ -180,26 +167,3 @@ def variance_std_error(result: SimulationResult) -> float:
     m4 = sum((v - mean) ** 4 * c for v, c in hist.items()) / n
     se_sq = (m4 - m2 ** 2 * Fraction(n - 3, n - 1)) / n
     return math.sqrt(float(se_sq)) if se_sq > 0 else 0.0
-
-
-def max_of_single_banks(spec: BankSpec, reps: int, seed: int) -> np.ndarray:
-    """Cross-check sampler: coverage time as the max of per-bank stage sums.
-
-    Each bank's time is a sum of geometric waits (one per still-missing
-    alternative count), a different construction from the per-test draws of
-    :func:`simulate_one`.  Test-only route for distributional comparisons.
-    """
-    a, q = spec.a, spec.q
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, _ALT_SAMPLER_SALT)))
-    )
-    out = np.empty(reps, dtype=np.int64)
-    done = 0
-    while done < reps:
-        m = min(20_000, reps - done)
-        totals = np.zeros((m, q), dtype=np.int64)
-        for k in range(1, a + 1):
-            totals += rng.geometric((a - k + 1) / a, size=(m, q))
-        out[done : done + m] = totals.max(axis=1)
-        done += m
-    return out

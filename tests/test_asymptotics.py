@@ -72,6 +72,11 @@ class TestGumbelCdf:
     def test_far_right_tail(self):
         assert abs(gumbel_cdf(40.0) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("x", [-7.0, -40.0, -710.0, -1e6])
+    def test_far_left_tail(self, x):
+        # exp(-x) overflows below -709; the cdf itself is 0.0 from about -6.6
+        assert gumbel_cdf(x) == 0.0
+
     def test_at_minus_one(self):
         assert gumbel_cdf(-1.0) == pytest.approx(0.065988, abs=1e-6)
 
@@ -108,6 +113,10 @@ class TestSandwichBounds:
     def test_ordering(self, a, x):
         lower, upper = sandwich_bounds(a, x)
         assert lower <= upper
+
+    @pytest.mark.parametrize("x", [-710.0, -1e6])
+    def test_far_left_lag(self, x):
+        assert sandwich_bounds(10, x) == (0.0, 0.0)
 
     def test_envelope_contains_exact_cdf(self):
         # the oscillating exact probability stays inside the envelope for
@@ -147,6 +156,9 @@ class TestLocalPmfApprox:
 
     def test_nonnegative(self):
         assert all(local_pmf_approx(5, 40, n) >= 0.0 for n in range(-20, 40))
+
+    def test_far_left_lag(self):
+        assert local_pmf_approx(10, 10, -10 ** 4) == 0.0
 
 
 class TestMeanBounds:

@@ -7,7 +7,15 @@ import json
 import pytest
 
 import bankcover.asymptotics as asymptotics
-from bankcover.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from bankcover.cli import (
+    EXIT_CAP,
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    main,
+)
 from bankcover.coupon import SeriesCapError
 from bankcover.tables import TableArtifact
 from bankcover.validate import run_checks
@@ -53,6 +61,21 @@ class TestExpect:
         monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)
         code, _, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
         assert code == EXIT_CAP and "cap" in err
+
+    def test_large_bank_size_answers(self, capsys):
+        # a = 41..64 once crashed in the series: F(n) rounds to 0 near n = a
+        code, out, err = run_cli(capsys, "expect", "--a", "50", "--q", "3")
+        assert code == EXIT_OK and err == ""
+        assert float(out.split()[0]) > 50 * 4.4
+
+    def test_internal_error_exits_5(self, capsys, monkeypatch):
+        def blow_up(spec, policy):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)
+        code, out, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "error: internal: RuntimeError: boom\n"
 
 
 class TestTable:

@@ -65,7 +65,6 @@ class TestTruncationPolicy:
     def test_defaults(self):
         assert DEFAULT_POLICY.eps_term == 1e-12
         assert DEFAULT_POLICY.n_cap == 100_000
-        assert DEFAULT_POLICY.tail_bound_required
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, 2.0])
     def test_rejects_bad_eps(self, eps):
@@ -125,7 +124,7 @@ class TestExpectedSingleBank:
         assert expected_single_bank(7) != stage_sum
         assert expected_single_bank(7) == pytest.approx(stage_sum, rel=1e-15)
 
-    @pytest.mark.parametrize("a", [2, 5, 10, 40])
+    @pytest.mark.parametrize("a", [2, 5, 10, 40, 41, 50, 64])
     def test_agrees_with_series_at_q_one(self, a):
         series = expected_tests(BankSpec(a, 1)).value
         assert series == pytest.approx(expected_single_bank(a), abs=1e-9)
@@ -315,14 +314,21 @@ class TestExpectedTests:
         rough = expected_tests(BankSpec(10, 10), TruncationPolicy(eps_term=1e-6))
         assert rough.value == pytest.approx(49.9022, abs=1e-3)
 
-    def test_tail_not_required_stops_on_term(self):
-        policy = TruncationPolicy(eps_term=1e-6, tail_bound_required=False)
-        est = expected_tests(BankSpec(10, 10), policy)
-        assert est.terms < expected_tests(BankSpec(10, 10)).terms
-
     def test_monotone_in_q(self):
         values = [expected_tests(BankSpec(7, q)).value for q in (1, 2, 5, 10, 50)]
         assert all(x < y for x, y in zip(values, values[1:]))
+
+    def test_large_bank_sizes_within_max_bound(self):
+        # a = 41..64: the survival rounds to 1.0 just above n = a.  The mean
+        # of a maximum of q copies lies above one copy's mean a*H_a and below
+        # mu + sigma*(q-1)/sqrt(2q-1) (Gumbel 1954; Hartley and David 1954).
+        q = 3
+        for a in range(41, MAX_ALTERNATIVES + 1):
+            est = expected_tests(BankSpec(a, q))
+            mu = expected_single_bank(a)
+            sigma = math.sqrt(sum((k - 1) * a / (a - k + 1) ** 2 for k in range(1, a + 1)))
+            assert mu < est.value < mu + sigma * (q - 1) / math.sqrt(2 * q - 1), a
+            assert est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
 
 
 class TestMultisum:
@@ -356,7 +362,7 @@ class TestVarianceTests:
 
     def test_geometric_stage_variance_oracle(self):
         # single bank: variance is the sum of the stage geometric variances
-        for a in (3, 10, 25):
+        for a in (3, 10, 25, 41, 50, 64):
             exact = sum(
                 float(
                     (1 - Fraction(a - k + 1, a)) / Fraction(a - k + 1, a) ** 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,16 +15,19 @@ from bankcover.simulate import (
     GENERATOR_ID,
     SimulationConfig,
     SimulationResult,
-    max_of_single_banks,
-    replication_stream,
+    _block_maxima,
+    _block_size,
     run_experiment,
-    simulate_one,
     variance_std_error,
 )
 
 
 def simulate_one_reference(spec: BankSpec, stream: np.random.Generator) -> int:
-    """Literal per-test loop; the vectorized version must match it exactly."""
+    """Literal per-test loop: one uniform alternative per bank per test.
+
+    The independent check on the stage-sum sampler behind run_experiment;
+    the two share no code and no draw order, only the law.
+    """
     a, q = spec.a, spec.q
     if a == 1:
         return 1
@@ -42,6 +46,10 @@ def simulate_one_reference(spec: BankSpec, stream: np.random.Generator) -> int:
             return tests
 
 
+def draws_of(result: SimulationResult) -> np.ndarray:
+    return np.repeat(list(result.histogram.keys()), list(result.histogram.values()))
+
+
 class TestSimulationConfig:
     def test_valid(self):
         config = SimulationConfig(BankSpec(10, 10), 100, 42, workers=2)
@@ -54,30 +62,30 @@ class TestSimulationConfig:
 
 
 class TestSimulateOne:
+    """The per-block sampler: the coverage times of one block's replications."""
+
     def test_single_alternative(self):
-        stream = replication_stream(0, 0)
-        assert simulate_one(BankSpec(1, 7), stream) == 1
+        assert (_block_maxima(1, 7, 0, 0, 50) == 1).all()
 
     def test_support_starts_at_bank_size(self):
-        for i in range(200):
-            value = simulate_one(BankSpec(5, 3), replication_stream(9, i))
-            assert value >= 5
+        for block in range(4):
+            assert _block_maxima(5, 3, 9, block, 200).min() >= 5
 
     def test_matches_scalar_reference(self):
-        # same stream construction on both sides: the blocked bitset path
-        # must reproduce the one-test-at-a-time loop draw for draw
+        # no shared draw order with the one-test-at-a-time loop, so the match
+        # is in law: two-sample Kolmogorov-Smirnov at the 0.001 level per spec
         for a, q in ((2, 1), (5, 3), (10, 10), (20, 7), (64, 2)):
             spec = BankSpec(a, q)
-            for i in range(25):
-                fast = simulate_one(spec, replication_stream(123, i))
-                slow = simulate_one_reference(spec, replication_stream(123, i))
-                assert fast == slow, (a, q, i)
+            fast = draws_of(run_experiment(SimulationConfig(spec, 5_000, 123)))
+            stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
+            slow = [simulate_one_reference(spec, stream) for _ in range(200)]
+            assert stats.ks_2samp(fast, slow).pvalue > 0.001, (a, q)
 
     def test_deterministic_given_stream(self):
-        spec = BankSpec(10, 10)
-        a = simulate_one(spec, replication_stream(7, 3))
-        b = simulate_one(spec, replication_stream(7, 3))
-        assert a == b
+        # block 3 of seed 7 is a pure function of its key and length
+        first = _block_maxima(10, 10, 7, 3, 64)
+        assert (first == _block_maxima(10, 10, 7, 3, 64)).all()
+        assert not (first == _block_maxima(10, 10, 7, 4, 64)).all()
 
 
 class TestRunExperiment:
@@ -93,9 +101,37 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_worker_count_does_not_change_results(self, workers):
-        base = run_experiment(SimulationConfig(BankSpec(5, 5), 600, 31))
-        split = run_experiment(SimulationConfig(BankSpec(5, 5), 600, 31, workers=workers))
+        # 3000 replications are three 1024-replication blocks, so the work splits
+        base = run_experiment(SimulationConfig(BankSpec(5, 5), 3_000, 31))
+        split = run_experiment(SimulationConfig(BankSpec(5, 5), 3_000, 31, workers=workers))
         assert base == split
+
+    @pytest.mark.parametrize("spec", [BankSpec(4, 2000), BankSpec(5, 5)], ids=["B65", "B1024"])
+    @pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "3B+5"])
+    def test_worker_count_identity_at_block_boundaries(self, spec, offset):
+        size = _block_size(spec.q)
+        reps = {"1": 1, "B-1": size - 1, "B": size, "B+1": size + 1, "3B+5": 3 * size + 5}[offset]
+        base = run_experiment(SimulationConfig(spec, reps, 41))
+        assert sum(base.histogram.values()) == reps
+        for workers in (2, 3, 8):
+            assert run_experiment(SimulationConfig(spec, reps, 41, workers=workers)) == base
+
+    def test_block_size_fixed_by_spec(self):
+        assert _block_size(1) == _block_size(50) == 1024
+        assert _block_size(2000) == 65
+        assert _block_size(10 ** 6) == 1
+
+    def test_memory_flat_in_q(self):
+        # banks are drawn in column slices of 2**17 int64 cells (1 MiB), so a
+        # million banks need about 2 MiB; one unsliced row would need 16 MiB
+        tracemalloc.start()
+        try:
+            result = run_experiment(SimulationConfig(BankSpec(2, 10 ** 6), 4, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert sum(result.histogram.values()) == 4 and result.min >= 2
 
     def test_more_workers_than_reps(self):
         result = run_experiment(SimulationConfig(BankSpec(2, 1), 3, 5, workers=8))
@@ -117,7 +153,7 @@ class TestRunExperiment:
     def test_generator_identity_recorded(self):
         result = run_experiment(SimulationConfig(BankSpec(2, 1), 10, 0))
         assert result.generator_id == GENERATOR_ID
-        assert GENERATOR_ID.startswith("philox4x64/numpy-")
+        assert GENERATOR_ID == f"philox4x64-stagesum-blocks/numpy-{np.__version__}"
 
     def test_ecdf_matches_exact_cdf_at_centre(self):
         spec = BankSpec(10, 10)
@@ -146,31 +182,29 @@ class TestVarianceStdError:
 
 
 class TestMaxOfSingleBanks:
+    """run_experiment samples the maximum over banks of per-bank stage sums."""
+
     def test_support(self):
-        draws = max_of_single_banks(BankSpec(5, 4), 1_000, 13)
-        assert draws.min() >= 5
+        result = run_experiment(SimulationConfig(BankSpec(5, 4), 1_000, 13))
+        assert result.min >= 5
 
     def test_single_alternative(self):
-        draws = max_of_single_banks(BankSpec(1, 3), 100, 13)
-        assert (draws == 1).all()
+        result = run_experiment(SimulationConfig(BankSpec(1, 3), 100, 13))
+        assert result.histogram == {1: 100}
 
     def test_agrees_with_direct_simulation(self):
-        # two independently constructed samplers of the same law; two-sample
+        # the stage-sum sampler against the literal per-test loop; two-sample
         # Kolmogorov-Smirnov at the 0.001 level
         spec = BankSpec(10, 10)
-        reps = 100_000
-        direct_result = run_experiment(SimulationConfig(spec, reps, 555))
-        direct = np.repeat(
-            list(direct_result.histogram.keys()),
-            list(direct_result.histogram.values()),
-        )
-        alternative = max_of_single_banks(spec, reps, 555)
-        statistic = stats.ks_2samp(direct, alternative)
+        stage_sums = draws_of(run_experiment(SimulationConfig(spec, 100_000, 555)))
+        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(555)))
+        direct = [simulate_one_reference(spec, stream) for _ in range(3_000)]
+        statistic = stats.ks_2samp(stage_sums, direct)
         assert statistic.pvalue > 0.001
 
     def test_mean_concordance(self):
         spec = BankSpec(5, 50)
-        draws = max_of_single_banks(spec, 100_000, 999)
+        draws = draws_of(run_experiment(SimulationConfig(spec, 100_000, 999)))
         exact = expected_tests(spec).value
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - exact) <= 3 * se
