@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from .coupon import InvalidSpecError
@@ -22,7 +21,6 @@ __all__ = [
     "EULER_GAMMA",
     "GUMBEL_VARIANCE",
     "QuadratureError",
-    "GumbelStd",
     "CentringData",
     "MomentBounds",
     "VarianceBoundSummary",
@@ -64,25 +62,6 @@ def gumbel_cdf(x: float) -> float:
         # The cdf is already 0.0 below about -6.6, and exp(-x) overflows below -709.
         return 0.0
     return math.exp(-math.exp(-x))
-
-
-class GumbelStd:
-    """The standard Gumbel law bundled with its moment constants."""
-
-    MEAN = EULER_GAMMA
-    VARIANCE = GUMBEL_VARIANCE
-
-    @staticmethod
-    def cdf(x: float) -> float:
-        return gumbel_cdf(x)
-
-    @staticmethod
-    def pdf(x: float) -> float:
-        return math.exp(-x - math.exp(-x))
-
-    @staticmethod
-    def sample(rng: np.random.Generator, size: int | None = None):
-        return rng.gumbel(0.0, 1.0, size)
 
 
 @dataclass(frozen=True)
@@ -127,8 +106,12 @@ def local_pmf_approx(a: int, q: int, n: int) -> float:
     function on the integers.
     """
     c = centring(a, q)
-    hi = gumbel_cdf(c.decay_rate * (n + 1 - c.centre_frac))
-    lo = gumbel_cdf(c.decay_rate * (n - c.centre_frac))
+    try:
+        hi = gumbel_cdf(c.decay_rate * (n + 1 - c.centre_frac))
+        lo = gumbel_cdf(c.decay_rate * (n - c.centre_frac))
+    except OverflowError:
+        # a lag beyond the float range lies where both Gumbel values are 0 or both 1
+        return 0.0
     return hi - lo
 
 

@@ -11,7 +11,6 @@ sums as :class:`SeriesEstimate`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -336,27 +335,6 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-@functools.lru_cache(maxsize=None)
-def _tail_anchor(a: int) -> int:
-    """Smallest y from which the geometric tail certificate verifiably holds.
-
-    The union bound P(Y > y) <= a * ((a-1)/a)**y already implies the
-    certificate 2a * ((a-1)/a)**(y-1) with a factor-2 margin for every y, so
-    the scan returns 0; it runs anyway so the certificate rests on checked
-    values instead of on an assumption.
-    """
-    decay = (a - 1) / a
-    y = 0
-    while True:
-        window = range(y, y + 4 * a + 4)
-        if all(
-            _survival_and_cdf(a, m)[0].p <= 2.0 * a * decay ** (m - 1)
-            for m in window
-        ):
-            return y
-        y += 1  # pragma: no cover
-
-
 def _coverage_survival_term(a: int, q: int, n: int) -> float:
     """P(not all banks covered within n tests) = 1 - F(n)^q."""
     if n < a:
@@ -381,11 +359,10 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     if a == 1:
         return SeriesEstimate(1.0, 0.0, 1)
     decay = (a - 1) / a
-    anchor = _tail_anchor(a)
     acc = _CompensatedSum()
     for n in range(policy.n_cap + 1):
         term = _coverage_survival_term(a, q, n)
-        if n >= anchor and term < policy.eps_term:
+        if term < policy.eps_term:
             tail = 2.0 * a * q * decay ** (n - 1) / (1.0 - decay)
             if tail <= 10.0 * policy.eps_term:
                 return SeriesEstimate(acc.total, tail, n)
@@ -405,13 +382,12 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     if a == 1:
         return SeriesEstimate(0.0, 0.0, 1)
     decay = (a - 1) / a
-    anchor = _tail_anchor(a)
     mean_acc = _CompensatedSum()
     second_acc = _CompensatedSum()
     for n in range(policy.n_cap + 1):
         term = _coverage_survival_term(a, q, n)
         weighted = (2 * n + 1) * term
-        if n >= anchor and weighted < policy.eps_term:
+        if weighted < policy.eps_term:
             geo = decay ** (n - 1) / (1.0 - decay)
             tail = 2.0 * a * q * geo * ((2 * n + 1) + 2.0 * decay / (1.0 - decay))
             if tail <= 10.0 * policy.eps_term:

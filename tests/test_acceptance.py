@@ -1,7 +1,9 @@
 """Acceptance battery: every stated criterion, one test (and one line) each.
 
 Run with -v to get the one-line pass/fail verdict per criterion; each test
-also prints its observed numbers.
+also prints its observed numbers.  The printed tables and the sweeps live
+once, in ``bankcover.validate``; each test keeps its criterion's tolerance,
+time gate and verdict line, and the last test pins the tables.
 
 Criterion 1 carries a printed erratum.  Its reference 71.96 for a = 20 is
 a double rounding of the defining sum 20 * H_20 = 71.954793... (to 71.955,
@@ -13,35 +15,17 @@ Criterion 3 keeps its (20, 1) erratum the same way.
 
 from __future__ import annotations
 
-import json
-import math
+import hashlib
 import time
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from bankcover.asymptotics import (
-    centred_mean_prediction,
-    centring,
-    decay_rate,
-    exp_integral_e1,
-    gumbel_cdf,
-    local_pmf_approx,
-    variance_bounds,
-)
-from bankcover.coupon import (
-    BankSpec,
-    cdf_oracle,
-    expected_single_bank,
-    expected_tests,
-    expected_tests_multisum,
-    single_bank_cdf,
-    test_count_cdf,
-    variance_tests,
-)
-from bankcover.simulate import SimulationConfig, run_experiment
+from bankcover import validate
+from bankcover.asymptotics import centred_mean_prediction, exp_integral_e1
+from bankcover.coupon import expected_single_bank
+from bankcover.tables import TABLE_Q
 
 
 def _verdict(number: int, passed: bool, detail: str) -> None:
@@ -66,8 +50,7 @@ def test_acceptance_01_single_bank_means():
     71.95.  The print is kept and asserted as that erratum, so it stays
     visible and the test fails if the table or the formula changes.
     """
-    printed = {5: 11.42, 10: 29.29, 15: 49.77, 20: 71.96}
-    exact = {a: a * sum(Fraction(1, k) for k in range(1, a + 1)) for a in printed}
+    printed, exact = validate.SINGLE_PRINTED, validate.SINGLE_EXACT
     for a, value in exact.items():
         assert expected_single_bank(a) == pytest.approx(float(value), abs=1e-12), (
             "library value must equal the defining sum before the reference "
@@ -97,37 +80,15 @@ def test_acceptance_01_single_bank_means():
     assert worst <= 0.005
 
 
-MEAN_TABLE = {
-    (5, 1): 11.4, (5, 5): 17.8, (5, 10): 20.8, (5, 20): 23.8,
-    (5, 50): 27.9, (5, 100): 31.0, (5, 200): 34.1,
-    (10, 1): 29.3, (10, 5): 43.5, (10, 10): 49.9, (10, 20): 56.4,
-    (10, 50): 65.0, (10, 100): 71.6, (10, 200): 78.1,
-    (20, 1): 72.0, (20, 5): 102.0, (20, 10): 115.3, (20, 20): 128.7,
-    (20, 50): 146.5, (20, 100): 160.0, (20, 200): 173.5,
-}
-
-
 def test_acceptance_02_mean_table():
     """All 21 reference mean cells within 0.05 via the survival series; < 1 s."""
     start = time.perf_counter()
-    worst = 0.0
-    for (a, q), printed in MEAN_TABLE.items():
-        worst = max(worst, abs(expected_tests(BankSpec(a, q)).value - printed))
+    worst, _ = validate.mean_table_deviation()
     elapsed = time.perf_counter() - start
     ok = worst <= 0.05 and elapsed < 1.0
     _verdict(2, ok, f"max deviation {worst:.4f} (tol 0.05), {elapsed:.2f} s (< 1 s)")
     assert worst <= 0.05
     assert elapsed < 1.0
-
-
-CENTRED_TABLE = {
-    (5, 1): 9.8, (5, 5): 17.0, (5, 10): 20.1, (5, 20): 23.2,
-    (5, 50): 27.3, (5, 100): 30.4, (5, 200): 33.5,
-    (10, 1): 27.3, (10, 5): 42.6, (10, 10): 49.2, (10, 20): 55.8,
-    (10, 50): 64.5, (10, 100): 71.0, (10, 200): 77.6,
-    (20, 1): 68.7, (20, 5): 101.0, (20, 10): 114.5, (20, 20): 128.1,
-    (20, 50): 145.9, (20, 100): 159.4, (20, 200): 173.0,
-}
 
 
 def test_acceptance_03_centred_predictions():
@@ -141,20 +102,14 @@ def test_acceptance_03_centred_predictions():
     separately asserts the print deviation is real, so the discrepancy stays
     visible instead of being silently reconciled.
     """
-    worst = 0.0
-    for (a, q), printed in CENTRED_TABLE.items():
-        predicted = centred_mean_prediction(a, q)
-        if (a, q) == (20, 1):
-            assert abs(predicted - printed) > 0.9, (
-                "reference erratum vanished; restore the direct comparison"
-            )
-            printed = 69.7
-        worst = max(worst, abs(predicted - printed))
-    band_lo, band_hi = math.inf, -math.inf
-    for a in (5, 10, 20):
-        for q in (20, 50, 100, 200):
-            diff = expected_tests(BankSpec(a, q)).value - centred_mean_prediction(a, q)
-            band_lo, band_hi = min(band_lo, diff), max(band_hi, diff)
+    a, q = validate.CENTRED_ERRATUM_CELL
+    predicted = centred_mean_prediction(a, q)
+    printed = validate.CENTRED_PRINTED[a][TABLE_Q.index(q)]
+    assert abs(predicted - printed) > 0.9, (
+        "reference erratum vanished; restore the direct comparison"
+    )
+    worst = validate.centred_table_deviation()
+    band_lo, band_hi = validate.centred_diff_band()
     ok = worst <= 0.05 and band_lo >= 0.45 and band_hi <= 0.65
     _verdict(3, ok, f"max cell deviation {worst:.4f} (tol 0.05); "
              f"band [{band_lo:.4f}, {band_hi:.4f}] within [0.45, 0.65]; "
@@ -163,19 +118,10 @@ def test_acceptance_03_centred_predictions():
     assert band_lo >= 0.45 and band_hi <= 0.65
 
 
-SD_TABLE = {
-    2: (0.641, 2.537), 3: (2.323, 3.823), 4: (3.697, 5.107),
-    5: (5.024, 6.390), 10: (11.507, 12.804), 20: (24.362, 25.630),
-}
-
-
 def test_acceptance_04_sd_bounds():
     """All 12 sd-bound cells within 0.002, and E1(1) = 0.2194 within 1e-4."""
-    worst = 0.0
-    for a, (lo, hi) in SD_TABLE.items():
-        bounds = variance_bounds(a)
-        worst = max(worst, abs(bounds.sd_lo - lo), abs(bounds.sd_hi - hi))
-    e1_dev = abs(exp_integral_e1(1.0) - 0.2194)
+    worst = validate.sd_table_deviation()
+    e1_dev = abs(exp_integral_e1(1.0) - validate.E1_PRINTED)
     ok = worst <= 0.002 and e1_dev <= 1e-4
     _verdict(4, ok, f"max sd deviation {worst:.5f} (tol 0.002); "
              f"E1(1) deviation {e1_dev:.2e} (tol 1e-4)")
@@ -187,10 +133,7 @@ def test_acceptance_05_oracle_equivalence():
     """Closed form vs exact surjection-count oracle, a in 1..8, y in a..60,
     within 1e-12; < 5 s."""
     start = time.perf_counter()
-    worst = 0.0
-    for a in range(1, 9):
-        for y in range(a, 61):
-            worst = max(worst, abs(single_bank_cdf(a, y).p - float(cdf_oracle(a, y))))
+    worst = validate.oracle_deviation()
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     _verdict(5, ok, f"max deviation {worst:.2e} (tol 1e-12), {elapsed:.2f} s (< 5 s)")
@@ -201,47 +144,18 @@ def test_acceptance_05_oracle_equivalence():
 def test_acceptance_06_multisum_agreement():
     """Alternating multi-sum agrees with the series mean within 1e-9 on its
     full admissible range: a <= 6 at q=1; a <= 5 for q in 2..3; a <= 4 at q=4."""
-    cases = (
-        [(a, 1) for a in range(1, 7)]
-        + [(a, q) for a in range(1, 6) for q in (2, 3)]
-        + [(a, 4) for a in range(1, 5)]
-    )
-    worst = 0.0
-    for a, q in cases:
-        spec = BankSpec(a, q)
-        worst = max(worst, abs(expected_tests_multisum(spec) - expected_tests(spec).value))
+    worst = validate.multisum_deviation()
     ok = worst <= 1e-9
-    _verdict(6, ok, f"max deviation {worst:.2e} over {len(cases)} cells (tol 1e-9)")
+    _verdict(6, ok, f"max deviation {worst:.2e} over {len(validate.MULTISUM_CELLS)} cells "
+             "(tol 1e-9)")
     assert worst <= 1e-9
 
 
 def test_acceptance_07_monte_carlo_concordance():
-    """Seeded simulation at (10,1), (10,10), (5,50), (20,20) with 1e5 reps:
-    mean within 3 standard errors of the series mean, and byte-identical
-    output records across worker counts."""
-    seed = 20_260_819
-    worst_sigma = 0.0
-    for a, q in ((10, 1), (10, 10), (5, 50), (20, 20)):
-        spec = BankSpec(a, q)
-        result = run_experiment(SimulationConfig(spec, 100_000, seed, workers=4))
-        exact = expected_tests(spec).value
-        worst_sigma = max(worst_sigma, abs(result.mean - exact) / result.std_error_mean)
-    single = run_experiment(SimulationConfig(BankSpec(10, 10), 100_000, seed, workers=1))
-    split = run_experiment(SimulationConfig(BankSpec(10, 10), 100_000, seed, workers=4))
-
-    def record_bytes(result) -> bytes:
-        payload = {
-            "mean": result.mean,
-            "variance": result.variance,
-            "std_error_mean": result.std_error_mean,
-            "min": result.min,
-            "max": result.max,
-            "histogram": result.histogram,
-            "generator_id": result.generator_id,
-        }
-        return json.dumps(payload, sort_keys=True).encode()
-
-    identical = record_bytes(single) == record_bytes(split)
+    """Seeded simulation at (10,1), (10,10), (5,50), (20,20) with 1e5 reps and
+    4 workers: mean within 3 standard errors of the series mean, and the
+    (10,10) output record byte-identical when rerun with 1 worker."""
+    worst_sigma, identical = validate.simulation_concordance(20_260_819, workers=(4, 1))
     ok = worst_sigma <= 3.0 and identical
     _verdict(7, ok, f"worst deviation {worst_sigma:.2f} standard errors (tol 3); "
              f"worker-count bytes {'identical' if identical else 'DIFFER'}")
@@ -255,25 +169,8 @@ def test_acceptance_08_sandwich_and_witness():
     q = 2..1e6 at a = 10, x = 0 the exact probability approaches both
     envelope ends within 0.01.  Total < 30 s."""
     start = time.perf_counter()
-    xs = np.arange(-3.0, 10.0 + 1e-9, 0.25)
-    worst = -math.inf
-    q = 10 ** 6
-    for a in (5, 10, 20):
-        rate = decay_rate(a)
-        centre = math.log(a * q) / rate
-        cdf = np.array([single_bank_cdf(a, n).p for n in range(int(centre + 12) + 1)])
-        for x in xs:
-            n = math.floor(centre + x)
-            p = float(cdf[n]) ** q if n >= 0 else 0.0
-            worst = max(worst, gumbel_cdf(rate * (x - 1.0)) - p, p - gumbel_cdf(rate * x))
-    a = 10
-    rate = decay_rate(a)
-    qs = np.arange(2, 10 ** 6 + 1, dtype=np.float64)
-    idx = np.floor(np.log(a * qs) / rate).astype(np.int64)
-    cdf = np.array([single_bank_cdf(a, n).p for n in range(int(idx.max()) + 1)])
-    probs = cdf[idx] ** qs
-    lo_gap = float(np.abs(probs - gumbel_cdf(-rate)).min())
-    hi_gap = float(np.abs(probs - gumbel_cdf(0.0)).min())
+    worst = validate.sandwich_excursion((10 ** 6,))
+    lo_gap, hi_gap = validate.envelope_witness()
     elapsed = time.perf_counter() - start
     ok = worst <= 0.02 and lo_gap <= 0.01 and hi_gap <= 0.01 and elapsed < 30.0
     _verdict(8, ok, f"worst envelope excursion {worst:.2e} (tol 0.02); witness gaps "
@@ -286,11 +183,7 @@ def test_acceptance_08_sandwich_and_witness():
 def test_acceptance_09_variance_band():
     """Series variance at q = 1e4 for a in (5, 10, 20) inside the large-q
     band widened by 0.5."""
-    worst = -math.inf
-    for a in (5, 10, 20):
-        value = variance_tests(BankSpec(a, 10_000)).value
-        bounds = variance_bounds(a)
-        worst = max(worst, bounds.var_lo - value, value - bounds.var_hi)
+    worst = validate.variance_band_excursion()
     ok = worst <= 0.5
     _verdict(9, ok, f"worst band excursion {worst:.3f} (tol 0.5; negative means inside)")
     assert worst <= 0.5
@@ -299,20 +192,19 @@ def test_acceptance_09_variance_band():
 def test_acceptance_10_local_limit_decay():
     """Max-over-n error of the local Gumbel increment against the exact pmf
     decreases across q = 1e2, 1e4, 1e6 at a = 10, with 10% slack."""
-    a = 10
-    errors = []
-    for q in (10 ** 2, 10 ** 4, 10 ** 6):
-        spec = BankSpec(a, q)
-        ceil = centring(a, q).centre_ceil
-        worst = 0.0
-        for offset in range(-40, 81):
-            n = ceil + offset
-            if n < 1:
-                continue
-            exact = test_count_cdf(spec, n).p - test_count_cdf(spec, n - 1).p
-            worst = max(worst, abs(exact - local_pmf_approx(a, q, offset)))
-        errors.append(worst)
+    errors = validate.local_approx_errors()
     decreasing = all(errors[i + 1] <= 1.1 * errors[i] for i in range(len(errors) - 1))
     _verdict(10, decreasing, "errors " + " -> ".join(f"{e:.2e}" for e in errors)
              + " (each step within 1.1x of the previous)")
     assert decreasing
+
+
+def test_reference_tables_pinned():
+    """The printed tables are read from the library; an edit there must fail here."""
+    tables = tuple(getattr(validate, name) for name in (
+        "SINGLE_PRINTED", "MEAN_TABLE_PRINTED", "CENTRED_PRINTED", "CENTRED_ERRATUM_CELL",
+        "CENTRED_ERRATUM_VALUE", "SD_PRINTED", "E1_PRINTED", "FIG_LOW_PRINTED",
+        "FIG_HIGH_EXTRA_PRINTED",
+    ))
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "d91928e84badcc77043fbb5788101bc1234c40e7936a231baf29caae8c1bcdaa"

@@ -148,6 +148,11 @@ class TestValidate:
         assert code == EXIT_OK
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("PASS")] == [
+            "single_bank_mean", "mean_table", "centred_table", "centred_diff_band",
+            "sd_bound_table", "exp_integral_value", "oracle_agreement",
+            "multisum_agreement", "figure_data",
+        ]
 
     def test_unknown_level_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--level", "paranoid")

@@ -30,6 +30,7 @@ from bankcover.coupon import (
     test_count_pmf,
     variance_tests,
 )
+from bankcover.validate import SINGLE_PRINTED
 
 
 def brute_force_cdf(a: int, y: int) -> Fraction:
@@ -103,9 +104,8 @@ class TestExpectedSingleBank:
         # the 2 d.p. reference prints; the a=20 print (71.96) double-rounds
         # 71.9548 (via 71.955), so acceptance 01 checks that cell against its
         # single rounding 71.95 and asserts the print as an erratum
-        assert expected_single_bank(5) == pytest.approx(11.42, abs=0.005)
-        assert expected_single_bank(10) == pytest.approx(29.29, abs=0.005)
-        assert expected_single_bank(15) == pytest.approx(49.77, abs=0.005)
+        for a in (5, 10, 15):
+            assert expected_single_bank(a) == pytest.approx(SINGLE_PRINTED[a], abs=0.005)
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_geometric_stage_identity_small_a(self, a):
@@ -171,6 +171,14 @@ class TestSingleBankSurvival:
         v = single_bank_survival(a, y)
         assert 0.0 <= v.p <= 1.0
         assert v.abs_err < 1e-9
+
+    def test_geometric_tail_certificate(self):
+        # the series' tail bounds rest on S(m) <= 2a * ((a-1)/a)**(m-1) for
+        # every m >= 0; the union bound a * ((a-1)/a)**m gives it with margin
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            decay = (a - 1) / a
+            for m in range(4 * a + 4):
+                assert single_bank_survival(a, m).p <= 2.0 * a * decay ** (m - 1), (a, m)
 
     def test_error_budget_dense_small_grid(self):
         for a in range(1, 65):

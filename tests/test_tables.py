@@ -15,21 +15,7 @@ from bankcover.tables import (
     render_figure_svg,
     round_half_away,
 )
-
-MEAN_TABLE_PRINTED = {
-    5: ("11.4", "17.8", "20.8", "23.8", "27.9", "31.0", "34.1"),
-    10: ("29.3", "43.5", "49.9", "56.4", "65.0", "71.6", "78.1"),
-    20: ("72.0", "102.0", "115.3", "128.7", "146.5", "160.0", "173.5"),
-}
-
-SD_PRINTED = {
-    2: (0.641, 2.537),
-    3: (2.323, 3.823),
-    4: (3.697, 5.107),
-    5: (5.024, 6.390),
-    10: (11.507, 12.804),
-    20: (24.362, 25.630),
-}
+from bankcover.validate import MEAN_TABLE_PRINTED, SD_PRINTED
 
 
 class TestRounding:
