@@ -56,8 +56,18 @@ def decay_rate(a: int) -> float:
     return -math.log1p(-1.0 / a)
 
 
+def _saturating_float(x: float) -> float:
+    """``x`` as a float; an integer beyond the float range becomes an infinity
+    of its sign, where every Gumbel value here is flat at 0 or 1."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def gumbel_cdf(x: float) -> float:
     """Standard Gumbel distribution function ``exp(-e**(-x))``."""
+    x = _saturating_float(x)
     if x < -40.0:
         # The cdf is already 0.0 below about -6.6, and exp(-x) overflows below -709.
         return 0.0
@@ -96,6 +106,7 @@ def sandwich_bounds(a: int, x: float) -> tuple[float, float]:
     are bracketed by the two Gumbel values returned here (lower first).
     """
     rate = decay_rate(a)
+    x = _saturating_float(x)
     return gumbel_cdf(rate * (x - 1.0)), gumbel_cdf(rate * x)
 
 
@@ -106,12 +117,9 @@ def local_pmf_approx(a: int, q: int, n: int) -> float:
     function on the integers.
     """
     c = centring(a, q)
-    try:
-        hi = gumbel_cdf(c.decay_rate * (n + 1 - c.centre_frac))
-        lo = gumbel_cdf(c.decay_rate * (n - c.centre_frac))
-    except OverflowError:
-        # a lag beyond the float range lies where both Gumbel values are 0 or both 1
-        return 0.0
+    n = _saturating_float(n)
+    hi = gumbel_cdf(c.decay_rate * (n + 1 - c.centre_frac))
+    lo = gumbel_cdf(c.decay_rate * (n - c.centre_frac))
     return hi - lo
 
 

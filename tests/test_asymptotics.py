@@ -80,6 +80,11 @@ class TestGumbelCdf:
     def test_at_minus_one(self):
         assert gumbel_cdf(-1.0) == pytest.approx(0.065988, abs=1e-6)
 
+    def test_integer_arguments_beyond_float_range(self):
+        # the same flat values as a float argument past +-40
+        assert gumbel_cdf(10 ** 400) == gumbel_cdf(1e300) == 1.0
+        assert gumbel_cdf(-10 ** 400) == gumbel_cdf(-1e300) == 0.0
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5, 30), st.floats(-5, 30))
     def test_monotone(self, x, y):
@@ -99,9 +104,13 @@ class TestSandwichBounds:
         lower, upper = sandwich_bounds(a, x)
         assert lower <= upper
 
-    @pytest.mark.parametrize("x", [-710.0, -1e6])
+    @pytest.mark.parametrize("x", [-710.0, -1e6, pytest.param(-10 ** 400, id="-10**400")])
     def test_far_left_lag(self, x):
         assert sandwich_bounds(10, x) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("x", [1e6, pytest.param(10 ** 400, id="10**400")])
+    def test_far_right_lag(self, x):
+        assert sandwich_bounds(10, x) == (1.0, 1.0)
 
     def test_envelope_contains_exact_cdf(self):
         # the oscillating exact probability stays inside the envelope for

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,8 @@ from bankcover.coupon import (
     test_count_pmf,
     variance_tests,
 )
+from bankcover import coupon
+from bankcover.tables import TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
 
@@ -386,3 +391,149 @@ class TestVarianceTests:
     def test_cap_raises(self):
         with pytest.raises(SeriesCapError):
             variance_tests(BankSpec(20, 100), TruncationPolicy(n_cap=50))
+
+
+# Reference copy of the per-test-count route that the block cache replaced:
+# the alternating closed form in compensated floats for one y, redone in
+# exact rationals when its error bound exceeds 1e-13.  The block cache must
+# reproduce it bit for bit.
+_ULP = 2.0 ** -53
+
+
+def reference_curve_point(a: int, y: int) -> tuple[tuple[float, float, float, float], str]:
+    """(S, S error bound, F, F error bound) and the route taken: 'exact' or 'float'."""
+    if a == 1:
+        return ((0.0, 0.0, 1.0, 0.0) if y >= 1 else (1.0, 0.0, 0.0, 0.0)), "float"
+    if y < a:
+        return (1.0, 0.0, 0.0, 0.0), "float"
+    total = low = magnitude = 0.0
+    for k in range(1, a + 1):
+        term = math.comb(a, k) * ((a - k) / a) ** y
+        x = -term if k % 2 == 0 else term
+        step = total + x
+        if abs(total) >= abs(x):
+            low += (total - step) + x
+        else:
+            low += (x - step) + total
+        total = step
+        magnitude += term
+    bound = (y + 2 * a + 10) * _ULP * magnitude
+    if bound > 1e-13:
+        exact = Fraction(
+            sum((-1) ** (k + 1) * math.comb(a, k) * (a - k) ** y for k in range(1, a + 1)),
+            a ** y,
+        )
+        return (float(exact), _ULP, float(1 - exact), _ULP), "exact"
+    p = total + low
+    err = bound + _ULP
+    return (clamp01(p), err, clamp01(1.0 - p), err + _ULP), "float"
+
+
+def clamp01(p: float) -> float:
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+
+
+def reference_series(a: int, q: int, second_moment: bool) -> tuple[float, float, int]:
+    """(value, tail_bound, terms) of the mean or variance series on the reference route."""
+    if a == 1:
+        return (0.0 if second_moment else 1.0), 0.0, 1
+    decay = (a - 1) / a
+    mean_acc, second_acc = coupon._CompensatedSum(), coupon._CompensatedSum()
+    for n in range(DEFAULT_POLICY.n_cap + 1):
+        s = 1.0 if n < a else reference_curve_point(a, n)[0][0]
+        if s == 0.0:
+            term = 0.0
+        elif s == 1.0:
+            term = 1.0
+        else:
+            term = -math.expm1(q * math.log1p(-s))
+        weighted = (2 * n + 1) * term if second_moment else term
+        if weighted < DEFAULT_POLICY.eps_term:
+            if second_moment:
+                geo = decay ** (n - 1) / (1.0 - decay)
+                tail = 2.0 * a * q * geo * ((2 * n + 1) + 2.0 * decay / (1.0 - decay))
+            else:
+                tail = 2.0 * a * q * decay ** (n - 1) / (1.0 - decay)
+            if tail <= 10.0 * DEFAULT_POLICY.eps_term:
+                if second_moment:
+                    mean = mean_acc.total
+                    return second_acc.total - mean * mean, tail, n
+                return mean_acc.total, tail, n
+        mean_acc.add(term)
+        second_acc.add(weighted)
+    raise AssertionError("reference series hit the cap")
+
+
+def bits(*values: float) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestSurvivalBlocks:
+    """The cached block route against the per-y reference, bit for bit."""
+
+    @staticmethod
+    def _assert_point(a: int, y: int) -> str:
+        want, route = reference_curve_point(a, y)
+        s, f = single_bank_survival(a, y), single_bank_cdf(a, y)
+        assert type(s.p) is float and type(f.p) is float
+        assert type(s.abs_err) is float and type(f.abs_err) is float
+        got = (s.p, s.abs_err, f.p, f.abs_err)
+        assert bits(*got) == bits(*want), (a, y, got, want)
+        return route
+
+    def test_dense_grid_and_every_exact_cell(self):
+        for a in range(1, MAX_ALTERNATIVES + 1):
+            exact_cells = [y for y in range(30 * a + 1) if self._assert_point(a, y) == "exact"]
+            # the exact cells end well inside the grid, so every one is checked
+            assert not exact_cells or exact_cells[-1] < 5 * a, (a, exact_cells[-1])
+
+    def test_block_edges_and_constant_tail(self):
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            cut = coupon._tail_start(a)
+            ys = [255, 256, 257, 511, 512, 513, cut - 1, cut, cut + 1, 10 ** 6]
+            for y in ys:
+                self._assert_point(a, y)
+            # the cut is the first y with an all-zero closed form
+            assert reference_curve_point(a, cut)[0] == (0.0, _ULP, 1.0, 2 * _ULP)
+            assert reference_curve_point(a, cut - 1)[0][0] > 0.0
+
+    @pytest.mark.parametrize(
+        "y", [pytest.param(10 ** 20, id="10**20"), pytest.param(10 ** 400, id="10**400")]
+    )
+    def test_beyond_float_range_returns_constant_tail(self, y):
+        spec = BankSpec(10, 5)
+        assert single_bank_survival(10, y) == ProbValue(0.0, _ULP)
+        assert single_bank_cdf(10, y) == ProbValue(1.0, 2 * _ULP)
+        assert test_count_cdf(spec, y).p == 1.0
+        assert test_count_pmf(spec, y).p == 0.0
+
+    def test_series_match_reference(self):
+        rng = random.Random(20)
+        cells = [(a, q) for a in TABLE_A for q in TABLE_Q]
+        cells += [(rng.randint(2, MAX_ALTERNATIVES), int(10 ** rng.uniform(0, 6)))
+                  for _ in range(10)]
+        cells += [(2, 10 ** 6), (MAX_ALTERNATIVES, 10 ** 6)]
+        for a, q in cells:
+            spec = BankSpec(a, q)
+            for fn, second in ((expected_tests, False), (variance_tests, True)):
+                est = fn(spec)
+                value, tail, terms = reference_series(a, q, second)
+                assert bits(est.value, est.tail_bound) == bits(value, tail), (a, q, fn)
+                assert est.terms == terms, (a, q, fn)
+
+    def test_cache_is_bounded_and_small(self):
+        # documented bound: at most 512 blocks of four 256-double arrays,
+        # under 4.5 MiB with the cache's own bookkeeping
+        assert coupon._survival_block.cache_info().maxsize == 512
+        coupon._survival_block.cache_clear()
+        tracemalloc.start()
+        try:
+            for a in range(2, MAX_ALTERNATIVES + 1):
+                variance_tests(BankSpec(a, 10 ** 6))
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = coupon._survival_block.cache_info().currsize
+        assert blocks <= 512
+        assert held < 4.5 * 2 ** 20
+        assert held / blocks * 512 < 4.5 * 2 ** 20
