@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
 
-from .coupon import InvalidSpecError
+from .coupon import InvalidSpecError, _saturating_float
 
 __all__ = [
     "EULER_GAMMA",
@@ -43,8 +43,19 @@ GUMBEL_VARIANCE = math.pi ** 2 / 6.0
 _QUAD_TOL = 1e-10
 
 
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the n-node Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = leggauss(n)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+# The band moment uses the 30-node rule and certifies it with the 60-node one.
+_GAUSS_RULE = _gauss_legendre(30)
+_GAUSS_CHECK = _gauss_legendre(60)
+
+
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """A quadrature or continued fraction could not certify its tolerance."""
 
 
 def decay_rate(a: int) -> float:
@@ -54,15 +65,6 @@ def decay_rate(a: int) -> float:
     if a < 2:
         raise InvalidSpecError(f"asymptotics need a >= 2, got {a}")
     return -math.log1p(-1.0 / a)
-
-
-def _saturating_float(x: float) -> float:
-    """``x`` as a float; an integer beyond the float range becomes an infinity
-    of its sign, where every Gumbel value here is flat at 0 or 1."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def gumbel_cdf(x: float) -> float:
@@ -145,20 +147,29 @@ def mean_bounds(a: int) -> MomentBounds:
 def band_second_moment(a: int) -> float:
     """Second moment of ``1 + Z / rate`` over the unit band ``-rate < Z <= 0``.
 
-    Z is standard Gumbel.  Deterministic adaptive quadrature, certified to
-    1e-10 absolute; raises :class:`QuadratureError` if the estimate cannot be
-    certified.
+    Z is standard Gumbel.  A fixed 30-node Gauss-Legendre rule on
+    [-rate, 0]: the integrand is entire, so the rule converges geometrically
+    and stays within about 1e-16 of a 50-digit reference for a in 2..64.  It
+    is certified by comparison with the 60-node rule; raises
+    :class:`QuadratureError` if the two differ by more than 1e-10.
     """
     rate = decay_rate(a)
+    half = rate / 2.0
 
-    def integrand(z: float) -> float:
-        w = 1.0 + z / rate
-        return w * w * math.exp(-z - math.exp(-z))
+    def gauss(rule: tuple[tuple[float, float], ...]) -> float:
+        terms = []
+        for x, weight in rule:
+            z = half * x - half
+            w = 1.0 + z / rate
+            terms.append(weight * (w * w * math.exp(-z - math.exp(-z))))
+        return half * math.fsum(terms)
 
-    value, err = integrate.quad(integrand, -rate, 0.0, epsabs=1e-12, epsrel=1e-12)
+    value = gauss(_GAUSS_RULE)
+    err = abs(value - gauss(_GAUSS_CHECK))
     if err > _QUAD_TOL:
         raise QuadratureError(
-            f"band moment for a={a}: quadrature error {err:.2e} above {_QUAD_TOL}"
+            f"band moment for a={a}: 30- and 60-node rules differ by {err:.2e}, "
+            f"above {_QUAD_TOL}"
         )
     return value
 
@@ -168,10 +179,14 @@ def exp_integral_e1(x: float) -> float:
 
     Alternating series near the log singularity (x <= 1), modified Lentz
     continued fraction beyond; absolute error well under 1e-12 on both
-    branches.
+    branches.  E1 is 0.0 at +inf, and an integer beyond the float range
+    counts as +inf.
     """
+    x = _saturating_float(x)
     if not x > 0:
         raise ValueError(f"E1 requires x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     if x <= 1.0:
         total = 0.0
         term = 1.0

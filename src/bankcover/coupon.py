@@ -219,6 +219,15 @@ def expected_single_bank(a: int) -> float:
     return a * h
 
 
+def _saturating_float(x: float) -> float:
+    """``x`` as a float; an integer beyond the float range becomes an infinity
+    of its sign (a bank count q, a Gumbel lag or an E1 argument)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _clamp01(p: float) -> float:
     if p < 0.0:
         return 0.0
@@ -390,16 +399,20 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
 
     The q banks are independent, so this is the q-th power of the single-bank
     cdf; the power is taken through ``log1p`` when the single-bank survival is
-    small enough for direct powering to lose accuracy.
+    small enough for direct powering to lose accuracy.  A q beyond the float
+    range counts as +inf, and the error bound is then 1.
     """
     _check_test_count(n)
-    a, q = spec.a, spec.q
+    a = spec.a
     if n < a:
         return ProbValue(0.0, 0.0)
     if a == 1:
         return ProbValue(1.0, 0.0)
+    q = _saturating_float(spec.q)
     s, _, f, f_err = _curve_point(a, n)
-    if s < 0.5:
+    if s == 0.0:
+        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
+    elif s < 0.5:
         p = math.exp(q * math.log1p(-s))
     else:
         p = f ** q
@@ -427,7 +440,7 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-def _coverage_survival_term(q: int, s: float) -> float:
+def _coverage_survival_term(q: float, s: float) -> float:
     """P(not all q banks covered) = 1 - F^q, from one bank's survival s = 1 - F."""
     if s == 0.0:
         return 0.0
@@ -444,10 +457,11 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     Sums P(coverage needs more than n tests) over n >= 0 under ``policy``.
     The returned estimate carries a certified bound on the discarded tail.
     """
-    a, q = spec.a, spec.q
+    a = spec.a
     if a == 1:
         return SeriesEstimate(1.0, 0.0, 1)
     decay = (a - 1) / a
+    q = _saturating_float(spec.q)  # +inf beyond the float range: never certified
     acc = _CompensatedSum()
     for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
         term = _coverage_survival_term(q, s)
@@ -457,7 +471,7 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
                 return SeriesEstimate(acc.total, tail, n)
         acc.add(term)
     raise SeriesCapError(
-        f"mean series for a={a}, q={q} not certified within n_cap={policy.n_cap}"
+        f"mean series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
     )
 
 
@@ -467,10 +481,11 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     Uses E N^2 = sum over n of (2n+1) * P(N > n), with the same certified
     geometric tail treatment as :func:`expected_tests`.
     """
-    a, q = spec.a, spec.q
+    a = spec.a
     if a == 1:
         return SeriesEstimate(0.0, 0.0, 1)
     decay = (a - 1) / a
+    q = _saturating_float(spec.q)  # +inf beyond the float range: never certified
     mean_acc = _CompensatedSum()
     second_acc = _CompensatedSum()
     for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
@@ -485,7 +500,7 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
         mean_acc.add(term)
         second_acc.add(weighted)
     raise SeriesCapError(
-        f"variance series for a={a}, q={q} not certified within n_cap={policy.n_cap}"
+        f"variance series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
     )
 
 

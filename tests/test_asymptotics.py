@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import bankcover.asymptotics as asymptotics
 from bankcover.asymptotics import (
     EULER_GAMMA,
+    QuadratureError,
     band_second_moment,
     centred_mean_prediction,
     centring,
@@ -189,6 +191,23 @@ class TestBandSecondMoment:
         se = contrib.std() / math.sqrt(len(z))
         assert abs(band_second_moment(a) - estimate) <= 3 * se
 
+    def test_matches_tight_quadrature(self):
+        # independent route: scipy's adaptive quadrature at its tightest setting
+        for a in range(2, 65):
+            rate = decay_rate(a)
+            reference, err = integrate.quad(
+                lambda z: (1.0 + z / rate) ** 2 * math.exp(-z - math.exp(-z)),
+                -rate, 0.0, epsabs=1e-14, epsrel=1e-14,
+            )
+            assert err < 1e-14, a
+            assert abs(band_second_moment(a) - reference) <= 1e-14, a
+
+    def test_disagreeing_rules_raise(self, monkeypatch):
+        # below zero no difference between the 30- and 60-node rules passes
+        monkeypatch.setattr(asymptotics, "_QUAD_TOL", -1.0)
+        with pytest.raises(QuadratureError):
+            band_second_moment(10)
+
 
 class TestExpIntegral:
     def test_reference_value(self):
@@ -219,6 +238,19 @@ class TestExpIntegral:
         below = exp_integral_e1(0.9999999)
         above = exp_integral_e1(1.0000001)
         assert abs(below - above) < 1e-6
+
+    def test_large_arguments(self):
+        for x in (300.0, 700.0):
+            assert exp_integral_e1(x) == pytest.approx(float(special.exp1(x)), rel=1e-12, abs=0.0)
+        # e**-745 / 745 underflows: the value is 0.0 from about x = 741 on
+        assert exp_integral_e1(745.0) == 0.0
+        assert exp_integral_e1(800.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "x", [pytest.param(10 ** 400, id="10**400"), pytest.param(math.inf, id="inf")]
+    )
+    def test_beyond_float_range_is_zero(self, x):
+        assert exp_integral_e1(x) == 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

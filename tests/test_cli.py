@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import bankcover
 import bankcover.asymptotics as asymptotics
 from bankcover.cli import (
     EXIT_CAP,
@@ -61,6 +67,12 @@ class TestExpect:
         monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)
         code, _, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
         assert code == EXIT_CAP and "cap" in err
+
+    def test_bank_count_beyond_float_range_exits_3(self, capsys):
+        # q = 10**400 is valid, but no float curve reaches its mean
+        code, out, err = run_cli(capsys, "expect", "--a", "2", "--q", str(10 ** 400))
+        assert code == EXIT_CAP and out == ""
+        assert err.startswith("error: mean series for a=2")
 
     def test_large_bank_size_answers(self, capsys):
         # a = 41..64 once crashed in the series: F(n) rounds to 0 near n = a
@@ -153,6 +165,28 @@ class TestValidate:
             "sd_bound_table", "exp_integral_value", "oracle_agreement",
             "multisum_agreement", "figure_data",
         ]
+
+    def test_quick_runs_without_scipy(self):
+        # the library needs numpy only; scipy is a test dependency
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None  # any scipy import now fails
+            import bankcover, bankcover.cli
+
+            def scipy_loaded():
+                return [m for m, v in sys.modules.items() if m.startswith("scipy") and v]
+
+            assert not scipy_loaded(), scipy_loaded()
+            code = bankcover.cli.main(["validate", "--level", "quick"])
+            assert not scipy_loaded(), scipy_loaded()
+            sys.exit(code)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(bankcover.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "checks passed" in done.stdout
 
     def test_unknown_level_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--level", "paranoid")

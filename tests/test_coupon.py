@@ -393,6 +393,55 @@ class TestVarianceTests:
             variance_tests(BankSpec(20, 100), TruncationPolicy(n_cap=50))
 
 
+def _exp_neg(t: Fraction) -> float:
+    """exp(-t) for t >= 0, 0.0 once the float underflows."""
+    return math.exp(-float(t)) if t < 800 else 0.0
+
+
+def two_alternative_cdf_interval(q: int, n: int) -> tuple[float, float]:
+    """Interval holding P(N <= n) for q banks of a = 2 alternatives, n >= 2.
+
+    F(n) = 1 - x with x = 2**(1 - n) <= 1/2, and x <= -log1p(-x) <= x + x**2,
+    so F(n)**q lies between exp(-t (1 + x)) and exp(-t), t = q x.
+    """
+    x = Fraction(1, 2 ** (n - 1))
+    t = q * x
+    return _exp_neg(t * (1 + x)), _exp_neg(t)
+
+
+class TestBankCountBeyondFloatRange:
+    """q = 10**400 is a valid bank count that no float can hold."""
+
+    Q = 10 ** 400
+    # log2(10**400) is about 1328.8, so the true cdf climbs from 0 to 1 near
+    # n = 1330, past the float curve's constant tail (from n = 1075 at a = 2)
+    NS = (2, 3, 100, 1074, 1075, 1076, 1329, 1330, 1331, 1340, 1400, 10 ** 6)
+
+    def test_cdf_bound_covers_true_value(self):
+        spec = BankSpec(2, self.Q)
+        for n in self.NS:
+            v = test_count_cdf(spec, n)
+            lo, hi = two_alternative_cdf_interval(self.Q, n)
+            assert max(abs(v.p - lo), abs(v.p - hi)) <= v.abs_err, (n, v, lo, hi)
+
+    def test_pmf_bound_covers_true_value(self):
+        spec = BankSpec(2, self.Q)
+        for n in self.NS[1:]:
+            v = test_count_pmf(spec, n)
+            lo_n, hi_n = two_alternative_cdf_interval(self.Q, n)
+            lo_prev, hi_prev = two_alternative_cdf_interval(self.Q, n - 1)
+            lo, hi = lo_n - hi_prev, hi_n - lo_prev
+            assert max(abs(v.p - lo), abs(v.p - hi)) <= v.abs_err, (n, v, lo, hi)
+
+    @pytest.mark.parametrize("a", [2, 10, MAX_ALTERNATIVES])
+    def test_series_are_never_certified(self, a):
+        # the true mean lies beyond the last representable survival, so no
+        # partial sum can be certified; the series must say so by a typed error
+        for fn in (expected_tests, variance_tests):
+            with pytest.raises(SeriesCapError):
+                fn(BankSpec(a, self.Q))
+
+
 # Reference copy of the per-test-count route that the block cache replaced:
 # the alternating closed form in compensated floats for one y, redone in
 # exact rationals when its error bound exceeds 1e-13.  The block cache must
