@@ -65,7 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--q", type=int, required=True)
     simulate.add_argument("--reps", type=int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="block ranges to split the replications into, run on threads "
+        "(at most one per available CPU); the record does not depend on it",
+    )
     simulate.set_defaults(handler=_cmd_simulate)
 
     validate = sub.add_parser("validate", help="run the self-check battery")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -64,6 +65,8 @@ _MULTISUM_MAX_A = 6
 _MULTISUM_MAX_Q = 4
 
 _ULP = 2.0 ** -53
+_MIN_NORMAL = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
 # The survival curve is computed and cached this many test counts at a time;
@@ -451,6 +454,37 @@ def _coverage_survival_term(q: float, s: float) -> float:
     return -math.expm1(q * math.log1p(-s))
 
 
+def _finite_bank_count(spec: BankSpec, series: str) -> float:
+    """q as a float for the series; past the float range no partial sum can be
+    certified (the mean lies beyond the last representable survival)."""
+    q = _saturating_float(spec.q)
+    if q == math.inf:
+        raise SeriesCapError(
+            f"{series} series for a={spec.a} not certified: q is beyond the float range"
+        )
+    return q
+
+
+def _tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
+    """The series tail bound 2*a*q * decay**(n-1) / (1 - decay) * weight,
+    decay = (a-1)/a, formed from logarithms.
+
+    For where the direct product overflows (q near the float maximum) or
+    decay**(n-1) falls to zero or a subnormal and loses its relative
+    accuracy (q past about 1e300).  The exponent is raised by 1e-9, far above
+    the rounding of the logarithms, so the result stays a bound; it is never
+    below the smallest normal float, so it is never zero.
+    """
+    decay = (a - 1) / a
+    log_tail = (
+        math.log(2.0 * a * weight) + math.log(q)
+        + (n - 1) * math.log(decay) - math.log1p(-decay) + 1e-9
+    )
+    if log_tail >= _LOG_MAX:
+        return math.inf
+    return max(math.exp(log_tail), _MIN_NORMAL)
+
+
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
     """Mean number of tests until every bank is covered.
 
@@ -461,12 +495,15 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     if a == 1:
         return SeriesEstimate(1.0, 0.0, 1)
     decay = (a - 1) / a
-    q = _saturating_float(spec.q)  # +inf beyond the float range: never certified
+    q = _finite_bank_count(spec, "mean")
     acc = _CompensatedSum()
     for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
         term = _coverage_survival_term(q, s)
         if term < policy.eps_term:
-            tail = 2.0 * a * q * decay ** (n - 1) / (1.0 - decay)
+            power = decay ** (n - 1)
+            tail = 2.0 * a * q * power / (1.0 - decay)
+            if not (power >= _MIN_NORMAL and tail < math.inf):
+                tail = _tail_from_logs(a, q, n, 1.0)
             if tail <= 10.0 * policy.eps_term:
                 return SeriesEstimate(acc.total, tail, n)
         acc.add(term)
@@ -485,15 +522,18 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     if a == 1:
         return SeriesEstimate(0.0, 0.0, 1)
     decay = (a - 1) / a
-    q = _saturating_float(spec.q)  # +inf beyond the float range: never certified
+    q = _finite_bank_count(spec, "variance")
     mean_acc = _CompensatedSum()
     second_acc = _CompensatedSum()
     for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
         term = _coverage_survival_term(q, s)
         weighted = (2 * n + 1) * term
         if weighted < policy.eps_term:
-            geo = decay ** (n - 1) / (1.0 - decay)
-            tail = 2.0 * a * q * geo * ((2 * n + 1) + 2.0 * decay / (1.0 - decay))
+            power = decay ** (n - 1)
+            weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
+            tail = 2.0 * a * q * (power / (1.0 - decay)) * weight
+            if not (power >= _MIN_NORMAL and tail < math.inf):
+                tail = _tail_from_logs(a, q, n, weight)
             if tail <= 10.0 * policy.eps_term:
                 mean = mean_acc.total
                 return SeriesEstimate(second_acc.total - mean * mean, tail, n)

@@ -6,14 +6,17 @@ tests.  A replication is the maximum of q such stage sums.  Replications are
 drawn in blocks whose size depends only on q; block ``b`` consumes its
 own counter-based generator keyed by ``(seed, b)``, and workers take
 contiguous ranges of whole blocks, so results are bit-identical no matter
-how the work is split.
+how the work is split.  The ranges run on threads, at most one per CPU
+available to the process: the draws, sums and maxima are numpy calls that
+release the interpreter lock, and no range shares mutable state with another.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +42,11 @@ _BLOCK_CELLS = 2 ** 17
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One reproducible experiment: spec, replication count, seed, workers."""
+    """One reproducible experiment: spec, replication count, seed, workers.
+
+    ``workers`` is the number of contiguous block ranges the replications
+    split into; the ranges run on threads, at most one per available CPU.
+    """
 
     spec: BankSpec
     reps: int
@@ -104,7 +111,7 @@ def _chunk_ranges(items: int, workers: int) -> list[tuple[int, int]]:
     size, extra = divmod(items, workers)
     ranges = []
     start = 0
-    for w in range(workers):
+    for w in range(min(workers, items)):  # ranges past the items would be empty
         stop = start + size + (1 if w < extra else 0)
         if stop > start:
             ranges.append((start, stop))
@@ -112,11 +119,21 @@ def _chunk_ranges(items: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: SimulationConfig) -> SimulationResult:
     """Run ``config.reps`` independent replications and aggregate exactly.
 
-    The histogram, and every statistic derived from it, is independent of
-    ``workers``: block b is a pure function of (a, q, reps, seed, b).
+    With ``workers > 1`` the blocks split into that many contiguous ranges,
+    run on a thread pool of at most one thread per available CPU; extra
+    ranges wait in its queue.  The histogram, and every statistic derived
+    from it, is independent of ``workers``: block b is a pure function of
+    (a, q, reps, seed, b).
     """
     spec, reps, seed = config.spec, config.reps, config.seed
     blocks = -(-reps // _block_size(spec.q))
@@ -124,7 +141,7 @@ def run_experiment(config: SimulationConfig) -> SimulationResult:
     if len(chunks) == 1:
         parts = [_count_blocks(spec.a, spec.q, seed, reps, 0, blocks)]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(chunks), _available_cpus())) as pool:
             futures = [
                 pool.submit(_count_blocks, spec.a, spec.q, seed, reps, s, e)
                 for s, e in chunks

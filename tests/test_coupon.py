@@ -7,6 +7,7 @@ import math
 import random
 import struct
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,83 @@ class TestBankCountBeyondFloatRange:
         for fn in (expected_tests, variance_tests):
             with pytest.raises(SeriesCapError):
                 fn(BankSpec(a, self.Q))
+
+    def test_series_raise_before_summing(self, monkeypatch):
+        # nothing past the float range can be certified, so no term is computed
+        calls = []
+        real = coupon._coverage_survival_term
+        monkeypatch.setattr(
+            coupon, "_coverage_survival_term", lambda q, s: calls.append(q) or real(q, s)
+        )
+        for fn in (expected_tests, variance_tests):
+            with pytest.raises(SeriesCapError):
+                fn(BankSpec(10, self.Q))
+        assert calls == []
+
+
+def decimal_moments(a: int, q: int) -> tuple[float, float]:
+    """(mean, variance) of the coverage time in 60-digit decimals.
+
+    P(N > n) = 1 - (1 - S(n))**q, with S(n) from the alternating closed form
+    and log(1 - S) by its series once S is tiny; the sums stop once q * S(n)
+    drops below 1e-40.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratios = [Decimal(a - j) / a for j in range(1, a)]
+        signs = [(-1) ** (j + 1) * math.comb(a, j) for j in range(1, a)]
+        powers = [Decimal(1)] * (a - 1)
+        big_q = Decimal(q)
+        total = second = Decimal(0)
+        n = 0
+        while True:
+            s = sum(c * x for c, x in zip(signs, powers)) if n >= a else Decimal(1)
+            if n >= a and big_q * s < Decimal("1e-40"):
+                return float(total), float(second - total * total)
+            if s >= 1 or big_q * s > 200:
+                p = Decimal(1)
+            else:
+                log1m = -s - s * s / 2 if s < Decimal("1e-20") else (1 - s).ln()
+                p = 1 - (big_q * log1m).exp()
+            total += p
+            second += (2 * n + 1) * p
+            powers = [x * r for x, r in zip(powers, ratios)]
+            n += 1
+
+
+class TestSeriesNearFloatMax:
+    """Finite q up to the float maximum: the tail bound must neither overflow
+    (2*a*q past the float range) nor vanish (decay**(n-1) below the normal range)."""
+
+    @pytest.mark.parametrize(
+        "a,q",
+        [
+            pytest.param(10, 10 ** 306, id="10,10**306"),
+            pytest.param(10, 10 ** 307, id="10,10**307"),
+            pytest.param(2, 10 ** 308, id="2,10**308"),
+        ],
+    )
+    def test_certified_and_match_decimal_reference(self, a, q):
+        mean, variance = decimal_moments(a, q)
+        est = expected_tests(BankSpec(a, q))
+        var = variance_tests(BankSpec(a, q))
+        for e in (est, var):
+            assert 0.0 < e.tail_bound <= 10 * DEFAULT_POLICY.eps_term, (a, q, e)
+            assert e.terms <= DEFAULT_POLICY.n_cap
+        assert est.value == pytest.approx(mean, abs=1e-9)
+        # E N^2 - (E N)^2 cancels about log10(E N^2 / Var) digits
+        assert var.value == pytest.approx(variance, rel=1e-9)
+
+    def test_bound_covers_the_geometric_tail(self):
+        # at the stopping point the log-form bound is at least the direct
+        # product evaluated in exact rationals
+        a, q = 10, 10 ** 306
+        est = variance_tests(BankSpec(a, q))
+        decay = Fraction(a - 1, a)
+        n = est.terms
+        exact = 2 * a * q * decay ** (n - 1) / (1 - decay) * ((2 * n + 1) + 2 * decay / (1 - decay))
+        assert Fraction(est.tail_bound) >= exact
+        assert est.tail_bound <= float(exact) * (1 + 1e-6)
 
 
 # Reference copy of the per-test-count route that the block cache replaced:

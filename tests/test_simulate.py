@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from bankcover.coupon import BankSpec, InvalidSpecError, expected_tests, test_count_cdf
+from bankcover import simulate
 from bankcover.asymptotics import centring
 from bankcover.simulate import (
     GENERATOR_ID,
@@ -17,6 +23,7 @@ from bankcover.simulate import (
     SimulationResult,
     _block_maxima,
     _block_size,
+    _chunk_ranges,
     run_experiment,
     variance_std_error,
 )
@@ -123,15 +130,72 @@ class TestRunExperiment:
 
     def test_memory_flat_in_q(self):
         # banks are drawn in column slices of 2**17 int64 cells (1 MiB), so a
-        # million banks need about 2 MiB; one unsliced row would need 16 MiB
-        tracemalloc.start()
+        # million banks need about 2 MiB per running range; one unsliced row
+        # would need 16 MiB
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                result = run_experiment(SimulationConfig(BankSpec(2, 10 ** 6), 4, 8, workers))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20, workers
+            assert sum(result.histogram.values()) == 4 and result.min >= 2
+
+    def test_threads_capped_at_available_cpus(self, monkeypatch):
+        # q = 2**17 makes every replication its own block, so 64 workers ask
+        # for 64 ranges; the pool still gets at most one thread per CPU
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        spec = BankSpec(2, 2 ** 17)
+        assert _block_size(spec.q) == 1
+        split = run_experiment(SimulationConfig(spec, 64, 3, workers=64))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert len(sizes) == 1 and 1 <= sizes[0] <= cpus
+        assert split == run_experiment(SimulationConfig(spec, 64, 3))
+
+    def test_identity_under_fast_thread_switching(self):
+        # more ranges than cores, switching threads every microsecond: a lost
+        # or doubled update of the merged histogram would change the result
+        spec = BankSpec(4, 2000)
+        base = run_experiment(SimulationConfig(spec, 3_000, 17))
+        config = SimulationConfig(spec, 3_000, 17, workers=8)
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            result = run_experiment(SimulationConfig(BankSpec(2, 10 ** 6), 4, 8))
-            _, peak = tracemalloc.get_traced_memory()
+            runner = threading.Thread(
+                target=lambda: results.append(run_experiment(config)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
-        assert sum(result.histogram.values()) == 4 and result.min >= 2
+            sys.setswitchinterval(old)
+        assert not runner.is_alive()
+        assert results == [base]
+        assert sum(base.histogram.values()) == 3_000
+
+    def test_pool_starts_no_process(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork is not allowed in this test")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        result = run_experiment(SimulationConfig(BankSpec(5, 5), 3_000, 31, workers=2))
+        assert sum(result.histogram.values()) == 3_000
+        assert multiprocessing.active_children() == []
+
+    def test_ranges_cover_blocks_once(self):
+        for items in range(1, 12):
+            for workers in (1, 2, 3, 8, 64, 10 ** 9):
+                ranges = _chunk_ranges(items, workers)
+                assert len(ranges) == min(items, workers)
+                assert [b for s, e in ranges for b in range(s, e)] == list(range(items))
 
     def test_more_workers_than_reps(self):
         result = run_experiment(SimulationConfig(BankSpec(2, 1), 3, 5, workers=8))
