@@ -18,6 +18,16 @@ The first touch of a block costs 2 to 4 ms at a = 64 (about 6 ms for block
 point, and every later read is an index.  Past the first y where every term
 of the closed form underflows, the curve is the constant tail S = 0, F = 1
 and needs no block.
+
+The mean and variance series sum P(N > n), weighted by 2n+1 for the second
+moment, until a term is small and a geometric bound on the rest is
+certified.  That bound never increases with n, so the stopping point is
+found first, from logarithms and a short walk, and a bound that still fails
+at the term cap raises before any term is formed.  Then all the terms below
+the stop are formed at once from the cached blocks (``log1p`` and ``expm1``
+from the platform libm), and the Neumaier compensated sum is replayed with
+two strictly ordered ``np.cumsum`` passes, one for the running sum and one
+for its corrections: bit for bit what a term-by-term loop gives.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ import itertools
 import math
 import sys
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,14 +351,6 @@ def _curve_point(a: int, y: int) -> tuple[float, float, float, float]:
     return s[i], s_err[i], f[i], f_err[i]
 
 
-def _survival_values(a: int) -> Iterator[float]:
-    """S(0), S(1), S(2), ... of one bank of a >= 2 alternatives."""
-    cut = _tail_start(a)
-    for lo in range(0, cut, _BLOCK):
-        yield from itertools.islice(_survival_block(a, lo // _BLOCK)[0], cut - lo)
-    yield from itertools.repeat(_TAIL_POINT[0])
-
-
 def single_bank_survival(a: int, y: int) -> ProbValue:
     """P(some alternative of one bank is still unseen after ``y`` tests)."""
     _check_gated_bank_size(a)
@@ -443,17 +444,6 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-def _coverage_survival_term(q: float, s: float) -> float:
-    """P(not all q banks covered) = 1 - F^q, from one bank's survival s = 1 - F."""
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        # F(n) rounds to 0 just above n = a for large a, and log1p(-1) is a
-        # domain error; 1 is the limit of -expm1(q * log1p(-s)) as s -> 1.
-        return 1.0
-    return -math.expm1(q * math.log1p(-s))
-
-
 def _finite_bank_count(spec: BankSpec, series: str) -> float:
     """q as a float for the series; past the float range no partial sum can be
     certified (the mean lies beyond the last representable survival)."""
@@ -485,31 +475,149 @@ def _tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
     return max(math.exp(log_tail), _MIN_NORMAL)
 
 
+def _series_tail(a: int, q: float, n: int, second_moment: bool) -> float:
+    """Certified bound on the sum of the series terms from test count ``n`` on.
+
+    P(N > m) <= q * a * decay**m with decay = (a-1)/a, so the mean's terms
+    from n on sum to at most q * a * decay**n / (1 - decay); the bound is
+    2/decay times that.  The variance's weights 2m+1 add the factor
+    (2n+1) + 2*decay/(1-decay).  The exact bound strictly decreases in n, by
+    a factor of at most (2a^2 - a - 1) / (2a^2 - a) per step, a relative
+    step far above the rounding of either the direct or the logarithmic
+    form, so the computed bound never increases with n either.
+    """
+    decay = (a - 1) / a
+    power = decay ** (n - 1)
+    weight = 1.0
+    if second_moment:
+        weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
+        tail = 2.0 * a * q * (power / (1.0 - decay)) * weight
+    else:
+        tail = 2.0 * a * q * power / (1.0 - decay)
+    if not (power >= _MIN_NORMAL and tail < math.inf):
+        tail = _tail_from_logs(a, q, n, weight)
+    return tail
+
+
+def _first_certified(a: int, q: float, limit: float, n_cap: int, second_moment: bool) -> int:
+    """Least n <= n_cap with ``_series_tail(a, q, n, ...) <= limit``; n_cap + 1 if none.
+
+    The bound never increases with n, so the answer is where it crosses
+    ``limit``.  The crossing is solved in logarithms (with three fixed-point
+    steps for the variance's weight) and then walked, one n at a time, to
+    where the float bound itself crosses; that is a step or two away.  The
+    bound is never below the smallest normal float, so a smaller ``limit``
+    is never met.
+    """
+    if limit < _MIN_NORMAL:
+        return n_cap + 1
+    decay = (a - 1) / a
+    steps = -math.log(decay)
+    excess = math.log(2.0 * a) + math.log(q) - math.log1p(-decay) - math.log(limit)
+    n = 1.0 + excess / steps
+    if second_moment:
+        for _ in range(3):
+            n = 1.0 + (excess + math.log(2.0 * max(n, 0.0) + 2 * a - 1)) / steps
+    n = min(max(math.ceil(n), 0), n_cap + 1)
+    while n > 0 and _series_tail(a, q, n - 1, second_moment) <= limit:
+        n -= 1
+    while n <= n_cap and _series_tail(a, q, n, second_moment) > limit:
+        n += 1
+    return n
+
+
+def _coverage_terms(a: int, q: float, lo: int, hi: int) -> np.ndarray:
+    """P(N > n) = 1 - (1 - S(n))**q for n in [lo, hi), as -expm1(q * log1p(-S(n))).
+
+    S is read from the cached blocks without copying them to floats, and is
+    0.0 from ``_tail_start(a)`` on.  ``log1p`` and ``expm1`` come from
+    ``math`` (the platform libm): numpy's own may round differently.  Every
+    term lies in [0, 1] and none is -0.0.
+    """
+    cut = min(hi, _tail_start(a))
+    pieces = [
+        np.frombuffer(_survival_block(a, j)[0])[max(lo - _BLOCK * j, 0):cut - _BLOCK * j]
+        for j in range(lo // _BLOCK, -(-cut // _BLOCK))
+    ]
+    if hi > cut:
+        pieces.append(np.zeros(hi - max(lo, cut)))
+    s = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    # F(n) rounds to 0 just above n = a for large a, and log1p(-1) is a
+    # domain error; 1 is the limit of -expm1(q * log1p(-s)) as s -> 1.
+    full = s == 1.0
+    neg = -s
+    neg[full] = 0.0
+    logs = np.fromiter(map(math.log1p, neg.tolist()), float, hi - lo)
+    with np.errstate(over="ignore"):  # -inf, as a float product gives, near q = 1.8e308
+        exponents = q * logs
+    terms = -np.fromiter(map(math.expm1, exponents.tolist()), float, hi - lo)
+    terms[full] = 1.0
+    return terms
+
+
+def _compensated_totals(rows: np.ndarray) -> list[float]:
+    """What :class:`_CompensatedSum` returns after adding each row in order.
+
+    ``cumsum`` adds strictly left to right, so it replays the running sum
+    and then the sum of the per-step corrections exactly (``np.sum`` adds
+    pairwise and would not).  The rows hold at least two nonnegative terms
+    and no -0.0, so the first correction is +0.0 and the larger magnitude of
+    each step is the larger value.
+    """
+    total = rows.cumsum(axis=1)
+    before, x = total[:, :-1], rows[:, 1:]
+    low = (np.maximum(before, x) - total[:, 1:]) + np.minimum(before, x)
+    return (total[:, -1] + low.cumsum(axis=1)[:, -1]).tolist()
+
+
+def _moment_series(spec: BankSpec, policy: TruncationPolicy, second_moment: bool) -> SeriesEstimate:
+    """The mean or the variance series for a >= 2, over whole arrays of terms.
+
+    Term n is P(N > n), weighted by 2n+1 for the second moment.  The sum
+    stops at the first n whose weighted term is below ``eps_term`` and whose
+    tail bound is at most ``10 * eps_term``; as the bound never increases,
+    that is the first small term at or after :func:`_first_certified`.
+    """
+    a = spec.a
+    series = "variance" if second_moment else "mean"
+    q = _finite_bank_count(spec, series)
+    first = _first_certified(a, q, 10.0 * policy.eps_term, policy.n_cap, second_moment)
+    parts: list[np.ndarray] = []
+    # the term at `first` is nearly always small already; past it, the
+    # ranges searched double in length
+    lo, hi = 0, first + 1
+    while first <= policy.n_cap and lo <= policy.n_cap:
+        hi = min(hi, policy.n_cap + 1)
+        terms = _coverage_terms(a, q, lo, hi)
+        if second_moment:
+            rows = np.stack((terms, terms * np.arange(2 * lo + 1, 2 * hi + 1, 2, dtype=float)))
+        else:
+            rows = terms[np.newaxis]
+        parts.append(rows)
+        start = max(first, lo)
+        small = rows[-1, start - lo:] < policy.eps_term
+        i = int(small.argmax())
+        if small[i]:
+            stop = start + i
+            used = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            totals = _compensated_totals(used[:, :stop])
+            value = totals[1] - totals[0] * totals[0] if second_moment else totals[0]
+            return SeriesEstimate(value, _series_tail(a, q, stop, second_moment), stop)
+        lo, hi = hi, 2 * hi - first
+    raise SeriesCapError(
+        f"{series} series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
+    )
+
+
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
     """Mean number of tests until every bank is covered.
 
     Sums P(coverage needs more than n tests) over n >= 0 under ``policy``.
     The returned estimate carries a certified bound on the discarded tail.
     """
-    a = spec.a
-    if a == 1:
+    if spec.a == 1:
         return SeriesEstimate(1.0, 0.0, 1)
-    decay = (a - 1) / a
-    q = _finite_bank_count(spec, "mean")
-    acc = _CompensatedSum()
-    for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
-        term = _coverage_survival_term(q, s)
-        if term < policy.eps_term:
-            power = decay ** (n - 1)
-            tail = 2.0 * a * q * power / (1.0 - decay)
-            if not (power >= _MIN_NORMAL and tail < math.inf):
-                tail = _tail_from_logs(a, q, n, 1.0)
-            if tail <= 10.0 * policy.eps_term:
-                return SeriesEstimate(acc.total, tail, n)
-        acc.add(term)
-    raise SeriesCapError(
-        f"mean series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
-    )
+    return _moment_series(spec, policy, second_moment=False)
 
 
 def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -518,30 +626,9 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     Uses E N^2 = sum over n of (2n+1) * P(N > n), with the same certified
     geometric tail treatment as :func:`expected_tests`.
     """
-    a = spec.a
-    if a == 1:
+    if spec.a == 1:
         return SeriesEstimate(0.0, 0.0, 1)
-    decay = (a - 1) / a
-    q = _finite_bank_count(spec, "variance")
-    mean_acc = _CompensatedSum()
-    second_acc = _CompensatedSum()
-    for n, s in zip(range(policy.n_cap + 1), _survival_values(a)):
-        term = _coverage_survival_term(q, s)
-        weighted = (2 * n + 1) * term
-        if weighted < policy.eps_term:
-            power = decay ** (n - 1)
-            weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
-            tail = 2.0 * a * q * (power / (1.0 - decay)) * weight
-            if not (power >= _MIN_NORMAL and tail < math.inf):
-                tail = _tail_from_logs(a, q, n, weight)
-            if tail <= 10.0 * policy.eps_term:
-                mean = mean_acc.total
-                return SeriesEstimate(second_acc.total - mean * mean, tail, n)
-        mean_acc.add(term)
-        second_acc.add(weighted)
-    raise SeriesCapError(
-        f"variance series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
-    )
+    return _moment_series(spec, policy, second_moment=True)
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

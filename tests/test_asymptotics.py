@@ -258,6 +258,11 @@ class TestExpIntegral:
         with pytest.raises(ValueError):
             exp_integral_e1(-2.0)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_outside_domain_is_a_typed_error(self, x):
+        with pytest.raises(InvalidSpecError, match="E1 requires x > 0"):
+            exp_integral_e1(x)
+
 
 class TestVarianceBounds:
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -324,6 +325,21 @@ class TestExpectedTests:
         with pytest.raises(SeriesCapError):
             expected_tests(BankSpec(20, 100), TruncationPolicy(n_cap=50))
 
+    def test_failing_cap_raises_before_any_term(self, monkeypatch):
+        # the tail bound still fails at n_cap (or can never pass, below the
+        # smallest normal float), so no term is formed before the error
+        calls = []
+        real = coupon._coverage_terms
+        monkeypatch.setattr(
+            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
+        )
+        for fn in (expected_tests, variance_tests):
+            with pytest.raises(SeriesCapError, match="not certified within n_cap=50"):
+                fn(BankSpec(20, 100), TruncationPolicy(n_cap=50))
+            with pytest.raises(SeriesCapError, match="not certified within n_cap=100000"):
+                fn(BankSpec(2, 1), TruncationPolicy(eps_term=1e-320))
+        assert calls == []
+
     def test_loose_policy_still_close(self):
         rough = expected_tests(BankSpec(10, 10), TruncationPolicy(eps_term=1e-6))
         assert rough.value == pytest.approx(49.9022, abs=1e-3)
@@ -445,9 +461,9 @@ class TestBankCountBeyondFloatRange:
     def test_series_raise_before_summing(self, monkeypatch):
         # nothing past the float range can be certified, so no term is computed
         calls = []
-        real = coupon._coverage_survival_term
+        real = coupon._coverage_terms
         monkeypatch.setattr(
-            coupon, "_coverage_survival_term", lambda q, s: calls.append(q) or real(q, s)
+            coupon, "_coverage_terms", lambda a, q, lo, hi: calls.append(q) or real(a, q, lo, hi)
         )
         for fn in (expected_tests, variance_tests):
             with pytest.raises(SeriesCapError):
@@ -560,35 +576,57 @@ def clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
-def reference_series(a: int, q: int, second_moment: bool) -> tuple[float, float, int]:
-    """(value, tail_bound, terms) of the mean or variance series on the reference route."""
+def reference_series(
+    a: int,
+    q: int,
+    second_moment: bool,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+    survival=None,
+) -> tuple[float, float, int]:
+    """(value, tail_bound, terms) of the mean or variance series, summed one
+    term at a time; raises SeriesCapError as the library words it.
+
+    ``survival(n)`` gives S(n) for n >= a; by default the per-y reference
+    route.  The tail bound falls back to logarithms where the direct product
+    overflows or decay**(n-1) leaves the normal range.
+    """
     if a == 1:
         return (0.0 if second_moment else 1.0), 0.0, 1
+    if survival is None:
+        survival = lambda n: reference_curve_point(a, n)[0][0]  # noqa: E731
+    bank_count = float(q)
     decay = (a - 1) / a
     mean_acc, second_acc = coupon._CompensatedSum(), coupon._CompensatedSum()
-    for n in range(DEFAULT_POLICY.n_cap + 1):
-        s = 1.0 if n < a else reference_curve_point(a, n)[0][0]
+    for n in range(policy.n_cap + 1):
+        s = 1.0 if n < a else survival(n)
         if s == 0.0:
             term = 0.0
         elif s == 1.0:
             term = 1.0
         else:
-            term = -math.expm1(q * math.log1p(-s))
+            term = -math.expm1(bank_count * math.log1p(-s))
         weighted = (2 * n + 1) * term if second_moment else term
-        if weighted < DEFAULT_POLICY.eps_term:
+        if weighted < policy.eps_term:
+            power = decay ** (n - 1)
             if second_moment:
-                geo = decay ** (n - 1) / (1.0 - decay)
-                tail = 2.0 * a * q * geo * ((2 * n + 1) + 2.0 * decay / (1.0 - decay))
+                weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
+                tail = 2.0 * a * bank_count * (power / (1.0 - decay)) * weight
             else:
-                tail = 2.0 * a * q * decay ** (n - 1) / (1.0 - decay)
-            if tail <= 10.0 * DEFAULT_POLICY.eps_term:
+                weight = 1.0
+                tail = 2.0 * a * bank_count * power / (1.0 - decay)
+            if not (power >= sys.float_info.min and tail < math.inf):
+                tail = coupon._tail_from_logs(a, bank_count, n, weight)
+            if tail <= 10.0 * policy.eps_term:
                 if second_moment:
                     mean = mean_acc.total
                     return second_acc.total - mean * mean, tail, n
                 return mean_acc.total, tail, n
         mean_acc.add(term)
         second_acc.add(weighted)
-    raise AssertionError("reference series hit the cap")
+    series = "variance" if second_moment else "mean"
+    raise SeriesCapError(
+        f"{series} series for a={a}, q={q} not certified within n_cap={policy.n_cap}"
+    )
 
 
 def bits(*values: float) -> bytes:
@@ -647,6 +685,34 @@ class TestSurvivalBlocks:
                 value, tail, terms = reference_series(a, q, second)
                 assert bits(est.value, est.tail_bound) == bits(value, tail), (a, q, fn)
                 assert est.terms == terms, (a, q, fn)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(1, MAX_ALTERNATIVES),
+        log_q=st.floats(0.0, 308.0),
+        log_eps=st.floats(-15.0, math.log10(0.5)),
+        log_cap=st.floats(0.0, 5.0),
+        second=st.booleans(),
+    )
+    def test_series_match_per_term_reference(self, a, log_q, log_eps, log_cap, second):
+        # the block kernel against the term-by-term loop it replaced, on the
+        # cached curve (checked against the per-y route above), bit for bit;
+        # q, eps_term and n_cap are drawn log-uniform
+        q = int(10.0 ** log_q)
+        policy = TruncationPolicy(min(10.0 ** log_eps, 0.5), int(10.0 ** log_cap))
+        fn = variance_tests if second else expected_tests
+        try:
+            want = reference_series(
+                a, q, second, policy, lambda n: coupon._curve_point(a, n)[0]
+            )
+        except SeriesCapError as exc:
+            with pytest.raises(SeriesCapError) as got:
+                fn(BankSpec(a, q), policy)
+            assert str(got.value) == str(exc)
+            return
+        est = fn(BankSpec(a, q), policy)
+        assert bits(est.value, est.tail_bound) == bits(*want[:2]), (a, q, policy, want)
+        assert est.terms == want[2], (a, q, policy, want)
 
     def test_cache_is_bounded_and_small(self):
         # documented bound: at most 512 blocks of four 256-double arrays,

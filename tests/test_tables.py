@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from bankcover.tables import (
@@ -16,6 +18,24 @@ from bankcover.tables import (
     round_half_away,
 )
 from bankcover.validate import MEAN_TABLE_PRINTED, SD_PRINTED
+
+# sha256 of every table CSV and figure SVG as first released; refactors of
+# the arithmetic must leave these bytes alone
+CSV_SHA256 = {
+    "en_q": "5f1e11b59c6361909d572ccd96c5cfd96c238bb3113ea4e9694e6e29b3c0e26c",
+    "centred": "410460dbcbd36f72c09ff0cbba6d774d3eb9f1e60b221469a41e3ee39a92872a",
+    "sd_bounds": "dd65105fa4df2b3c0936af5bcbb5fe5602a857741121ef9083b49bd3c8b0a9f1",
+    "fig_low": "7971eece36b42215159b4fddaae60b58d97797bbe695b8f129d45144da849391",
+    "fig_high": "c4a61b279672d36364ade12a1290062abd85fdc063edd238b4c1e5c6255d6979",
+}
+SVG_SHA256 = {
+    "fig_low": "534c43dd35bbe6c60e5bf3ead9c249e7f4271cee269037bb65b9eec2ae1a542d",
+    "fig_high": "404dc078025ad3b21e10d3fe94cd5de781fa4588d4e38490e6516b59e4ca91cc",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestRounding:
@@ -129,3 +149,13 @@ class TestFigureSvg:
         assert svg.count("<polyline") == len(TABLE_A)
         for a in TABLE_A:
             assert f"a={a}" in svg
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("name", list(CSV_SHA256))
+    def test_csv_digest(self, name):
+        assert sha256(build_table(name).to_csv()) == CSV_SHA256[name]
+
+    @pytest.mark.parametrize("name", list(SVG_SHA256))
+    def test_svg_digest(self, name):
+        assert sha256(render_figure_svg(build_table(name))) == SVG_SHA256[name]
