@@ -13,9 +13,9 @@ point here reads it from one cache: the curve and its error bounds are
 computed 256 test counts at a time (one block), bit for bit as a per-y
 compensated sum would give them, and at most 512 blocks are kept (under
 4.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads 475).
-The first touch of a block costs 2 to 4 ms at a = 64 (about 6 ms for block
-0, which holds the exact-integer cells) against about 0.06 ms for one lone
-point, and every later read is an index.  Past the first y where every term
+The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms for
+block 0, which holds the exact-integer cells) against about 0.06 ms for one
+lone point, and every later read is an index.  Past the first y where every term
 of the closed form underflows, the curve is the constant tail S = 0, F = 1
 and needs no block.
 
@@ -25,13 +25,18 @@ certified.  That bound never increases with n, so the stopping point is
 found first, from logarithms and a short walk, and a bound that still fails
 at the term cap raises before any term is formed.  Then all the terms below
 the stop are formed at once from the cached blocks (``log1p`` and ``expm1``
-from the platform libm), and the Neumaier compensated sum is replayed with
-two strictly ordered ``np.cumsum`` passes, one for the running sum and one
-for its corrections: bit for bit what a term-by-term loop gives.
+from the platform libm).
+
+Every compensated sum here, the closed form of each block row, both series
+and the multi-sum, is one replay of Neumaier's loop: two strictly ordered
+``np.cumsum`` passes, one for the running sum and one for the exact
+rounding errors of its additions.  It gives, bit for bit, what a
+term-by-term loop gives.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -174,28 +179,6 @@ class SeriesEstimate:
         return self.value
 
 
-class _CompensatedSum:
-    """Neumaier summation; keeps the low-order bits a running float sum drops."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def total(self) -> float:
-        return self._s + self._c
-
-
 def _check_bank_size(a: int) -> None:
     if not isinstance(a, int):
         raise InvalidSpecError(f"a must be an integer, got {a!r}")
@@ -253,17 +236,10 @@ def _tail_start(a: int) -> int:
     """First y at which ((a-1)/a)**y, the largest term of the closed form,
     underflows to 0.0; from there on every term does."""
     r = (a - 1) / a
-    hi = 1
-    while r ** hi != 0.0:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if r ** mid == 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # r**hi <= 2**-1100 lies far below half the least subnormal (2**-1075),
+    # so r**hi is 0.0 and the first zero power is at most hi
+    hi = math.ceil(1100 / -math.log2(r))
+    return bisect.bisect_left(range(hi), True, key=lambda y: r ** y == 0.0)
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
@@ -271,10 +247,10 @@ def _survival_block(a: int, j: int) -> tuple[array, array, array, array]:
     """S(y), its error bound, F(y) and its error bound for y in one block.
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
-    alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y runs
-    for every y of the block at once in compensated (Neumaier) floats: k is
-    the outer loop, and each y sees the operations a lone per-y sum would,
-    in the same order, so every value and bound is that sum's, bit for bit.
+    alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y is
+    laid out as one row of signed terms per y, in k order, and summed by the
+    same compensated replay as the series (:func:`_compensated_totals`), so
+    every value and bound is a lone per-y Neumaier sum's, bit for bit.
     The powers come from Python's ``float.__pow__`` (the platform libm);
     ``np.power`` may round differently.  Each term carries about y ulps of
     relative error through the power, so the bound is
@@ -289,20 +265,16 @@ def _survival_block(a: int, j: int) -> tuple[array, array, array, array]:
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
     ys = list(range(start, lo + _BLOCK))
     m = len(ys)
-    s = np.zeros(m)
-    c = np.zeros(m)
-    magnitude = np.zeros(m)
+    rows = np.zeros((m, a))  # row y holds C(a, k) ((a-k)/a)^y for k = 1..a
     for k in range(1, a + 1):
         r = (a - k) / a
-        # r**y only falls with y, so a row whose first power underflows is zero
-        powers = np.fromiter(map(r.__pow__, ys), float, m) if r ** start else np.zeros(m)
-        term = float(math.comb(a, k)) * powers
-        x = -term if k % 2 == 0 else term
-        t = s + x
-        c += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-        s = t
-        magnitude += term
-    p = s + c
+        # r**y only falls with y, so a column whose first power underflows stays zero
+        if r ** start:
+            powers = np.fromiter(map(r.__pow__, ys), float, m)
+            np.multiply(powers, float(math.comb(a, k)), out=rows[:, k - 1])
+    magnitude = rows.cumsum(axis=1)[:, -1]  # in k order; np.sum would add pairwise
+    np.negative(rows[:, 1::2], out=rows[:, 1::2])  # the even k are subtracted
+    p = _compensated_totals(rows)
     slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
     bound = slack * _ULP * magnitude
     err = bound + _ULP
@@ -555,19 +527,26 @@ def _coverage_terms(a: int, q: float, lo: int, hi: int) -> np.ndarray:
     return terms
 
 
-def _compensated_totals(rows: np.ndarray) -> list[float]:
-    """What :class:`_CompensatedSum` returns after adding each row in order.
+def _compensated_totals(rows: np.ndarray) -> np.ndarray:
+    """What a Neumaier loop started at s = c = 0.0 returns for each row.
 
-    ``cumsum`` adds strictly left to right, so it replays the running sum
-    and then the sum of the per-step corrections exactly (``np.sum`` adds
-    pairwise and would not).  The rows hold at least two nonnegative terms
-    and no -0.0, so the first correction is +0.0 and the larger magnitude of
-    each step is the larger value.
+    Neumaier's correction for s + x is the exact rounding error of that
+    addition, and so is Knuth's branch-free TwoSum for any two floats, so
+    one pass serves signed and unsigned rows alike.  ``cumsum`` adds strictly
+    left to right, so it replays the running sum and then the sum of the
+    per-step errors exactly (``np.sum`` adds pairwise and would not).  The
+    running sum starts at 0.0, so the first step is replayed too; a row must
+    not start with -0.0, since the loop's 0.0 + -0.0 is +0.0.
     """
-    total = rows.cumsum(axis=1)
-    before, x = total[:, :-1], rows[:, 1:]
-    low = (np.maximum(before, x) - total[:, 1:]) + np.minimum(before, x)
-    return (total[:, -1] + low.cumsum(axis=1)[:, -1]).tolist()
+    running = np.zeros((len(rows), rows.shape[1] + 1))
+    before, after = running[:, :-1], running[:, 1:]
+    np.cumsum(rows, axis=1, out=after)
+    moved = after - before
+    low = after - moved
+    np.subtract(before, low, out=low)
+    np.subtract(rows, moved, out=moved)
+    low += moved
+    return after[:, -1] + low.cumsum(axis=1, out=low)[:, -1]
 
 
 def _moment_series(spec: BankSpec, policy: TruncationPolicy, second_moment: bool) -> SeriesEstimate:
@@ -600,7 +579,7 @@ def _moment_series(spec: BankSpec, policy: TruncationPolicy, second_moment: bool
         if small[i]:
             stop = start + i
             used = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            totals = _compensated_totals(used[:, :stop])
+            totals = _compensated_totals(used[:, :stop]).tolist()
             value = totals[1] - totals[0] * totals[0] if second_moment else totals[0]
             return SeriesEstimate(value, _series_tail(a, q, stop, second_moment), stop)
         lo, hi = hi, 2 * hi - first
@@ -644,7 +623,7 @@ def expected_tests_multisum(spec: BankSpec) -> float:
         raise OracleRangeError(
             f"multi-sum trusted only for a <= {_MULTISUM_MAX_A} and q <= {_MULTISUM_MAX_Q}"
         )
-    acc = _CompensatedSum()
+    terms = []
     for m in range(1, q + 1):
         subsets = math.comb(q, m)
         for js in itertools.product(range(1, a + 1), repeat=m):
@@ -654,5 +633,5 @@ def expected_tests_multisum(spec: BankSpec) -> float:
                 binom *= math.comb(a, j)
                 miss *= (a - j) / a
             signed = -binom if sum(js) % 2 == 0 else binom
-            acc.add(subsets * signed / (1.0 - miss))
-    return acc.total
+            terms.append(subsets * signed / (1.0 - miss))
+    return float(_compensated_totals(np.array([terms]))[0])

@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import DEFAULT_POLICY, BankSpec, TruncationPolicy, expected_tests
+from .coupon import BankSpec, expected_tests
 
 __all__ = [
     "TABLE_A",
@@ -104,7 +104,7 @@ def _value_rows(a_values, q_values, fn) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def build_table(name: str, policy: TruncationPolicy = DEFAULT_POLICY) -> TableArtifact:
+def build_table(name: str) -> TableArtifact:
     """Construct one of the named reference datasets.
 
     ``en_q``       exact mean coverage times on the small grid
@@ -115,7 +115,7 @@ def build_table(name: str, policy: TruncationPolicy = DEFAULT_POLICY) -> TableAr
     """
 
     def mean(a: int, q: int) -> float:
-        return expected_tests(BankSpec(a, q), policy).value
+        return expected_tests(BankSpec(a, q)).value
 
     if name == "en_q":
         return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, mean))
@@ -137,9 +137,11 @@ def build_table(name: str, policy: TruncationPolicy = DEFAULT_POLICY) -> TableAr
 
 
 _SERIES_COLORS = ("#3465a4", "#cc0000", "#4e9a06", "#75507b", "#c17d11")
+_SVG_WIDTH = 720
+_SVG_HEIGHT = 480
 
 
-def render_figure_svg(artifact: TableArtifact, width: int = 720, height: int = 480) -> str:
+def render_figure_svg(artifact: TableArtifact) -> str:
     """Line-and-marker SVG for a value table, one series per bank size.
 
     Deterministic output: same artifact, same bytes.  Axes are labelled with
@@ -156,6 +158,7 @@ def render_figure_svg(artifact: TableArtifact, width: int = 720, height: int = 4
     if x_hi == x_lo:
         x_hi = x_lo + 1
 
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 64, 16, 16, 48
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -32,8 +32,8 @@ from .asymptotics import (
     centring,
     decay_rate,
     exp_integral_e1,
-    gumbel_cdf,
     local_pmf_approx,
+    sandwich_bounds,
     variance_bounds,
 )
 from .coupon import (
@@ -208,7 +208,8 @@ def sandwich_excursion(qs: tuple[int, ...]) -> float:
             for x in xs:
                 n = math.floor(centre + x)
                 p = float(cdf[n]) ** q if n >= 0 else 0.0
-                worst = max(worst, gumbel_cdf(rate * (x - 1.0)) - p, p - gumbel_cdf(rate * x))
+                lower, upper = sandwich_bounds(a, x)
+                worst = max(worst, lower - p, p - upper)
     return worst
 
 
@@ -220,10 +221,8 @@ def envelope_witness() -> tuple[float, float]:
     qs = np.arange(2, 10 ** 6 + 1, dtype=np.float64)
     idx = np.floor(np.log(a * qs) / rate).astype(np.int64)
     probs = _cdf_values(a, int(idx.max()) + 1)[idx] ** qs
-    return (
-        float(np.abs(probs - gumbel_cdf(-rate)).min()),
-        float(np.abs(probs - gumbel_cdf(0.0)).min()),
-    )
+    lower, upper = sandwich_bounds(a, 0.0)
+    return float(np.abs(probs - lower).min()), float(np.abs(probs - upper).min())
 
 
 def variance_band_excursion() -> float:

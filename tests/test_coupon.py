@@ -11,6 +11,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -576,6 +577,20 @@ def clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
+def neumaier(values) -> float:
+    """Neumaier's compensated sum, one term at a time from s = c = 0.0; the
+    tests' own loop, sharing no summation code with the library."""
+    s = c = 0.0
+    for x in values:
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c
+
+
 def reference_series(
     a: int,
     q: int,
@@ -596,7 +611,7 @@ def reference_series(
         survival = lambda n: reference_curve_point(a, n)[0][0]  # noqa: E731
     bank_count = float(q)
     decay = (a - 1) / a
-    mean_acc, second_acc = coupon._CompensatedSum(), coupon._CompensatedSum()
+    mean_terms, second_terms = [], []
     for n in range(policy.n_cap + 1):
         s = 1.0 if n < a else survival(n)
         if s == 0.0:
@@ -618,11 +633,11 @@ def reference_series(
                 tail = coupon._tail_from_logs(a, bank_count, n, weight)
             if tail <= 10.0 * policy.eps_term:
                 if second_moment:
-                    mean = mean_acc.total
-                    return second_acc.total - mean * mean, tail, n
-                return mean_acc.total, tail, n
-        mean_acc.add(term)
-        second_acc.add(weighted)
+                    mean = neumaier(mean_terms)
+                    return neumaier(second_terms) - mean * mean, tail, n
+                return neumaier(mean_terms), tail, n
+        mean_terms.append(term)
+        second_terms.append(weighted)
     series = "variance" if second_moment else "mean"
     raise SeriesCapError(
         f"{series} series for a={a}, q={q} not certified within n_cap={policy.n_cap}"
@@ -631,6 +646,36 @@ def reference_series(
 
 def bits(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
+
+
+_SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-300, 1e300), st.booleans())
+
+
+@st.composite
+def replay_rows(draw) -> list[list[float]]:
+    """1 to 3 rows of one length in 1..300: a nonzero first entry, then
+    signed magnitudes from 1e-300 to 1e300 mixed with +0.0 and -0.0."""
+    length = draw(st.integers(1, 300))
+    rest = st.lists(
+        st.one_of(_SIGNED, st.sampled_from((0.0, -0.0))), min_size=length - 1, max_size=length - 1
+    )
+    return [[draw(_SIGNED)] + draw(rest) for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestCompensatedReplay:
+    """The library's one compensated sum against the tests' scalar loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=replay_rows())
+    def test_signed_rows_match_scalar_neumaier(self, rows):
+        got = coupon._compensated_totals(np.array(rows)).tolist()
+        assert bits(*got) == bits(*map(neumaier, rows)), rows
+
+    def test_cancelling_row(self):
+        # 1 - 1e16 loses the 1 to rounding, which the correction keeps; the
+        # big terms then cancel.  The larger magnitude here is the negative term
+        row = [1.0, -1e16, 1e16, 3.0]
+        assert coupon._compensated_totals(np.array([row])).tolist() == [4.0] == [neumaier(row)]
 
 
 class TestSurvivalBlocks:

@@ -17,7 +17,7 @@ from bankcover.tables import (
     render_figure_svg,
     round_half_away,
 )
-from bankcover.validate import MEAN_TABLE_PRINTED, SD_PRINTED
+from bankcover.validate import MEAN_TABLE_PRINTED, SD_PRINTED, format_report, run_checks
 
 # sha256 of every table CSV and figure SVG as first released; refactors of
 # the arithmetic must leave these bytes alone
@@ -32,6 +32,9 @@ SVG_SHA256 = {
     "fig_low": "534c43dd35bbe6c60e5bf3ead9c249e7f4271cee269037bb65b9eec2ae1a542d",
     "fig_high": "404dc078025ad3b21e10d3fe94cd5de781fa4588d4e38490e6516b59e4ca91cc",
 }
+# sha256 of the `validate --level quick` report; it prints the multi-sum and
+# the series means next to their references, so it moves if their sums do
+QUICK_REPORT_SHA256 = "7e217eed6a343d0d3fccd071866ac8b1642e2ed36dfee49b5e204627c7af787f"
 
 
 def sha256(text: str) -> str:
@@ -159,3 +162,6 @@ class TestOutputBytes:
     @pytest.mark.parametrize("name", list(SVG_SHA256))
     def test_svg_digest(self, name):
         assert sha256(render_figure_svg(build_table(name))) == SVG_SHA256[name]
+
+    def test_quick_report_digest(self):
+        assert sha256(format_report(run_checks("quick"))) == QUICK_REPORT_SHA256
