@@ -27,11 +27,13 @@ at the term cap raises before any term is formed.  Then all the terms below
 the stop are formed at once from the cached blocks (``log1p`` and ``expm1``
 from the platform libm).
 
-Every compensated sum here, the closed form of each block row, both series
-and the multi-sum, is one replay of Neumaier's loop: two strictly ordered
+Every compensated sum of the main path, the closed form of each block row
+and both series, is one replay of Neumaier's loop: two strictly ordered
 ``np.cumsum`` passes, one for the running sum and one for the exact
 rounding errors of its additions.  It gives, bit for bit, what a
-term-by-term loop gives.
+term-by-term loop gives.  The oracles share no code with the main path:
+:func:`cdf_oracle` counts surjections in integers and
+:func:`expected_tests_multisum` sums with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -343,10 +345,10 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
 
 
 def cdf_oracle(a: int, y: int) -> Fraction:
-    """Exact coverage probability by counting surjections with an integer DP.
+    """Exact coverage probability a! S2(y, a) / a**y from surjection counts.
 
-    A deliberately different route from the alternating closed form, kept for
-    cross-checking.  Trusted range: a <= 12, y <= 200.
+    An O(a**2) integer triangle sharing no code with the closed form, kept
+    for cross-checking.  Trusted range: a <= 12, y <= 200.
     """
     _check_bank_size(a)
     _check_test_count(y)
@@ -354,20 +356,12 @@ def cdf_oracle(a: int, y: int) -> Fraction:
         raise OracleRangeError(
             f"oracle trusted only for a <= {_ORACLE_MAX_A} and y <= {_ORACLE_MAX_Y}"
         )
-    # seen[j] counts length-t draw sequences having exactly j distinct values.
-    seen = [0] * (a + 1)
-    seen[0] = 1
-    for _ in range(y):
-        nxt = [0] * (a + 1)
-        for j in range(a + 1):
-            count = seen[j]
-            if not count:
-                continue
-            nxt[j] += count * j
-            if j < a:
-                nxt[j + 1] += count * (a - j)
-        seen = nxt
-    return Fraction(seen[a], a ** y)
+    # onto[k] counts the length-y draws from k values that show all k: every
+    # draw shows exactly some j of them, so k**y = sum_j C(k, j) onto[j]
+    onto: list[int] = []
+    for k in range(a + 1):
+        onto.append(k ** y - sum(math.comb(k, j) * onto[j] for j in range(k)))
+    return Fraction(onto[a], a ** y)
 
 
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
@@ -615,8 +609,8 @@ def expected_tests_multisum(spec: BankSpec) -> float:
 
     Expands the expectation of a maximum by inclusion-exclusion over subsets
     of banks and over the per-bank alternating sums.  The term count grows
-    like a**q, so the trusted range is a <= 6 and q <= 4.  Kept as an
-    independent route against :func:`expected_tests`.
+    like a**q, so the trusted range is a <= 6 and q <= 4.  Summed by
+    ``math.fsum``, apart from the main path, as a check on :func:`expected_tests`.
     """
     a, q = spec.a, spec.q
     if a > _MULTISUM_MAX_A or q > _MULTISUM_MAX_Q:
@@ -634,4 +628,4 @@ def expected_tests_multisum(spec: BankSpec) -> float:
                 miss *= (a - j) / a
             signed = -binom if sum(js) % 2 == 0 else binom
             terms.append(subsets * signed / (1.0 - miss))
-    return float(_compensated_totals(np.array([terms]))[0])
+    return math.fsum(terms)

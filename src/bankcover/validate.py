@@ -201,10 +201,9 @@ def sandwich_excursion(qs: tuple[int, ...]) -> float:
     xs = np.arange(-3.0, 10.0 + 1e-9, 0.25)
     worst = -math.inf
     for a in TABLE_A:
-        rate = decay_rate(a)
-        cdf = _cdf_values(a, int(math.log(a * max(qs)) / rate + xs[-1]) + 2)
+        cdf = _cdf_values(a, int(centring(a, max(qs)).centre + xs[-1]) + 2)
         for q in qs:
-            centre = math.log(a * q) / rate
+            centre = centring(a, q).centre
             for x in xs:
                 n = math.floor(centre + x)
                 p = float(cdf[n]) ** q if n >= 0 else 0.0

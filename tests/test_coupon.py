@@ -249,6 +249,34 @@ class TestCdfOracle:
         with pytest.raises(InvalidSpecError):
             cdf_oracle(0, 5)
 
+    def test_whole_trusted_range_matches_alternating_sum(self):
+        for a in range(1, 13):
+            for y in range(0, 201):
+                assert cdf_oracle(a, y) == 1 - exact_survival(a, y), (a, y)
+
+
+class TestOracleIndependence:
+    def test_oracles_run_without_the_main_path(self, monkeypatch):
+        # every kernel of the float main path raises; the oracles must not
+        # notice, over the whole trusted range of each
+        oracle_cells = [(a, y) for a in range(1, 13) for y in range(0, 201)]
+        multisum_cells = [(a, q) for a in range(1, 7) for q in range(1, 5)]
+
+        def run():
+            return (
+                [cdf_oracle(a, y) for a, y in oracle_cells],
+                [bits(expected_tests_multisum(BankSpec(a, q))) for a, q in multisum_cells],
+            )
+
+        want = run()
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("an oracle reached the main path")
+
+        for name in ("_survival_block", "_curve_point", "_compensated_totals", "_moment_series"):
+            monkeypatch.setattr(coupon, name, disabled)
+        assert run() == want
+
 
 class TestTestCountCdf:
     def test_zero_below_bank_size(self):
@@ -563,14 +591,19 @@ def reference_curve_point(a: int, y: int) -> tuple[tuple[float, float, float, fl
         magnitude += term
     bound = (y + 2 * a + 10) * _ULP * magnitude
     if bound > 1e-13:
-        exact = Fraction(
-            sum((-1) ** (k + 1) * math.comb(a, k) * (a - k) ** y for k in range(1, a + 1)),
-            a ** y,
-        )
+        exact = exact_survival(a, y)
         return (float(exact), _ULP, float(1 - exact), _ULP), "exact"
     p = total + low
     err = bound + _ULP
     return (clamp01(p), err, clamp01(1.0 - p), err + _ULP), "float"
+
+
+def exact_survival(a: int, y: int) -> Fraction:
+    """S(y) from the alternating closed form in exact rationals."""
+    return Fraction(
+        sum((-1) ** (k + 1) * math.comb(a, k) * (a - k) ** y for k in range(1, a + 1)),
+        a ** y,
+    )
 
 
 def clamp01(p: float) -> float:
@@ -589,6 +622,20 @@ def neumaier(values) -> float:
             c += (x - t) + s
         s = t
     return s + c
+
+
+def reference_tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
+    """2*a*q * decay**(n-1) / (1 - decay) * weight from logarithms, its
+    exponent raised by 1e-9 and the result held at or above the smallest
+    normal float; the tests' own copy of the library's fallback bound."""
+    decay = (a - 1) / a
+    log_tail = (
+        math.log(2.0 * a * weight) + math.log(q)
+        + (n - 1) * math.log(decay) - math.log1p(-decay) + 1e-9
+    )
+    if log_tail >= math.log(sys.float_info.max):
+        return math.inf
+    return max(math.exp(log_tail), sys.float_info.min)
 
 
 def reference_series(
@@ -630,7 +677,7 @@ def reference_series(
                 weight = 1.0
                 tail = 2.0 * a * bank_count * power / (1.0 - decay)
             if not (power >= sys.float_info.min and tail < math.inf):
-                tail = coupon._tail_from_logs(a, bank_count, n, weight)
+                tail = reference_tail_from_logs(a, bank_count, n, weight)
             if tail <= 10.0 * policy.eps_term:
                 if second_moment:
                     mean = neumaier(mean_terms)
@@ -723,6 +770,8 @@ class TestSurvivalBlocks:
         cells += [(rng.randint(2, MAX_ALTERNATIVES), int(10 ** rng.uniform(0, 6)))
                   for _ in range(10)]
         cells += [(2, 10 ** 6), (MAX_ALTERNATIVES, 10 ** 6)]
+        # the tail bound at the stop falls back to logarithms here
+        cells += [(10, 10 ** 306), (10, 10 ** 307), (2, 10 ** 308), (MAX_ALTERNATIVES, 10 ** 300)]
         for a, q in cells:
             spec = BankSpec(a, q)
             for fn, second in ((expected_tests, False), (variance_tests, True)):
