@@ -179,14 +179,15 @@ def exp_integral_e1(x: float) -> float:
 
     Alternating series near the log singularity (x <= 1), modified Lentz
     continued fraction beyond; absolute error well under 1e-12 on both
-    branches.  E1 is 0.0 at +inf, and an integer beyond the float range
-    counts as +inf.  Raises :class:`InvalidSpecError` for x <= 0 or NaN.
+    branches.  E1 is 0.0 wherever e**-x underflows to zero, +inf included,
+    and an integer beyond the float range counts as +inf.  Raises
+    :class:`InvalidSpecError` for x <= 0 or NaN.
     """
     x = _saturating_float(x)
     if not x > 0:
         raise InvalidSpecError(f"E1 requires x > 0, got {x}")
-    if x == math.inf:
-        return 0.0
+    if math.exp(-x) == 0.0:
+        return 0.0  # exact, as E1(x) < e**-x; there the fraction need not settle
     if x <= 1.0:
         total = 0.0
         term = 1.0

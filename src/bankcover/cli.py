@@ -78,9 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--level", choices=LEVELS, default="quick")
     validate.set_defaults(handler=_cmd_validate)
 
-    figure = sub.add_parser("figure", help="render a figure dataset (SVG or CSV)")
+    figure = sub.add_parser("figure", help="render a figure dataset as SVG")
     figure.add_argument("name", choices=FIGURE_NAMES)
-    figure.add_argument("--format", choices=("svg", "csv"), default="svg")
     figure.add_argument("--out", default=None, help="output file or directory")
     figure.set_defaults(handler=_cmd_figure)
 
@@ -139,14 +138,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    artifact = build_table(args.name)
-    if args.format == "csv":
-        path = _out_path(args.out, f"{args.name}.csv")
-        artifact.write(path)
-    else:
-        path = _out_path(args.out, f"{args.name}.svg")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_figure_svg(artifact))
+    path = _out_path(args.out, f"{args.name}.svg")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(render_figure_svg(build_table(args.name)))
     print(path)
     return EXIT_OK
 

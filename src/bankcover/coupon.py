@@ -11,8 +11,9 @@ sums as :class:`SeriesEstimate`.
 The single-bank curve S(y) = 1 - F(y) depends on ``a`` alone, so every entry
 point here reads it from one cache: the curve and its error bounds are
 computed 256 test counts at a time (one block), bit for bit as a per-y
-compensated sum would give them, and at most 512 blocks are kept (under
-4.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads 475).
+compensated sum would give them, and kept as read-only numpy arrays, at most
+512 blocks (under 4.5 MiB; the variance series for every a in 2..64 at
+q = 1e6 reads 475).
 The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms for
 block 0, which holds the exact-integer cells) against about 0.06 ms for one
 lone point, and every later read is an index.  Past the first y where every term
@@ -43,7 +44,6 @@ import functools
 import itertools
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,8 +86,8 @@ _LOG_MAX = math.log(sys.float_info.max)
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
 # The survival curve is computed and cached this many test counts at a time;
-# a block holds four arrays of _BLOCK doubles, about 8.5 KiB with its cache
-# entry, so a full cache stays under 4.5 MiB.
+# a block holds four numpy arrays of _BLOCK doubles, about 8.75 KiB with their
+# headers and its cache entry, so a full cache stays under 4.5 MiB.
 _BLOCK = 256
 _BLOCK_CACHE_SIZE = 512
 # S, its bound, F, its bound once every term of the closed form underflows.
@@ -225,14 +225,6 @@ def _saturating_float(x: float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _clamp01(p: float) -> float:
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
-
-
 @functools.cache
 def _tail_start(a: int) -> int:
     """First y at which ((a-1)/a)**y, the largest term of the closed form,
@@ -245,7 +237,7 @@ def _tail_start(a: int) -> int:
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _survival_block(a: int, j: int) -> tuple[array, array, array, array]:
+def _survival_block(a: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """S(y), its error bound, F(y) and its error bound for y in one block.
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
@@ -260,8 +252,7 @@ def _survival_block(a: int, j: int) -> tuple[array, array, array, array]:
     exceeds ``_EXACT_SWITCH`` the cell is redone in exact integers; the int
     true division rounds correctly, as ``float(Fraction)`` does.
 
-    Callers read the arrays and must not change them: the cache hands the
-    same arrays to every caller.
+    The cache hands the same arrays to every caller, so they are read-only.
     """
     lo = _BLOCK * j
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
@@ -297,21 +288,15 @@ def _survival_block(a: int, j: int) -> tuple[array, array, array, array]:
         surv_err[i] = cdf_err[i] = _ULP
     below = start - lo
     head = (np.ones(below), np.zeros(below), np.zeros(below), np.zeros(below))
-    return tuple(
-        _frozen(np.concatenate((h, v))) for h, v in zip(head, (surv, surv_err, cdf, cdf_err))
-    )
+    block = tuple(np.concatenate((h, v)) for h, v in zip(head, (surv, surv_err, cdf, cdf_err)))
+    for values in block:
+        values.flags.writeable = False
+    return block
 
 
 def _clamp01_each(p: np.ndarray) -> np.ndarray:
-    """:func:`_clamp01` element by element."""
+    """``p`` with each element clamped to [0, 1]."""
     return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
-
-
-def _frozen(values: np.ndarray) -> array:
-    """``values`` as an exactly sized ``array('d')``, copied without float objects."""
-    loose = array("d")
-    loose.frombytes(values.tobytes())  # frombytes over-allocates by about 7%
-    return array("d", loose)  # an array copied from an array is sized exactly
 
 
 def _curve_point(a: int, y: int) -> tuple[float, float, float, float]:
@@ -322,7 +307,7 @@ def _curve_point(a: int, y: int) -> tuple[float, float, float, float]:
         return _TAIL_POINT
     s, s_err, f, f_err = _survival_block(a, y // _BLOCK)
     i = y % _BLOCK
-    return s[i], s_err[i], f[i], f_err[i]
+    return s.item(i), s_err.item(i), f.item(i), f_err.item(i)
 
 
 def single_bank_survival(a: int, y: int) -> ProbValue:
@@ -387,7 +372,7 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     else:
         p = f ** q
     err = min(1.0, q * f_err + _ULP)
-    return ProbValue(_clamp01(p), err)
+    return ProbValue(p, err)
 
 
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
@@ -495,14 +480,13 @@ def _first_certified(a: int, q: float, limit: float, n_cap: int, second_moment: 
 def _coverage_terms(a: int, q: float, lo: int, hi: int) -> np.ndarray:
     """P(N > n) = 1 - (1 - S(n))**q for n in [lo, hi), as -expm1(q * log1p(-S(n))).
 
-    S is read from the cached blocks without copying them to floats, and is
-    0.0 from ``_tail_start(a)`` on.  ``log1p`` and ``expm1`` come from
+    S is sliced from the cached blocks, and is 0.0 from ``_tail_start(a)`` on.  ``log1p`` and ``expm1`` come from
     ``math`` (the platform libm): numpy's own may round differently.  Every
     term lies in [0, 1] and none is -0.0.
     """
     cut = min(hi, _tail_start(a))
     pieces = [
-        np.frombuffer(_survival_block(a, j)[0])[max(lo - _BLOCK * j, 0):cut - _BLOCK * j]
+        _survival_block(a, j)[0][max(lo - _BLOCK * j, 0):cut - _BLOCK * j]
         for j in range(lo // _BLOCK, -(-cut // _BLOCK))
     ]
     if hi > cut:

@@ -29,7 +29,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "run_experiment",
-    "variance_std_error",
 ]
 
 GENERATOR_ID = f"philox4x64-stagesum-blocks/numpy-{np.__version__}"
@@ -170,17 +169,3 @@ def _result_from_histogram(hist: Counter, reps: int) -> SimulationResult:
         max=max(hist),
         histogram=dict(sorted(hist.items())),
     )
-
-
-def variance_std_error(result: SimulationResult) -> float:
-    """Standard error of the sample variance, from exact histogram moments."""
-    hist = result.histogram
-    n = sum(hist.values())
-    if n < 2:
-        return 0.0
-    s1 = sum(v * c for v, c in hist.items())
-    mean = Fraction(s1, n)
-    m2 = sum((v - mean) ** 2 * c for v, c in hist.items()) / n
-    m4 = sum((v - mean) ** 4 * c for v, c in hist.items()) / n
-    se_sq = (m4 - m2 ** 2 * Fraction(n - 3, n - 1)) / n
-    return math.sqrt(float(se_sq)) if se_sq > 0 else 0.0

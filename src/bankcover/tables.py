@@ -40,14 +40,6 @@ FIGURE_NAMES = ("fig_low", "fig_high")
 
 _VALUE_HEADER = ("a", "q", "value", "value_rounded")
 _SD_HEADER = ("a", "sd_min", "sd_max")
-_PARSERS = {
-    "a": int,
-    "q": int,
-    "value": float,
-    "sd_min": float,
-    "sd_max": float,
-    "value_rounded": str,
-}
 
 
 def round_half_away(value: float, decimals: int = 1) -> str:
@@ -82,17 +74,6 @@ class TableArtifact:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_csv())
         return path
-
-    @classmethod
-    def from_csv(cls, name: str, text: str) -> "TableArtifact":
-        lines = text.strip("\n").split("\n")
-        header = tuple(lines[0].split(","))
-        parsers = [_PARSERS[col] for col in header]
-        rows = tuple(
-            tuple(parse(cell) for parse, cell in zip(parsers, line.split(",")))
-            for line in lines[1:]
-        )
-        return cls(name, header, rows)
 
 
 def _value_rows(a_values, q_values, fn) -> tuple[tuple, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -247,7 +248,15 @@ class TestExpIntegral:
         assert exp_integral_e1(800.0) == 0.0
 
     @pytest.mark.parametrize(
-        "x", [pytest.param(10 ** 400, id="10**400"), pytest.param(math.inf, id="inf")]
+        "x",
+        [
+            pytest.param(10 ** 400, id="10**400"),
+            pytest.param(math.inf, id="inf"),
+            # e**-x underflows here, and the continued fraction need not settle
+            pytest.param(2.1166280836390212e16, id="2.1166280836390212e16"),
+            pytest.param(1e308, id="1e308"),
+            pytest.param(sys.float_info.max, id="float_max"),
+        ],
     )
     def test_beyond_float_range_is_zero(self, x):
         assert exp_integral_e1(x) == 0.0

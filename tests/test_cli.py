@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -23,7 +24,6 @@ from bankcover.cli import (
     main,
 )
 from bankcover.coupon import SeriesCapError
-from bankcover.tables import TableArtifact
 from bankcover.validate import run_checks
 
 
@@ -31,6 +31,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_value_table(path: Path) -> list[tuple[int, int, float, str]]:
+    """The (a, q, value, value_rounded) rows of a value-table CSV."""
+    _header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    return [(int(a), int(q), float(value), rounded) for a, q, value, rounded in rows]
 
 
 class TestExpect:
@@ -95,8 +101,7 @@ class TestTable:
         out = tmp_path / "m.csv"
         code, printed, _ = run_cli(capsys, "table", "en_q", "--out", str(out))
         assert code == EXIT_OK and str(out) in printed
-        table = TableArtifact.from_csv("en_q", out.read_text(encoding="utf-8"))
-        rounded = {(r[0], r[1]): r[3] for r in table.rows}
+        rounded = {(r[0], r[1]): r[3] for r in read_value_table(out)}
         assert rounded[(10, 10)] == "49.9"
         assert rounded[(20, 200)] == "173.5"
 
@@ -218,23 +223,30 @@ class TestFigure:
         assert ">q</text>" in svg and "E N_q</text>" in svg
         assert svg.count("<polyline") == 3
 
+    # a figure's data is the table of the same name
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "f.csv"
-        code, _, _ = run_cli(capsys, "figure", "fig_high", "--format", "csv", "--out", str(out))
+        code, _, _ = run_cli(capsys, "table", "fig_high", "--out", str(out))
         assert code == EXIT_OK
-        table = TableArtifact.from_csv("fig_high", out.read_text(encoding="utf-8"))
-        by_cell = {(r[0], r[1]): r[3] for r in table.rows}
+        rows = read_value_table(out)
+        by_cell = {(r[0], r[1]): r[3] for r in rows}
         assert by_cell[(20, 200)] == "173.5"
-        low_cells = [r for r in table.rows if r[0] == 10]
+        low_cells = [r for r in rows if r[0] == 10]
         values = [r[2] for r in low_cells]
         assert all(x < y for x, y in zip(values, values[1:]))
 
     def test_fig_low_row_count(self, capsys, tmp_path):
         out = tmp_path / "low.csv"
-        run_cli(capsys, "figure", "fig_low", "--format", "csv", "--out", str(out))
-        table = TableArtifact.from_csv("fig_low", out.read_text(encoding="utf-8"))
+        run_cli(capsys, "table", "fig_low", "--out", str(out))
+        rows = read_value_table(out)
         for a in (5, 10, 20):
-            assert sum(1 for r in table.rows if r[0] == a) == 20
+            assert sum(1 for r in rows if r[0] == a) == 20
+
+    def test_csv_format_is_rejected(self, capsys, tmp_path):
+        out = tmp_path / "f.csv"
+        code, _, err = run_cli(capsys, "figure", "fig_high", "--format", "csv", "--out", str(out))
+        assert code == EXIT_USAGE and "--format" in err
+        assert not out.exists()
 
     def test_only_figure_names_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "en_q")

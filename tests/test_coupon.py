@@ -764,6 +764,12 @@ class TestSurvivalBlocks:
         assert test_count_cdf(spec, y).p == 1.0
         assert test_count_pmf(spec, y).p == 0.0
 
+    def test_cached_blocks_are_read_only(self):
+        # the cache hands every caller the same arrays
+        for values in coupon._survival_block(10, 0):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
     def test_series_match_reference(self):
         rng = random.Random(20)
         cells = [(a, q) for a in TABLE_A for q in TABLE_Q]

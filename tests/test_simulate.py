@@ -25,7 +25,6 @@ from bankcover.simulate import (
     _block_size,
     _chunk_ranges,
     run_experiment,
-    variance_std_error,
 )
 
 
@@ -227,22 +226,6 @@ class TestRunExperiment:
         ecdf = sum(c for v, c in result.histogram.items() if v <= n_star) / reps
         exact = test_count_cdf(spec, n_star).p
         assert abs(ecdf - exact) <= 4 / math.sqrt(reps)
-
-
-class TestVarianceStdError:
-    def test_positive_and_shrinks_with_reps(self):
-        small = run_experiment(SimulationConfig(BankSpec(5, 5), 2_000, 3))
-        large = run_experiment(SimulationConfig(BankSpec(5, 5), 32_000, 3))
-        se_small = variance_std_error(small)
-        se_large = variance_std_error(large)
-        assert se_small > 0 and se_large > 0
-        # standard error scales about like 1/sqrt(reps); factor 16 in reps
-        # should shrink it roughly fourfold
-        assert se_large < se_small / 2
-
-    def test_degenerate_histogram(self):
-        result = run_experiment(SimulationConfig(BankSpec(1, 1), 50, 9))
-        assert variance_std_error(result) == 0.0
 
 
 class TestMaxOfSingleBanks:
