@@ -20,20 +20,25 @@ lone point, and every later read is an index.  Past the first y where every term
 of the closed form underflows, the curve is the constant tail S = 0, F = 1
 and needs no block.
 
-The mean and variance series sum P(N > n), weighted by 2n+1 for the second
-moment, until a term is small and a geometric bound on the rest is
-certified.  That bound never increases with n, so the stopping point is
-found first, from logarithms and a short walk, and a bound that still fails
-at the term cap raises before any term is formed.  Then all the terms below
-the stop are formed at once from the cached blocks (``log1p`` and ``expm1``
-from the platform libm).
+The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
+weighted by 2n+1 for the second moment, until a term is small and a
+geometric bound on the rest is certified.  That bound never increases with
+n, so where it is first met is found before any term, from logarithms and a
+short walk, and a bound that still fails at the term cap raises there.  The
+union bound P(N > n) <= q * a * ((a-1)/a)**n then says how far the terms
+must reach, so they are formed in one pass.  One kernel serves every q of a
+table at one bank size a: S(n) and log1p(-S(n)) are formed once per a and
+shared, while each q keeps its own ``expm1`` cells, its own stop and its own
+tail bound (``log1p`` and ``expm1`` from the platform libm).  A single
+call is a sweep over one q.
 
 Every compensated sum of the main path, the closed form of each block row
-and both series, is one replay of Neumaier's loop: two strictly ordered
-``np.cumsum`` passes, one for the running sum and one for the exact
-rounding errors of its additions.  It gives, bit for bit, what a
-term-by-term loop gives.  The oracles share no code with the main path:
-:func:`cdf_oracle` counts surjections in integers and
+and the series rows of every q at one a, is one replay of Neumaier's loop:
+two strictly ordered ``np.cumsum`` passes, one for the running sum and one
+for the exact rounding errors of its additions.  It gives, bit for bit, what
+a term-by-term loop gives; the series rows are zero-padded past their
+stops, which leaves each total alone.  The oracles share no code with the
+main path: :func:`cdf_oracle` counts surjections in integers and
 :func:`expected_tests_multisum` sums with ``math.fsum``.
 """
 
@@ -395,17 +400,6 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-def _finite_bank_count(spec: BankSpec, series: str) -> float:
-    """q as a float for the series; past the float range no partial sum can be
-    certified (the mean lies beyond the last representable survival)."""
-    q = _saturating_float(spec.q)
-    if q == math.inf:
-        raise SeriesCapError(
-            f"{series} series for a={spec.a} not certified: q is beyond the float range"
-        )
-    return q
-
-
 def _tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
     """The series tail bound 2*a*q * decay**(n-1) / (1 - decay) * weight,
     decay = (a-1)/a, formed from logarithms.
@@ -477,32 +471,52 @@ def _first_certified(a: int, q: float, limit: float, n_cap: int, second_moment: 
     return n
 
 
-def _coverage_terms(a: int, q: float, lo: int, hi: int) -> np.ndarray:
-    """P(N > n) = 1 - (1 - S(n))**q for n in [lo, hi), as -expm1(q * log1p(-S(n))).
+def _small_from(a: int, q: float, eps_term: float, second_moment: bool) -> int:
+    """Least n at which q * a * decay**n, times 2n+1 for the variance, is at
+    most ``eps_term`` / 2, decay = (a-1)/a; solved in logarithms, with three
+    fixed-point steps for the weight and the exponent raised by 1e-9 as in
+    :func:`_tail_from_logs`.
 
-    S is sliced from the cached blocks, and is 0.0 from ``_tail_start(a)`` on.  ``log1p`` and ``expm1`` come from
-    ``math`` (the platform libm): numpy's own may round differently.  Every
-    term lies in [0, 1] and none is -0.0.
+    P(N > n) <= q * S(n) <= q * a * decay**n.  That bound starts above
+    ``eps_term`` and has one peak, so it stays below ``eps_term`` / 2 from
+    here on, and every series stops by this n; the factor 2 covers the
+    terms' rounding and a fixed point one step short.
     """
+    steps = -math.log((a - 1) / a)
+    excess = math.log(a) + math.log(q) - math.log(0.5 * eps_term) + 1e-9
+    n = excess / steps
+    if second_moment:
+        for _ in range(3):
+            n = (excess + math.log(2.0 * n + 1.0)) / steps
+    return math.ceil(n)
+
+
+def _coverage_terms(a: int, counts: list[float], ends: list[int]) -> list[np.ndarray]:
+    """P(N > n) = 1 - (1 - S(n))**q as -expm1(q * log1p(-S(n))), one array
+    for each q in ``counts``, over n in [0, end) for its end in ``ends``.
+
+    S is sliced from the cached blocks once, and is 0.0 from
+    ``_tail_start(a)`` on.  log1p(-S(n)) does not depend on q, so it is
+    formed once and shared; each q has its own ``expm1`` cells.  ``log1p``
+    and ``expm1`` come from ``math`` (the platform libm): numpy's own may
+    round differently.  Every term lies in [0, 1] and none is -0.0.
+    """
+    hi = max(ends)
     cut = min(hi, _tail_start(a))
-    pieces = [
-        _survival_block(a, j)[0][max(lo - _BLOCK * j, 0):cut - _BLOCK * j]
-        for j in range(lo // _BLOCK, -(-cut // _BLOCK))
-    ]
+    pieces = [_survival_block(a, j)[0][:cut - _BLOCK * j] for j in range(-(-cut // _BLOCK))]
     if hi > cut:
-        pieces.append(np.zeros(hi - max(lo, cut)))
+        pieces.append(np.zeros(hi - cut))
     s = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    # F(n) rounds to 0 just above n = a for large a, and log1p(-1) is a
-    # domain error; 1 is the limit of -expm1(q * log1p(-s)) as s -> 1.
+    # F(n) rounds to 0 just above n = a for large a, and math.log1p(-1) is a
+    # domain error; its limit -inf makes the term 1.0, the limit as s -> 1.
     full = s == 1.0
     neg = -s
     neg[full] = 0.0
-    logs = np.fromiter(map(math.log1p, neg.tolist()), float, hi - lo)
+    logs = np.fromiter(map(math.log1p, neg.tolist()), float, hi)
+    logs[full] = -math.inf
     with np.errstate(over="ignore"):  # -inf, as a float product gives, near q = 1.8e308
-        exponents = q * logs
-    terms = -np.fromiter(map(math.expm1, exponents.tolist()), float, hi - lo)
-    terms[full] = 1.0
-    return terms
+        return [-np.fromiter(map(math.expm1, (count * logs[:end]).tolist()), float, end)
+                for count, end in zip(counts, ends)]
 
 
 def _compensated_totals(rows: np.ndarray) -> np.ndarray:
@@ -527,43 +541,54 @@ def _compensated_totals(rows: np.ndarray) -> np.ndarray:
     return after[:, -1] + low.cumsum(axis=1, out=low)[:, -1]
 
 
-def _moment_series(spec: BankSpec, policy: TruncationPolicy, second_moment: bool) -> SeriesEstimate:
-    """The mean or the variance series for a >= 2, over whole arrays of terms.
+def _moment_series(
+    a: int, qs: tuple[int, ...], second_moment: bool, policy: TruncationPolicy = DEFAULT_POLICY
+) -> list[SeriesEstimate]:
+    """The mean or the variance series at bank size ``a``, one for each q in ``qs``.
 
-    Term n is P(N > n), weighted by 2n+1 for the second moment.  The sum
+    Term n is P(N > n), weighted by 2n+1 for the second moment.  Each sum
     stops at the first n whose weighted term is below ``eps_term`` and whose
     tail bound is at most ``10 * eps_term``; as the bound never increases,
-    that is the first small term at or after :func:`_first_certified`.
+    that is the first small term at or after :func:`_first_certified`, and
+    it is at most :func:`_small_from`.  A q whose bound still fails at
+    ``n_cap`` raises before any term is formed.  The terms of every q come
+    from one :func:`_coverage_terms` call, and every row is summed by one
+    compensated replay, zero-padded past its stop: a trailing +0.0 leaves
+    the replay's total alone, so each q gets what a call for it alone gives.
     """
-    a = spec.a
     series = "variance" if second_moment else "mean"
-    q = _finite_bank_count(spec, series)
-    first = _first_certified(a, q, 10.0 * policy.eps_term, policy.n_cap, second_moment)
-    parts: list[np.ndarray] = []
-    # the term at `first` is nearly always small already; past it, the
-    # ranges searched double in length
-    lo, hi = 0, first + 1
-    while first <= policy.n_cap and lo <= policy.n_cap:
-        hi = min(hi, policy.n_cap + 1)
-        terms = _coverage_terms(a, q, lo, hi)
+    if a == 1:
+        return [SeriesEstimate(0.0 if second_moment else 1.0, 0.0, 1)] * len(qs)
+    eps, n_cap, m = policy.eps_term, policy.n_cap, len(qs)
+    uncertified = f"{series} series for a={a}, q={{}} not certified within n_cap={n_cap}"
+    counts, firsts, ends = [], [], []
+    for q in qs:
+        count = _saturating_float(q)
+        if count == math.inf:  # the mean lies beyond the last representable survival
+            raise SeriesCapError(
+                f"{series} series for a={a} not certified: q is beyond the float range")
+        first = _first_certified(a, count, 10.0 * eps, n_cap, second_moment)
+        if first > n_cap:
+            raise SeriesCapError(uncertified.format(q))
+        counts.append(count)
+        firsts.append(first)
+        ends.append(min(max(first, _small_from(a, count, eps, second_moment)), n_cap) + 1)
+    rows = np.zeros((2 * m if second_moment else m, max(ends)))
+    stops = []
+    for i, (q, first, terms) in enumerate(zip(qs, firsts, _coverage_terms(a, counts, ends))):
+        weighted = terms * np.arange(1.0, 2 * len(terms), 2.0) if second_moment else terms
+        small = weighted[first:] < eps
+        stop = first + int(small.argmax())
+        if not small[stop - first]:
+            raise SeriesCapError(uncertified.format(q))
+        stops.append(stop)
+        rows[i, :stop] = terms[:stop]
         if second_moment:
-            rows = np.stack((terms, terms * np.arange(2 * lo + 1, 2 * hi + 1, 2, dtype=float)))
-        else:
-            rows = terms[np.newaxis]
-        parts.append(rows)
-        start = max(first, lo)
-        small = rows[-1, start - lo:] < policy.eps_term
-        i = int(small.argmax())
-        if small[i]:
-            stop = start + i
-            used = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            totals = _compensated_totals(used[:, :stop]).tolist()
-            value = totals[1] - totals[0] * totals[0] if second_moment else totals[0]
-            return SeriesEstimate(value, _series_tail(a, q, stop, second_moment), stop)
-        lo, hi = hi, 2 * hi - first
-    raise SeriesCapError(
-        f"{series} series for a={a}, q={spec.q} not certified within n_cap={policy.n_cap}"
-    )
+            rows[m + i, :stop] = weighted[:stop]
+    totals = _compensated_totals(rows[:, :max(stops)]).tolist()
+    values = [t2 - t * t for t, t2 in zip(totals, totals[m:])] if second_moment else totals
+    return [SeriesEstimate(value, _series_tail(a, count, stop, second_moment), stop)
+            for value, count, stop in zip(values, counts, stops)]
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -572,9 +597,7 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     Sums P(coverage needs more than n tests) over n >= 0 under ``policy``.
     The returned estimate carries a certified bound on the discarded tail.
     """
-    if spec.a == 1:
-        return SeriesEstimate(1.0, 0.0, 1)
-    return _moment_series(spec, policy, second_moment=False)
+    return _moment_series(spec.a, (spec.q,), False, policy)[0]
 
 
 def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -583,9 +606,7 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     Uses E N^2 = sum over n of (2n+1) * P(N > n), with the same certified
     geometric tail treatment as :func:`expected_tests`.
     """
-    if spec.a == 1:
-        return SeriesEstimate(0.0, 0.0, 1)
-    return _moment_series(spec, policy, second_moment=True)
+    return _moment_series(spec.a, (spec.q,), True, policy)[0]
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import BankSpec, expected_tests
+from .coupon import _moment_series
 
 __all__ = [
     "TABLE_A",
@@ -76,11 +76,11 @@ class TableArtifact:
         return path
 
 
-def _value_rows(a_values, q_values, fn) -> tuple[tuple, ...]:
+def _value_rows(a_values, q_values, values) -> tuple[tuple, ...]:
+    """Rows (a, q, value, rounded); ``values(a, q_values)`` gives one bank size's values."""
     rows = []
     for a in a_values:
-        for q in q_values:
-            value = float(fn(a, q))
+        for q, value in zip(q_values, values(a, q_values)):
             rows.append((a, q, value, round_half_away(value)))
     return tuple(rows)
 
@@ -95,15 +95,16 @@ def build_table(name: str) -> TableArtifact:
     ``fig_high``   exact means, wide q grid up to 200
     """
 
-    def mean(a: int, q: int) -> float:
-        return expected_tests(BankSpec(a, q)).value
+    def mean(a: int, qs: tuple[int, ...]) -> list[float]:  # one series pass per bank size
+        return [estimate.value for estimate in _moment_series(a, qs, second_moment=False)]
+
+    def centred(a: int, qs: tuple[int, ...]) -> list[float]:
+        return [centred_mean_prediction(a, q) for q in qs]
 
     if name == "en_q":
         return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, mean))
     if name == "centred":
-        return TableArtifact(
-            name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, centred_mean_prediction)
-        )
+        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, centred))
     if name == "sd_bounds":
         rows = []
         for a in SD_A:

@@ -37,7 +37,7 @@ from bankcover.coupon import (
     variance_tests,
 )
 from bankcover import coupon
-from bankcover.tables import TABLE_A, TABLE_Q
+from bankcover.tables import FIG_HIGH_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
 
@@ -492,7 +492,7 @@ class TestBankCountBeyondFloatRange:
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
-            coupon, "_coverage_terms", lambda a, q, lo, hi: calls.append(q) or real(a, q, lo, hi)
+            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
         )
         for fn in (expected_tests, variance_tests):
             with pytest.raises(SeriesCapError):
@@ -718,11 +718,88 @@ class TestCompensatedReplay:
         got = coupon._compensated_totals(np.array(rows)).tolist()
         assert bits(*got) == bits(*map(neumaier, rows)), rows
 
+    @settings(max_examples=30, deadline=None)
+    @given(rows=replay_rows(), pad=st.integers(0, 50))
+    def test_trailing_zeros_leave_totals_alone(self, rows, pad):
+        # the series kernel sums the rows of many q in one call, each padded
+        # with +0.0 past its own stop; a +0.0 step adds nothing to s or to c
+        padded = np.array([row + [0.0] * pad for row in rows])
+        want = [coupon._compensated_totals(np.array([row])).item() for row in rows]
+        assert bits(*coupon._compensated_totals(padded).tolist()) == bits(*want), (rows, pad)
+
     def test_cancelling_row(self):
         # 1 - 1e16 loses the 1 to rounding, which the correction keeps; the
         # big terms then cancel.  The larger magnitude here is the negative term
         row = [1.0, -1e16, 1e16, 3.0]
         assert coupon._compensated_totals(np.array([row])).tolist() == [4.0] == [neumaier(row)]
+
+
+class TestSeriesSweep:
+    """One kernel call over a vector of q against one call per q, bit for bit."""
+
+    @staticmethod
+    def _assert_sweep(a: int, qs: tuple[int, ...], second: bool) -> list:
+        fn = variance_tests if second else expected_tests
+        got = coupon._moment_series(a, qs, second)
+        assert len(got) == len(qs)
+        for q, est in zip(qs, got):
+            want = fn(BankSpec(a, q))
+            assert bits(est.value, est.tail_bound) == bits(want.value, want.tail_bound), (a, q)
+            assert est.terms == want.terms, (a, q, second)
+        return got
+
+    def test_every_bank_size(self):
+        rng = random.Random(12)
+        past_first = 0
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            spread = tuple(int(10 ** rng.uniform(0, 8)) for _ in range(3))
+            for second, qs in ((False, (*FIG_HIGH_Q, 10 ** 6, *spread)), (True, (1, 10, 10 ** 4))):
+                for q, est in zip(qs, self._assert_sweep(a, qs, second)):
+                    first = coupon._first_certified(
+                        a, float(q), 10 * DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, second
+                    )
+                    past_first += est.terms > first
+        # some sums (at a = 2 and 3) stop past the first certified n, where
+        # the term is not yet small
+        assert past_first > 0
+
+    def test_two_and_three_alternatives_with_repeated_q(self):
+        for a in (2, 3):
+            for second in (False, True):
+                self._assert_sweep(a, (1, 1, 10, 1), second)
+
+    @pytest.mark.parametrize(
+        "second,qs,policy,formed",
+        [
+            # q = 10**4 fails its bound at the cap, before any term is formed
+            (False, (1, 10 ** 4), TruncationPolicy(n_cap=50), False),
+            (True, (1, 10 ** 4), TruncationPolicy(n_cap=50), False),
+            # q = 10**400 is past the float range
+            (False, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
+            (True, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
+            # the bound passes at n_cap, but the first small term lies past it
+            (False, (1, 10), TruncationPolicy(n_cap=44), True),
+            (True, (1, 10 ** 4), TruncationPolicy(n_cap=61), True),
+        ],
+    )
+    def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, policy, formed):
+        fn = variance_tests if second else expected_tests
+        failing = []
+        for q in qs:
+            try:
+                fn(BankSpec(2, q), policy)
+            except SeriesCapError as exc:
+                failing.append(str(exc))
+        assert len(failing) == 1, failing
+        calls = []
+        real = coupon._coverage_terms
+        monkeypatch.setattr(
+            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
+        )
+        with pytest.raises(SeriesCapError) as got:
+            coupon._moment_series(2, qs, second, policy)
+        assert str(got.value) == failing[0]
+        assert bool(calls) == formed
 
 
 class TestSurvivalBlocks:
