@@ -10,12 +10,13 @@ quantitative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .coupon import InvalidSpecError, _saturating_float
+from .coupon import MAX_ALTERNATIVES, InvalidSpecError, _saturating_float
 
 __all__ = [
     "EULER_GAMMA",
@@ -91,12 +92,17 @@ class CentringData:
     centre_frac: float
 
 
-def centring(a: int, q: int) -> CentringData:
-    """Centring constants ``log(a * q) / rate`` for the coverage maximum."""
+def _rate_and_centre(a: int, q: int) -> tuple[float, float]:
+    """The decay rate and the centre ``log(a * q) / rate``, inputs checked."""
     rate = decay_rate(a)
     if not isinstance(q, int) or q < 1:
         raise InvalidSpecError(f"need q >= 1, got {q!r}")
-    centre = math.log(a * q) / rate
+    return rate, math.log(a * q) / rate
+
+
+def centring(a: int, q: int) -> CentringData:
+    """Centring constants ``log(a * q) / rate`` for the coverage maximum."""
+    rate, centre = _rate_and_centre(a, q)
     lower = math.floor(centre)
     return CentringData(rate, centre, lower + 1, centre - lower)
 
@@ -118,10 +124,11 @@ def local_pmf_approx(a: int, q: int, n: int) -> float:
     The increment telescopes over ``n``, so it is a genuine probability mass
     function on the integers.
     """
-    c = centring(a, q)
+    rate, centre = _rate_and_centre(a, q)
+    frac = centre - math.floor(centre)
     n = _saturating_float(n)
-    hi = gumbel_cdf(c.decay_rate * (n + 1 - c.centre_frac))
-    lo = gumbel_cdf(c.decay_rate * (n - c.centre_frac))
+    hi = gumbel_cdf(rate * (n + 1 - frac))
+    lo = gumbel_cdf(rate * (n - frac))
     return hi - lo
 
 
@@ -236,6 +243,12 @@ class VarianceBoundSummary:
 
 def variance_bounds(a: int) -> VarianceBoundSummary:
     """Band guaranteed to contain the large-q variance of the coverage maximum."""
+    decay_rate(a)  # checked first, so the memo only ever holds valid bank sizes
+    return _variance_bounds(a)
+
+
+@functools.lru_cache(maxsize=MAX_ALTERNATIVES)  # depends on a alone: once per bank size
+def _variance_bounds(a: int) -> VarianceBoundSummary:
     rate = decay_rate(a)
     center = GUMBEL_VARIANCE / (rate * rate)
     moment = band_second_moment(a)
@@ -255,5 +268,5 @@ def variance_bounds(a: int) -> VarianceBoundSummary:
 
 def centred_mean_prediction(a: int, q: int) -> float:
     """Asymptotic mean estimate: centre plus the Gumbel mean over the rate."""
-    c = centring(a, q)
-    return c.centre + EULER_GAMMA / c.decay_rate
+    rate, centre = _rate_and_centre(a, q)
+    return centre + EULER_GAMMA / rate

@@ -10,6 +10,7 @@ wins over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bankcover",

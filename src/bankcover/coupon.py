@@ -11,14 +11,15 @@ sums as :class:`SeriesEstimate`.
 The single-bank curve S(y) = 1 - F(y) depends on ``a`` alone, so every entry
 point here reads it from one cache: the curve and its error bounds are
 computed 256 test counts at a time (one block), bit for bit as a per-y
-compensated sum would give them, and kept as read-only numpy arrays, at most
-512 blocks (under 4.5 MiB; the variance series for every a in 2..64 at
-q = 1e6 reads 475).
-The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms for
-block 0, which holds the exact-integer cells) against about 0.06 ms for one
-lone point, and every later read is an index.  Past the first y where every term
-of the closed form underflows, the curve is the constant tail S = 0, F = 1
-and needs no block.
+compensated sum would give them, and kept as one flat read-only buffer per
+block, S, its bound, F and its bound end to end (about 8.7 KiB a block; at
+most 512 blocks, under 4.5 MiB; the variance series for every a in 2..64 at
+q = 1e6 reads 475).  The first touch of a block costs 1.5 to 3 ms at a = 64
+(about 6 ms for block 0, which holds the exact-integer cells) against about
+0.06 ms for one lone point; every later read is an index giving a Python
+float, and each entry point reads only the cells it returns.  Past the first
+y where every term of the closed form underflows, the curve is the constant
+tail S = 0, F = 1 and needs no block.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -90,13 +91,9 @@ _MIN_NORMAL = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
-# The survival curve is computed and cached this many test counts at a time;
-# a block holds four numpy arrays of _BLOCK doubles, about 8.75 KiB with their
-# headers and its cache entry, so a full cache stays under 4.5 MiB.
+# The survival curve is computed and cached this many test counts at a time.
 _BLOCK = 256
 _BLOCK_CACHE_SIZE = 512
-# S, its bound, F, its bound once every term of the closed form underflows.
-_TAIL_POINT = (0.0, _ULP, 1.0, 2 * _ULP)
 # Tolerated negative round-off in a cdf difference; anything worse is a bug.
 _PMF_CLAMP = 1e-14
 
@@ -129,10 +126,7 @@ class BankSpec:
             raise InvalidSpecError("a and q must be integers")
         if self.a < 1 or self.q < 1:
             raise InvalidSpecError(f"need a >= 1 and q >= 1, got a={self.a}, q={self.q}")
-        if self.a > MAX_ALTERNATIVES:
-            raise UnsupportedAlternativesError(
-                f"a={self.a} exceeds the supported maximum of {MAX_ALTERNATIVES} alternatives"
-            )
+        _check_gated_bank_size(self.a)
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,13 @@ def _tail_start(a: int) -> int:
     return bisect.bisect_left(range(hi), True, key=lambda y: r ** y == 0.0)
 
 
+def _frozen(values: np.ndarray) -> memoryview:
+    values.flags.writeable = False  # the cache hands the buffer to every caller
+    return memoryview(values)
+
+
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _survival_block(a: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _survival_block(a: int, j: int) -> memoryview:
     """S(y), its error bound, F(y) and its error bound for y in one block.
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
@@ -257,7 +256,9 @@ def _survival_block(a: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     exceeds ``_EXACT_SWITCH`` the cell is redone in exact integers; the int
     true division rounds correctly, as ``float(Fraction)`` does.
 
-    The cache hands the same arrays to every caller, so they are read-only.
+    The four curves lie end to end in one read-only ``memoryview`` of
+    4 * _BLOCK doubles, about 8.7 KiB with its array, view and cache entry:
+    y's S, bound, F and bound are at i + k * _BLOCK, k = 0..3, i = y % _BLOCK.
     """
     lo = _BLOCK * j
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
@@ -275,9 +276,12 @@ def _survival_block(a: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     p = _compensated_totals(rows)
     slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
     bound = slack * _ULP * magnitude
+    block = np.zeros(4 * _BLOCK)
+    curves = block.reshape(4, _BLOCK)
+    curves[0, :start - lo] = 1.0  # S = 1, F = 0 exactly below y = a
     err = bound + _ULP
-    surv, cdf = _clamp01_each(p), _clamp01_each(1.0 - p)
-    surv_err, cdf_err = err, err + _ULP
+    curves[:, start - lo:] = _clamp01_each(p), err, _clamp01_each(1.0 - p), err + _ULP
+    surv, surv_err, cdf, cdf_err = curves[:, start - lo:]
     # exact cells: terms[k-1] = (-1)^(k+1) C(a, k) (a-k)^y and denom = a^y,
     # carried from one cell to the next
     bases = range(a - 1, -1, -1)
@@ -291,12 +295,7 @@ def _survival_block(a: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         total = sum(terms)
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
-    below = start - lo
-    head = (np.ones(below), np.zeros(below), np.zeros(below), np.zeros(below))
-    block = tuple(np.concatenate((h, v)) for h, v in zip(head, (surv, surv_err, cdf, cdf_err)))
-    for values in block:
-        values.flags.writeable = False
-    return block
+    return _frozen(block)
 
 
 def _clamp01_each(p: np.ndarray) -> np.ndarray:
@@ -304,23 +303,28 @@ def _clamp01_each(p: np.ndarray) -> np.ndarray:
     return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
 
 
-def _curve_point(a: int, y: int) -> tuple[float, float, float, float]:
-    """S(y), its error bound, F(y) and its error bound for one bank."""
+# Laid out as blocks: from _tail_start(a) on, S = 0 and F = 1 with bounds ulp and
+# 2 ulp; at a = 1, S = 1 at y = 0 (index 0), 0 from y = 1 on (index 1), F = 1 - S.
+_TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP), _BLOCK))
+_ONE_BANK_BLOCK = _frozen(np.repeat((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (1, _BLOCK - 1) * 4))
+
+
+def _curve_cells(a: int, y: int) -> tuple[memoryview, int]:
+    """The block holding S(y), its bound, F(y) and its bound for one bank at
+    i + k * _BLOCK, k = 0..3, and y's index i in it."""
     if a == 1:
-        return (0.0, 0.0, 1.0, 0.0) if y >= 1 else (1.0, 0.0, 0.0, 0.0)
+        return _ONE_BANK_BLOCK, min(y, 1)
     if y >= _tail_start(a):
-        return _TAIL_POINT
-    s, s_err, f, f_err = _survival_block(a, y // _BLOCK)
-    i = y % _BLOCK
-    return s.item(i), s_err.item(i), f.item(i), f_err.item(i)
+        return _TAIL_BLOCK, 0
+    return _survival_block(a, y // _BLOCK), y % _BLOCK
 
 
 def single_bank_survival(a: int, y: int) -> ProbValue:
     """P(some alternative of one bank is still unseen after ``y`` tests)."""
     _check_gated_bank_size(a)
     _check_test_count(y)
-    s, s_err, _, _ = _curve_point(a, y)
-    return ProbValue(s, s_err)
+    b, i = _curve_cells(a, y)
+    return ProbValue(b[i], b[i + _BLOCK])
 
 
 def single_bank_cdf(a: int, y: int) -> ProbValue:
@@ -330,8 +334,8 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
     """
     _check_gated_bank_size(a)
     _check_test_count(y)
-    _, _, f, f_err = _curve_point(a, y)
-    return ProbValue(f, f_err)
+    b, i = _curve_cells(a, y)
+    return ProbValue(b[i + 2 * _BLOCK], b[i + 3 * _BLOCK])
 
 
 def cdf_oracle(a: int, y: int) -> Fraction:
@@ -369,7 +373,8 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     if a == 1:
         return ProbValue(1.0, 0.0)
     q = _saturating_float(spec.q)
-    s, _, f, f_err = _curve_point(a, n)
+    b, i = _curve_cells(a, n)
+    s, f, f_err = b[i], b[i + 2 * _BLOCK], b[i + 3 * _BLOCK]
     if s == 0.0:
         p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
     elif s < 0.5:
@@ -503,7 +508,8 @@ def _coverage_terms(a: int, counts: list[float], ends: list[int]) -> list[np.nda
     """
     hi = max(ends)
     cut = min(hi, _tail_start(a))
-    pieces = [_survival_block(a, j)[0][:cut - _BLOCK * j] for j in range(-(-cut // _BLOCK))]
+    pieces = [np.frombuffer(_survival_block(a, j), float, min(cut - _BLOCK * j, _BLOCK))
+              for j in range(-(-cut // _BLOCK))]
     if hi > cut:
         pieces.append(np.zeros(hi - cut))
     s = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import struct
 import sys
 
 import numpy as np
@@ -26,7 +28,13 @@ from bankcover.asymptotics import (
     sandwich_bounds,
     variance_bounds,
 )
-from bankcover.coupon import BankSpec, InvalidSpecError, expected_tests, test_count_cdf
+from bankcover.coupon import (
+    MAX_ALTERNATIVES,
+    BankSpec,
+    InvalidSpecError,
+    expected_tests,
+    test_count_cdf,
+)
 from bankcover.validate import SD_PRINTED
 
 
@@ -159,6 +167,22 @@ class TestLocalPmfApprox:
         for n in (-10 ** 4, -10 ** 400, 10 ** 400):
             assert local_pmf_approx(10, 10, n) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(2, MAX_ALTERNATIVES),
+        q=st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 400)),
+        n=st.one_of(st.integers(-40, 40), st.sampled_from([-10 ** 400, 10 ** 400])),
+    )
+    def test_is_the_gumbel_increment_at_the_centring(self, a, q, n):
+        # the increment formed from centring()'s fields, bit for bit; a lag
+        # beyond the float range counts as an infinity of its sign
+        c = centring(a, q)
+        x = float(n) if abs(n) < 10 ** 300 else math.inf if n > 0 else -math.inf
+        want = (gumbel_cdf(c.decay_rate * (x + 1 - c.centre_frac))
+                - gumbel_cdf(c.decay_rate * (x - c.centre_frac)))
+        got = local_pmf_approx(a, q, n)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (a, q, n)
+
 
 class TestMeanBounds:
     def test_reference_cell(self):
@@ -281,6 +305,23 @@ class TestVarianceBounds:
         bounds = variance_bounds(a)
         assert bounds.sd_lo == pytest.approx(sd_lo, abs=0.002)
         assert bounds.sd_hi == pytest.approx(sd_hi, abs=0.002)
+
+    def test_memo_matches_a_fresh_computation(self):
+        # every field, bit for bit, for every bank size the library serves
+        fresh = asymptotics._variance_bounds.__wrapped__
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            got, want = dataclasses.astuple(variance_bounds(a)), dataclasses.astuple(fresh(a))
+            assert struct.pack("<7d", *got) == struct.pack("<7d", *want), a
+
+    @pytest.mark.parametrize("bad", [5.0, True, 1])
+    def test_memo_does_not_admit_bad_sizes(self, bad):
+        # 5.0 and True hash like 5 and 1, which is cached; they are still refused
+        variance_bounds(5)
+        with pytest.raises(InvalidSpecError):
+            variance_bounds(bad)
+
+    def test_memo_is_bounded(self):
+        assert asymptotics._variance_bounds.cache_info().maxsize == MAX_ALTERNATIVES
 
     @pytest.mark.parametrize("a", range(2, 21))
     def test_positive_and_consistent(self, a):

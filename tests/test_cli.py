@@ -14,6 +14,7 @@ import pytest
 
 import bankcover
 import bankcover.asymptotics as asymptotics
+import bankcover.cli as cli
 from bankcover.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -264,3 +265,25 @@ class TestHelp:
         code, out, err = run_cli(capsys, "--help")
         assert code == 0
         assert "expect" in out + err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_mixed_sequence(self, capsys, tmp_path):
+        # one process, one cached parser: each call answers as a fresh parser does
+        sequence = [
+            ("expect", "--a", "10", "--q", "50"),
+            ("table", "en_q", "--out", str(tmp_path)),
+            ("expect", "--a", "10"),
+            ("simulate", "--a", "5", "--q", "3", "--reps", "200", "--seed", "7"),
+            ("figure", "fig_low", "--out", str(tmp_path)),
+            ("--help",),
+            ("expect", "--a", "0", "--q", "5"),
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2]
+        reused = [run_cli(capsys, *argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh

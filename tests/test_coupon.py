@@ -273,7 +273,7 @@ class TestOracleIndependence:
         def disabled(*args, **kwargs):
             raise AssertionError("an oracle reached the main path")
 
-        for name in ("_survival_block", "_curve_point", "_compensated_totals", "_moment_series"):
+        for name in ("_survival_block", "_curve_cells", "_compensated_totals", "_moment_series"):
             monkeypatch.setattr(coupon, name, disabled)
         assert run() == want
 
@@ -842,10 +842,18 @@ class TestSurvivalBlocks:
         assert test_count_pmf(spec, y).p == 0.0
 
     def test_cached_blocks_are_read_only(self):
-        # the cache hands every caller the same arrays
-        for values in coupon._survival_block(10, 0):
-            with pytest.raises(ValueError):
-                values[0] = 0.5
+        # the cache hands every caller the same buffer: neither it nor an
+        # array over it can be written, in any of the four curves; the
+        # constant tail and the a = 1 curve are shared the same way
+        blocks = [coupon._survival_block(a, j)
+                  for a, j in itertools.product((10, MAX_ALTERNATIVES), (0, 1))]
+        for block in blocks + [coupon._TAIL_BLOCK, coupon._ONE_BANK_BLOCK]:
+            assert len(block) == 4 * coupon._BLOCK
+            for i in (0, coupon._BLOCK - 1, 2 * coupon._BLOCK, 4 * coupon._BLOCK - 1):
+                with pytest.raises(TypeError):
+                    block[i] = 0.5
+                with pytest.raises(ValueError):
+                    np.frombuffer(block, float)[i] = 0.5
 
     def test_series_match_reference(self):
         rng = random.Random(20)
@@ -880,7 +888,7 @@ class TestSurvivalBlocks:
         fn = variance_tests if second else expected_tests
         try:
             want = reference_series(
-                a, q, second, policy, lambda n: coupon._curve_point(a, n)[0]
+                a, q, second, policy, lambda n: single_bank_survival(a, n).p
             )
         except SeriesCapError as exc:
             with pytest.raises(SeriesCapError) as got:
