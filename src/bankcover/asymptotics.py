@@ -241,14 +241,9 @@ class VarianceBoundSummary:
     sd_hi: float
 
 
+@functools.lru_cache(maxsize=MAX_ALTERNATIVES)  # depends on a alone: once per bank size
 def variance_bounds(a: int) -> VarianceBoundSummary:
     """Band guaranteed to contain the large-q variance of the coverage maximum."""
-    decay_rate(a)  # checked first, so the memo only ever holds valid bank sizes
-    return _variance_bounds(a)
-
-
-@functools.lru_cache(maxsize=MAX_ALTERNATIVES)  # depends on a alone: once per bank size
-def _variance_bounds(a: int) -> VarianceBoundSummary:
     rate = decay_rate(a)
     center = GUMBEL_VARIANCE / (rate * rate)
     moment = band_second_moment(a)

@@ -71,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="block ranges to split the replications into, run on threads "
-        "(at most one per available CPU); the record does not depend on it",
+        help="at most this many threads, one block of replications per task "
+        "(and at most one per available CPU); the record does not depend on it",
     )
     simulate.set_defaults(handler=_cmd_simulate)
 

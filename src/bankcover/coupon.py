@@ -485,7 +485,10 @@ def _small_from(a: int, q: float, eps_term: float, second_moment: bool) -> int:
     P(N > n) <= q * S(n) <= q * a * decay**n.  That bound starts above
     ``eps_term`` and has one peak, so it stays below ``eps_term`` / 2 from
     here on, and every series stops by this n; the factor 2 covers the
-    terms' rounding and a fixed point one step short.
+    terms' rounding and a fixed point one step short.  The stop is not
+    always within a step of :func:`_first_certified`: a few steps short of
+    ``_tail_start(a)``, S(n) is a subnormal of a few ulps that rounds up by
+    as much as 2x, and the first small term can lie three steps past it.
     """
     steps = -math.log((a - 1) / a)
     excess = math.log(a) + math.log(q) - math.log(0.5 * eps_term) + 1e-9

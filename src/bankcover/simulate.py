@@ -4,18 +4,20 @@ One bank is covered after a sum of independent geometric waits, one per
 stage: with k - 1 alternatives seen, the next new one takes Geom((a-k+1)/a)
 tests.  A replication is the maximum of q such stage sums.  Replications are
 drawn in blocks whose size depends only on q; block ``b`` consumes its
-own counter-based generator keyed by ``(seed, b)``, and workers take
-contiguous ranges of whole blocks, so results are bit-identical no matter
-how the work is split.  The ranges run on threads, at most one per CPU
-available to the process: the draws, sums and maxima are numpy calls that
-release the interpreter lock, and no range shares mutable state with another.
+own counter-based generator keyed by ``(seed, b)``, and each block is one
+task, so results are bit-identical whatever the number of threads.  The
+blocks run on threads, at most one per CPU available to the process: the
+draws, sums and maxima are numpy calls that release the interpreter lock,
+and no block shares mutable state with another.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,8 +45,8 @@ _BLOCK_CELLS = 2 ** 17
 class SimulationConfig:
     """One reproducible experiment: spec, replication count, seed, workers.
 
-    ``workers`` is the number of contiguous block ranges the replications
-    split into; the ranges run on threads, at most one per available CPU.
+    The replications run on at most ``workers`` threads, and never on more
+    than one per available CPU or per block; the results do not depend on it.
     """
 
     spec: BankSpec
@@ -96,26 +98,12 @@ def _block_maxima(a: int, q: int, seed: int, block: int, rows: int) -> np.ndarra
     return best
 
 
-def _count_blocks(a: int, q: int, seed: int, reps: int, start: int, stop: int) -> Counter:
+def _count_block(a: int, q: int, seed: int, reps: int, block: int) -> Counter:
+    """How often each coverage time occurs among block ``block``'s replications."""
     size = _block_size(q)
-    hist: Counter = Counter()
-    for block in range(start, stop):
-        rows = min(size, reps - block * size)
-        values, counts = np.unique(_block_maxima(a, q, seed, block, rows), return_counts=True)
-        hist.update(dict(zip(values.tolist(), counts.tolist())))
-    return hist
-
-
-def _chunk_ranges(items: int, workers: int) -> list[tuple[int, int]]:
-    size, extra = divmod(items, workers)
-    ranges = []
-    start = 0
-    for w in range(min(workers, items)):  # ranges past the items would be empty
-        stop = start + size + (1 if w < extra else 0)
-        if stop > start:
-            ranges.append((start, stop))
-        start = stop
-    return ranges
+    rows = min(size, reps - block * size)
+    values, counts = np.unique(_block_maxima(a, q, seed, block, rows), return_counts=True)
+    return Counter(dict(zip(values.tolist(), counts.tolist())))
 
 
 def _available_cpus() -> int:
@@ -128,31 +116,27 @@ def _available_cpus() -> int:
 def run_experiment(config: SimulationConfig) -> SimulationResult:
     """Run ``config.reps`` independent replications and aggregate exactly.
 
-    With ``workers > 1`` the blocks split into that many contiguous ranges,
-    run on a thread pool of at most one thread per available CPU; extra
-    ranges wait in its queue.  The histogram, and every statistic derived
-    from it, is independent of ``workers``: block b is a pure function of
+    Each block is one task, run on a pool of ``min(workers, blocks,
+    available CPUs)`` threads; with one thread the blocks run in the calling
+    thread, which saves a pool's start-up and hand-offs.  The
+    histogram is a sum over blocks, so it and every statistic derived from
+    it are independent of ``workers``: block b is a pure function of
     (a, q, reps, seed, b).
     """
     spec, reps, seed = config.spec, config.reps, config.seed
     blocks = -(-reps // _block_size(spec.q))
-    chunks = _chunk_ranges(blocks, config.workers)
-    if len(chunks) == 1:
-        parts = [_count_blocks(spec.a, spec.q, seed, reps, 0, blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(chunks), _available_cpus())) as pool:
-            futures = [
-                pool.submit(_count_blocks, spec.a, spec.q, seed, reps, s, e)
-                for s, e in chunks
-            ]
-            parts = [f.result() for f in futures]
+    threads = min(config.workers, blocks, _available_cpus())
+    count = functools.partial(_count_block, spec.a, spec.q, seed, reps)
+    if threads == 1:
+        return _result_from_parts(map(count, range(blocks)), reps)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _result_from_parts(pool.map(count, range(blocks)), reps)
+
+
+def _result_from_parts(parts: Iterable[Counter], reps: int) -> SimulationResult:
     hist: Counter = Counter()
-    for part in parts:
+    for part in parts:  # merged as each block's count arrives
         hist.update(part)
-    return _result_from_histogram(hist, reps)
-
-
-def _result_from_histogram(hist: Counter, reps: int) -> SimulationResult:
     s1 = sum(n * c for n, c in hist.items())
     s2 = sum(n * n * c for n, c in hist.items())
     mean = s1 / reps

@@ -308,7 +308,7 @@ class TestVarianceBounds:
 
     def test_memo_matches_a_fresh_computation(self):
         # every field, bit for bit, for every bank size the library serves
-        fresh = asymptotics._variance_bounds.__wrapped__
+        fresh = variance_bounds.__wrapped__
         for a in range(2, MAX_ALTERNATIVES + 1):
             got, want = dataclasses.astuple(variance_bounds(a)), dataclasses.astuple(fresh(a))
             assert struct.pack("<7d", *got) == struct.pack("<7d", *want), a
@@ -321,7 +321,7 @@ class TestVarianceBounds:
             variance_bounds(bad)
 
     def test_memo_is_bounded(self):
-        assert asymptotics._variance_bounds.cache_info().maxsize == MAX_ALTERNATIVES
+        assert variance_bounds.cache_info().maxsize == MAX_ALTERNATIVES
 
     @pytest.mark.parametrize("a", range(2, 21))
     def test_positive_and_consistent(self, a):

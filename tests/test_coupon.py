@@ -8,6 +8,7 @@ import random
 import struct
 import sys
 import tracemalloc
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -695,6 +696,16 @@ def bits(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def series_outcome(call) -> tuple:
+    """The bits of a series' value and tail bound with its term count, or
+    the message it raised."""
+    try:
+        value, tail, terms = call()
+    except SeriesCapError as exc:
+        return ("raised", str(exc))
+    return bits(value, tail), terms
+
+
 _SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-300, 1e300), st.booleans())
 
 
@@ -767,6 +778,26 @@ class TestSeriesSweep:
         for a in (2, 3):
             for second in (False, True):
                 self._assert_sweep(a, (1, 1, 10, 1), second)
+
+    def test_stop_search_near_underflow(self):
+        # eps_term puts the certified stop within 12 steps of _tail_start(a),
+        # where decay**n underflows: there S(n) rounds up by as much as 2x, so
+        # the first small term can lie three steps past the first certified n.
+        # Each call must stop, or fail, where the one-term reference does
+        rng = random.Random(66)
+        top = math.log10(sys.float_info.max)
+        for a in range(2, 9):
+            for second in (False, True):
+                fn = variance_tests if second else expected_tests
+                for _ in range(6):
+                    q = int(10 ** rng.uniform(200, top))
+                    f = coupon._tail_start(a) + rng.randint(-12, 12)
+                    eps = coupon._series_tail(a, float(q), f, second) / 10 * (1 + 1e-12)
+                    policy = TruncationPolicy(eps_term=eps)
+                    got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
+                    want = series_outcome(lambda: reference_series(
+                        a, q, second, policy, survival=lambda n: single_bank_survival(a, n).p))
+                    assert got == want, (a, q, second, f)
 
     @pytest.mark.parametrize(
         "second,qs,policy,formed",

@@ -23,7 +23,6 @@ from bankcover.simulate import (
     SimulationResult,
     _block_maxima,
     _block_size,
-    _chunk_ranges,
     run_experiment,
 )
 
@@ -129,7 +128,7 @@ class TestRunExperiment:
 
     def test_memory_flat_in_q(self):
         # banks are drawn in column slices of 2**17 int64 cells (1 MiB), so a
-        # million banks need about 2 MiB per running range; one unsliced row
+        # million banks need about 2 MiB per running block; one unsliced row
         # would need 16 MiB
         for workers in (1, 2):
             tracemalloc.start()
@@ -142,8 +141,8 @@ class TestRunExperiment:
             assert sum(result.histogram.values()) == 4 and result.min >= 2
 
     def test_threads_capped_at_available_cpus(self, monkeypatch):
-        # q = 2**17 makes every replication its own block, so 64 workers ask
-        # for 64 ranges; the pool still gets at most one thread per CPU
+        # q = 2**17 makes every replication its own block, so 64 workers meet
+        # 64 blocks; the pool still gets at most one thread per CPU
         sizes = []
 
         class Recording(ThreadPoolExecutor):
@@ -160,7 +159,7 @@ class TestRunExperiment:
         assert split == run_experiment(SimulationConfig(spec, 64, 3))
 
     def test_identity_under_fast_thread_switching(self):
-        # more ranges than cores, switching threads every microsecond: a lost
+        # more blocks than cores, switching threads every microsecond: a lost
         # or doubled update of the merged histogram would change the result
         spec = BankSpec(4, 2000)
         base = run_experiment(SimulationConfig(spec, 3_000, 17))
@@ -188,13 +187,6 @@ class TestRunExperiment:
         result = run_experiment(SimulationConfig(BankSpec(5, 5), 3_000, 31, workers=2))
         assert sum(result.histogram.values()) == 3_000
         assert multiprocessing.active_children() == []
-
-    def test_ranges_cover_blocks_once(self):
-        for items in range(1, 12):
-            for workers in (1, 2, 3, 8, 64, 10 ** 9):
-                ranges = _chunk_ranges(items, workers)
-                assert len(ranges) == min(items, workers)
-                assert [b for s, e in ranges for b in range(s, e)] == list(range(items))
 
     def test_more_workers_than_reps(self):
         result = run_experiment(SimulationConfig(BankSpec(2, 1), 3, 5, workers=8))
