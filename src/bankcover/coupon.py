@@ -24,14 +24,14 @@ tail S = 0, F = 1 and needs no block.
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
 geometric bound on the rest is certified.  That bound never increases with
-n, so where it is first met is found before any term, from logarithms and a
-short walk, and a bound that still fails at the term cap raises there.  The
-union bound P(N > n) <= q * a * ((a-1)/a)**n then says how far the terms
-must reach, so they are formed in one pass.  One kernel serves every q of a
-table at one bank size a: S(n) and log1p(-S(n)) are formed once per a and
-shared, while each q keeps its own ``expm1`` cells, its own stop and its own
-tail bound (``log1p`` and ``expm1`` from the platform libm).  A single
-call is a sweep over one q.
+n, so where it is first met is found before any term, by one root solve in
+logarithms and a walk up of a few steps, and a bound that still fails at the
+term cap raises there.  A second solve, on the union bound
+P(N > n) <= q * a * ((a-1)/a)**n, says how far the terms must reach, so they
+are formed in one pass.  One kernel serves every q of a table at one bank
+size a: S(n) and log1p(-S(n)) are formed once per a and shared, while each q
+keeps its own ``expm1`` cells, its own stop and its own tail bound (``log1p``
+and ``expm1`` from the platform libm).  A single call is a sweep over one q.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
@@ -280,7 +280,7 @@ def _survival_block(a: int, j: int) -> memoryview:
     curves = block.reshape(4, _BLOCK)
     curves[0, :start - lo] = 1.0  # S = 1, F = 0 exactly below y = a
     err = bound + _ULP
-    curves[:, start - lo:] = _clamp01_each(p), err, _clamp01_each(1.0 - p), err + _ULP
+    curves[:, start - lo:] = np.clip(p, 0.0, 1.0), err, np.clip(1.0 - p, 0.0, 1.0), err + _ULP
     surv, surv_err, cdf, cdf_err = curves[:, start - lo:]
     # exact cells: terms[k-1] = (-1)^(k+1) C(a, k) (a-k)^y and denom = a^y,
     # carried from one cell to the next
@@ -296,11 +296,6 @@ def _survival_block(a: int, j: int) -> memoryview:
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
     return _frozen(block)
-
-
-def _clamp01_each(p: np.ndarray) -> np.ndarray:
-    """``p`` with each element clamped to [0, 1]."""
-    return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
 
 
 # Laid out as blocks: from _tail_start(a) on, S = 0 and F = 1 with bounds ulp and
@@ -449,54 +444,23 @@ def _series_tail(a: int, q: float, n: int, second_moment: bool) -> float:
     return tail
 
 
-def _first_certified(a: int, q: float, limit: float, n_cap: int, second_moment: bool) -> int:
-    """Least n <= n_cap with ``_series_tail(a, q, n, ...) <= limit``; n_cap + 1 if none.
+def _crossing(a: int, q: float, scale: float, limit: float, offset: int | None) -> float:
+    """The real n at which scale * q * decay**n, times 2n + offset when an
+    offset is given, falls to ``limit``, decay = (a-1)/a.
 
-    The bound never increases with n, so the answer is where it crosses
-    ``limit``.  The crossing is solved in logarithms (with three fixed-point
-    steps for the variance's weight) and then walked, one n at a time, to
-    where the float bound itself crosses; that is a step or two away.  The
-    bound is never below the smallest normal float, so a smaller ``limit``
-    is never met.
-    """
-    if limit < _MIN_NORMAL:
-        return n_cap + 1
-    decay = (a - 1) / a
-    steps = -math.log(decay)
-    excess = math.log(2.0 * a) + math.log(q) - math.log1p(-decay) - math.log(limit)
-    n = 1.0 + excess / steps
-    if second_moment:
-        for _ in range(3):
-            n = 1.0 + (excess + math.log(2.0 * max(n, 0.0) + 2 * a - 1)) / steps
-    n = min(max(math.ceil(n), 0), n_cap + 1)
-    while n > 0 and _series_tail(a, q, n - 1, second_moment) <= limit:
-        n -= 1
-    while n <= n_cap and _series_tail(a, q, n, second_moment) > limit:
-        n += 1
-    return n
-
-
-def _small_from(a: int, q: float, eps_term: float, second_moment: bool) -> int:
-    """Least n at which q * a * decay**n, times 2n+1 for the variance, is at
-    most ``eps_term`` / 2, decay = (a-1)/a; solved in logarithms, with three
-    fixed-point steps for the weight and the exponent raised by 1e-9 as in
-    :func:`_tail_from_logs`.
-
-    P(N > n) <= q * S(n) <= q * a * decay**n.  That bound starts above
-    ``eps_term`` and has one peak, so it stays below ``eps_term`` / 2 from
-    here on, and every series stops by this n; the factor 2 covers the
-    terms' rounding and a fixed point one step short.  The stop is not
-    always within a step of :func:`_first_certified`: a few steps short of
-    ``_tail_start(a)``, S(n) is a subnormal of a few ulps that rounds up by
-    as much as 2x, and the first small term can lie three steps past it.
+    Solved in logarithms, with the exponent raised by 1e-9 as in
+    :func:`_tail_from_logs` and three fixed-point steps for the weight; they
+    start below the root and climb towards it, so the result is past the
+    exact root by less than 1e-7 steps: the slack moves it by
+    1e-9 / log(a/(a-1)), and rounding by far less.
     """
     steps = -math.log((a - 1) / a)
-    excess = math.log(a) + math.log(q) - math.log(0.5 * eps_term) + 1e-9
+    excess = math.log(scale) + math.log(q) - math.log(limit) + 1e-9
     n = excess / steps
-    if second_moment:
+    if offset is not None:
         for _ in range(3):
-            n = (excess + math.log(2.0 * n + 1.0)) / steps
-    return math.ceil(n)
+            n = (excess + math.log(2.0 * n + offset)) / steps
+    return n
 
 
 def _coverage_terms(a: int, counts: list[float], ends: list[int]) -> list[np.ndarray]:
@@ -558,17 +522,21 @@ def _moment_series(
     Term n is P(N > n), weighted by 2n+1 for the second moment.  Each sum
     stops at the first n whose weighted term is below ``eps_term`` and whose
     tail bound is at most ``10 * eps_term``; as the bound never increases,
-    that is the first small term at or after :func:`_first_certified`, and
-    it is at most :func:`_small_from`.  A q whose bound still fails at
-    ``n_cap`` raises before any term is formed.  The terms of every q come
-    from one :func:`_coverage_terms` call, and every row is summed by one
-    compensated replay, zero-padded past its stop: a trailing +0.0 leaves
-    the replay's total alone, so each q gets what a call for it alone gives.
+    that is the first small term at or after the least n the bound certifies.
+    :func:`_crossing` places both that n and the end of the term window.  A
+    q whose bound still fails at ``n_cap`` raises before any term is formed.
+    The terms of every q come from one :func:`_coverage_terms` call, and
+    every row is summed by one compensated replay, zero-padded past its stop:
+    a trailing +0.0 leaves the replay's total alone, so each q gets what a
+    call for it alone gives.
     """
     series = "variance" if second_moment else "mean"
     if a == 1:
         return [SeriesEstimate(0.0 if second_moment else 1.0, 0.0, 1)] * len(qs)
     eps, n_cap, m = policy.eps_term, policy.n_cap, len(qs)
+    limit = 10.0 * eps
+    # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
+    scale, offset = 2.0 * a ** 3 / (a - 1), (2 * a - 1 if second_moment else None)
     uncertified = f"{series} series for a={a}, q={{}} not certified within n_cap={n_cap}"
     counts, firsts, ends = [], [], []
     for q in qs:
@@ -576,12 +544,29 @@ def _moment_series(
         if count == math.inf:  # the mean lies beyond the last representable survival
             raise SeriesCapError(
                 f"{series} series for a={a} not certified: q is beyond the float range")
-        first = _first_certified(a, count, 10.0 * eps, n_cap, second_moment)
+        # The bound is never below the smallest normal float, so a smaller
+        # limit is never met.  Otherwise walk up from two steps short of the
+        # root: ceil(root) is at most one step past the exact root, so two
+        # steps earlier the exact bound exceeds the limit by at least its
+        # per-step factor (see _series_tail), far above rounding and the
+        # 1e-9 slack, and the walk ends at the least n the float bound meets.
+        first = n_cap + 1 if limit < _MIN_NORMAL else max(
+            math.ceil(_crossing(a, count, scale, limit, offset)) - 2, 0)
+        while first <= n_cap and _series_tail(a, count, first, second_moment) > limit:
+            first += 1
         if first > n_cap:
             raise SeriesCapError(uncertified.format(q))
+        # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1
+        # for the variance, starts above eps and has one peak, so it stays
+        # below eps / 2 past this crossing, and every series stops by it; the
+        # factor 2 covers the terms' rounding and a fixed point one step
+        # short.  The end is not first + 1: a few steps short of
+        # _tail_start(a), S(n) is a subnormal of a few ulps that rounds up by
+        # as much as 2x, and the first small term can lie three steps past first.
+        end = math.ceil(_crossing(a, count, a, 0.5 * eps, 1 if second_moment else None))
         counts.append(count)
         firsts.append(first)
-        ends.append(min(max(first, _small_from(a, count, eps, second_moment)), n_cap) + 1)
+        ends.append(min(max(first, end), n_cap) + 1)
     rows = np.zeros((2 * m if second_moment else m, max(ends)))
     stops = []
     for i, (q, first, terms) in enumerate(zip(qs, firsts, _coverage_terms(a, counts, ends))):

@@ -20,7 +20,6 @@ from collections import Counter
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -141,8 +140,8 @@ def _result_from_parts(parts: Iterable[Counter], reps: int) -> SimulationResult:
     s2 = sum(n * n * c for n, c in hist.items())
     mean = s1 / reps
     if reps > 1:
-        # Unbiased sample variance, computed in exact rationals then rounded once.
-        variance = float(Fraction(reps * s2 - s1 * s1, reps * (reps - 1)))
+        # Unbiased sample variance; int true division rounds the exact ratio once.
+        variance = (reps * s2 - s1 * s1) / (reps * (reps - 1))
     else:
         variance = 0.0
     return SimulationResult(

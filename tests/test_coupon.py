@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -761,14 +762,15 @@ class TestSeriesSweep:
 
     def test_every_bank_size(self):
         rng = random.Random(12)
+        limit, n_cap = 10 * DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
         past_first = 0
         for a in range(2, MAX_ALTERNATIVES + 1):
             spread = tuple(int(10 ** rng.uniform(0, 8)) for _ in range(3))
             for second, qs in ((False, (*FIG_HIGH_Q, 10 ** 6, *spread)), (True, (1, 10, 10 ** 4))):
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
-                    first = coupon._first_certified(
-                        a, float(q), 10 * DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, second
-                    )
+                    # the least n whose tail bound meets the limit; the bound never increases
+                    first = bisect.bisect_left(range(n_cap + 1), True, key=lambda n: (
+                        coupon._series_tail(a, float(q), n, second) <= limit))
                     past_first += est.terms > first
         # some sums (at a = 2 and 3) stop past the first certified n, where
         # the term is not yet small
@@ -798,6 +800,30 @@ class TestSeriesSweep:
                     want = series_outcome(lambda: reference_series(
                         a, q, second, policy, survival=lambda n: single_bank_survival(a, n).p))
                     assert got == want, (a, q, second, f)
+
+    def test_limit_on_a_float_tail_value(self):
+        # 10 * eps_term lies within an ulp of the float tail bound at some f,
+        # so the last bits of _series_tail decide the least certified n; a
+        # search that starts past it, or stops short of it, stops elsewhere
+        # than the one-term reference
+        rng = random.Random(15)
+        checked = 0
+        for _ in range(400):
+            a = rng.randint(2, MAX_ALTERNATIVES)
+            q = int(10 ** rng.uniform(0, 12))
+            f = rng.randint(1, 40 * a)
+            for second in (False, True):
+                eps = coupon._series_tail(a, float(q), f, second) / 10
+                if not 0.0 < eps < 1.0:
+                    continue
+                policy = TruncationPolicy(eps_term=eps)
+                fn = variance_tests if second else expected_tests
+                got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
+                want = series_outcome(lambda: reference_series(
+                    a, q, second, policy, survival=lambda n: single_bank_survival(a, n).p))
+                assert got == want, (a, q, second, f)
+                checked += 1
+        assert checked >= 300
 
     @pytest.mark.parametrize(
         "second,qs,policy,formed",

@@ -140,9 +140,11 @@ class TestRunExperiment:
             assert peak < 8 * 2 ** 20, workers
             assert sum(result.histogram.values()) == 4 and result.min >= 2
 
-    def test_threads_capped_at_available_cpus(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_threads_capped_at_available_cpus(self, monkeypatch, cpus):
         # q = 2**17 makes every replication its own block, so 64 workers meet
-        # 64 blocks; the pool still gets at most one thread per CPU
+        # 64 blocks; the pool still gets one thread per CPU, and with one CPU
+        # the blocks run in the calling thread, with no pool
         sizes = []
 
         class Recording(ThreadPoolExecutor):
@@ -151,11 +153,11 @@ class TestRunExperiment:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
         spec = BankSpec(2, 2 ** 17)
         assert _block_size(spec.q) == 1
         split = run_experiment(SimulationConfig(spec, 64, 3, workers=64))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert len(sizes) == 1 and 1 <= sizes[0] <= cpus
+        assert sizes == ([] if cpus == 1 else [min(64, cpus)])
         assert split == run_experiment(SimulationConfig(spec, 64, 3))
 
     def test_identity_under_fast_thread_switching(self):
