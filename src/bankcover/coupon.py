@@ -6,7 +6,7 @@ time until a single bank has shown all of its alternatives is the classic
 collector time Y with E Y = a * H_a; the time until every bank is covered is
 the maximum of q independent copies of Y.  Everything here is evaluated with
 certified error bounds: probabilities come back as :class:`ProbValue`, series
-sums as :class:`SeriesEstimate`.
+sums as :class:`SeriesEstimate`, both slotted frozen value objects.
 
 The single-bank curve S(y) = 1 - F(y) depends on ``a`` alone, so every entry
 point here reads it from one cache: the curve and its error bounds are
@@ -17,7 +17,9 @@ most 512 blocks, under 4.5 MiB; the variance series for every a in 2..64 at
 q = 1e6 reads 475).  The first touch of a block costs 1.5 to 3 ms at a = 64
 (about 6 ms for block 0, which holds the exact-integer cells) against about
 0.06 ms for one lone point; every later read is an index giving a Python
-float, and each entry point reads only the cells it returns.  Past the first
+float, and each entry point reads only the cells it returns, after one
+guard on its arguments.  The q-bank cdf and pmf share one float kernel, so
+a pmf reads two cdf cells and builds one :class:`ProbValue`.  Past the first
 y where every term of the closed form underflows, the curve is the constant
 tail S = 0, F = 1 and needs no block.
 
@@ -26,16 +28,20 @@ weighted by 2n+1 for the second moment, until a term is small and a
 geometric bound on the rest is certified.  That bound never increases with
 n, so where it is first met is found before any term, by one root solve in
 logarithms and a walk up of a few steps, and a bound that still fails at the
-term cap raises there.  A second solve, on the union bound
-P(N > n) <= q * a * ((a-1)/a)**n, says how far the terms must reach, so they
-are formed in one pass.  One kernel serves every q of a table at one bank
+term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
+below the smallest normal float, the least value a bound takes.  A second
+solve, on the union bound P(N > n) <= q * a * ((a-1)/a)**n, says how far the
+terms must reach, so they are formed in one pass.  One kernel serves every q of a table at one bank
 size a: S(n) and log1p(-S(n)) are formed once per a and shared, while each q
 keeps its own ``expm1`` cells, its own stop and its own tail bound (``log1p``
-and ``expm1`` from the platform libm).  A single call is a sweep over one q.
+and ``expm1`` from the platform libm, fed straight from array buffers).
+Only the cells between the leading S = 1 run, whose terms are 1.0, and the
+constant tail, whose terms are 0.0, take a logarithm.  A single call is a
+sweep over one q, and its fixed cost is a few numpy calls per stage.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
-two strictly ordered ``np.cumsum`` passes, one for the running sum and one
+two strictly ordered running-sum passes, one for the running sum and one
 for the exact rounding errors of its additions.  It gives, bit for bit, what
 a term-by-term loop gives; the series rows are zero-padded past their
 stops, which leaves each total alone.  The oracles share no code with the
@@ -151,24 +157,40 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbValue:
-    """A probability together with a certified absolute error bound."""
+    """A probability together with a certified absolute error bound.
+
+    Every point read returns one, and a caller may keep many (a survival
+    sweep, a pmf window), so the class has slots: no per-instance
+    ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  The
+    dataclass ``__init__`` of a frozen class sets each field through
+    ``object.__setattr__``, which cost about half of a whole curve read;
+    this one validates, then fills the two slots through their member
+    descriptors (``ProbValue.p.__set__``), which bypass the frozen
+    ``__setattr__``.  Assignment still raises ``FrozenInstanceError``, and
+    equality, hash and repr are the dataclass's.
+    """
 
     p: float
     abs_err: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability out of range: {self.p}")
-        if not self.abs_err >= 0.0:
-            raise ValueError(f"error bound must be nonnegative, got {self.abs_err}")
+    def __init__(self, p: float, abs_err: float) -> None:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability out of range: {p}")
+        if not abs_err >= 0.0:
+            raise ValueError(f"error bound must be nonnegative, got {abs_err}")
+        _set_p(self, p)
+        _set_abs_err(self, abs_err)
 
     def __float__(self) -> float:
         return self.p
 
 
-@dataclass(frozen=True)
+_set_p, _set_abs_err = ProbValue.p.__set__, ProbValue.abs_err.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class SeriesEstimate:
     """Partial series sum plus a certified bound on the truncated tail."""
 
@@ -316,8 +338,12 @@ def _curve_cells(a: int, y: int) -> tuple[memoryview, int]:
 
 def single_bank_survival(a: int, y: int) -> ProbValue:
     """P(some alternative of one bank is still unseen after ``y`` tests)."""
-    _check_gated_bank_size(a)
-    _check_test_count(y)
+    # one guard passes every valid pair; the full checks run only for a pair
+    # it stops, and raise what they always did, in the same order (a bool
+    # passes them, as an int does)
+    if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
+        _check_gated_bank_size(a)
+        _check_test_count(y)
     b, i = _curve_cells(a, y)
     return ProbValue(b[i], b[i + _BLOCK])
 
@@ -327,8 +353,9 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
 
     Exactly zero for y < a.
     """
-    _check_gated_bank_size(a)
-    _check_test_count(y)
+    if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
+        _check_gated_bank_size(a)  # as in single_bank_survival
+        _check_test_count(y)
     b, i = _curve_cells(a, y)
     return ProbValue(b[i + 2 * _BLOCK], b[i + 3 * _BLOCK])
 
@@ -353,6 +380,24 @@ def cdf_oracle(a: int, y: int) -> Fraction:
     return Fraction(onto[a], a ** y)
 
 
+def _count_cdf(a: int, q: float, n: int) -> tuple[float, float]:
+    """The q-bank cdf at a valid test count ``n`` and its error bound, for a
+    bank count ``q`` already saturated to a float."""
+    if n < a:
+        return 0.0, 0.0
+    if a == 1:
+        return 1.0, 0.0
+    b, i = _curve_cells(a, n)
+    s, f, f_err = b[i], b[i + 2 * _BLOCK], b[i + 3 * _BLOCK]
+    if s == 0.0:
+        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
+    elif s < 0.5:
+        p = math.exp(q * math.log1p(-s))
+    else:
+        p = f ** q
+    return p, min(1.0, q * f_err + _ULP)
+
+
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     """P(all ``q`` banks are covered within the first ``n`` tests).
 
@@ -362,37 +407,24 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     range counts as +inf, and the error bound is then 1.
     """
     _check_test_count(n)
-    a = spec.a
-    if n < a:
-        return ProbValue(0.0, 0.0)
-    if a == 1:
-        return ProbValue(1.0, 0.0)
-    q = _saturating_float(spec.q)
-    b, i = _curve_cells(a, n)
-    s, f, f_err = b[i], b[i + 2 * _BLOCK], b[i + 3 * _BLOCK]
-    if s == 0.0:
-        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
-    elif s < 0.5:
-        p = math.exp(q * math.log1p(-s))
-    else:
-        p = f ** q
-    err = min(1.0, q * f_err + _ULP)
-    return ProbValue(p, err)
+    return ProbValue(*_count_cdf(spec.a, _saturating_float(spec.q), n))
 
 
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
-    """P(full coverage happens exactly at test ``n``)."""
+    """P(full coverage happens exactly at test ``n``): the cdf difference at
+    n and n - 1, with the sum of their error bounds."""
     _check_test_count(n, minimum=1)
-    hi = test_count_cdf(spec, n)
-    lo = test_count_cdf(spec, n - 1)
-    diff = hi.p - lo.p
+    a, q = spec.a, _saturating_float(spec.q)
+    hi, hi_err = _count_cdf(a, q, n)
+    lo, lo_err = _count_cdf(a, q, n - 1)
+    diff = hi - lo
     if diff < 0.0:
         if diff < -_PMF_CLAMP:
             raise ArithmeticError(
                 f"cdf difference {diff} at n={n} is negative beyond round-off"
             )
         diff = 0.0
-    return ProbValue(diff, hi.abs_err + lo.abs_err)
+    return ProbValue(diff, hi_err + lo_err)
 
 
 # library functions, not tests; keep pytest from collecting them by name
@@ -463,33 +495,48 @@ def _crossing(a: int, q: float, scale: float, limit: float, offset: int | None) 
     return n
 
 
-def _coverage_terms(a: int, counts: list[float], ends: list[int]) -> list[np.ndarray]:
-    """P(N > n) = 1 - (1 - S(n))**q as -expm1(q * log1p(-S(n))), one array
-    for each q in ``counts``, over n in [0, end) for its end in ``ends``.
+@functools.cache
+def _leading_ones(a: int) -> int:
+    """How many cells of the curve, from y = 0 on, have S(y) exactly 1.0.
 
-    S is sliced from the cached blocks once, and is 0.0 from
-    ``_tail_start(a)`` on.  log1p(-S(n)) does not depend on q, so it is
-    formed once and shared; each q has its own ``expm1`` cells.  ``log1p``
-    and ``expm1`` come from ``math`` (the platform libm): numpy's own may
-    round differently.  Every term lies in [0, 1] and none is -0.0.
+    They are y < a, and for large a a few y past it where F(y) rounds to 0,
+    and no later S(y) is 1.0.  In block 0 the tests check this for every a;
+    past it, the exact S is below S(255), which is at most 0.71 for a <= 64,
+    and no cell is off by more than 1e-13 (``_EXACT_SWITCH``).
     """
-    hi = max(ends)
-    cut = min(hi, _tail_start(a))
-    pieces = [np.frombuffer(_survival_block(a, j), float, min(cut - _BLOCK * j, _BLOCK))
-              for j in range(-(-cut // _BLOCK))]
-    if hi > cut:
-        pieces.append(np.zeros(hi - cut))
-    s = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    # F(n) rounds to 0 just above n = a for large a, and math.log1p(-1) is a
-    # domain error; its limit -inf makes the term 1.0, the limit as s -> 1.
-    full = s == 1.0
-    neg = -s
-    neg[full] = 0.0
-    logs = np.fromiter(map(math.log1p, neg.tolist()), float, hi)
-    logs[full] = -math.inf
-    with np.errstate(over="ignore"):  # -inf, as a float product gives, near q = 1.8e308
-        return [-np.fromiter(map(math.expm1, (count * logs[:end]).tolist()), float, end)
-                for count, end in zip(counts, ends)]
+    return int((np.frombuffer(_survival_block(a, 0), float, _BLOCK) < 1.0).argmax())
+
+
+def _coverage_terms(a: int, counts: list[float], ends: list[int], rows: np.ndarray) -> None:
+    """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
+    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, ends[i]).
+
+    Where S(n) is 1.0 (the first :func:`_leading_ones` cells) the term is its
+    limit 1.0, with no logarithm: math.log1p(-1) is a domain error.  From
+    ``_tail_start(a)`` on, S(n) is 0.0 and the term 0.0, so those cells are
+    left as they are.  In between, -S is read from the cached blocks once;
+    log1p(-S(n)) does not depend on q, so it is formed once and shared, and
+    each q has its own ``expm1`` cells.  ``log1p`` and ``expm1`` come from
+    ``math`` (the platform libm; numpy's own may round differently) and read
+    their arguments straight from array buffers.  Every term lies in [0, 1]
+    and none is -0.0.
+    """
+    cut = min(max(ends), _tail_start(a))
+    lead = min(_leading_ones(a), cut)
+    neg = np.empty(cut)
+    for lo in range(0, cut, _BLOCK):
+        top = min(cut, lo + _BLOCK)
+        np.negative(np.frombuffer(_survival_block(a, lo // _BLOCK), float, top - lo),
+                    out=neg[lo:top])
+    logs = np.fromiter(map(math.log1p, neg[lead:].data), float, cut - lead)  # from n = lead on
+    # |log1p(-S)| < 37 here, so a product overflows only past q = 4.9e306, to
+    # -inf, as a float product does, and the term is then 1.0
+    with np.errstate(over="ignore"):
+        for row, count, end in zip(rows, counts, ends):
+            row[:min(lead, end)] = 1.0
+            width = max(min(cut, end) - lead, 0)
+            np.negative(np.fromiter(map(math.expm1, (count * logs[:width]).data), float, width),
+                        out=row[lead:lead + width])
 
 
 def _compensated_totals(rows: np.ndarray) -> np.ndarray:
@@ -497,21 +544,22 @@ def _compensated_totals(rows: np.ndarray) -> np.ndarray:
 
     Neumaier's correction for s + x is the exact rounding error of that
     addition, and so is Knuth's branch-free TwoSum for any two floats, so
-    one pass serves signed and unsigned rows alike.  ``cumsum`` adds strictly
-    left to right, so it replays the running sum and then the sum of the
-    per-step errors exactly (``np.sum`` adds pairwise and would not).  The
-    running sum starts at 0.0, so the first step is replayed too; a row must
-    not start with -0.0, since the loop's 0.0 + -0.0 is +0.0.
+    one pass serves signed and unsigned rows alike.  ``np.add.accumulate``
+    (what ``cumsum`` calls, at half its fixed cost) adds strictly left to
+    right, so it replays the running sum and then the sum of the per-step
+    errors exactly (``np.sum`` adds pairwise and would not).  The running
+    sum starts at 0.0, so the first step is replayed too; a row must not
+    start with -0.0, since the loop's 0.0 + -0.0 is +0.0.
     """
     running = np.zeros((len(rows), rows.shape[1] + 1))
     before, after = running[:, :-1], running[:, 1:]
-    np.cumsum(rows, axis=1, out=after)
+    np.add.accumulate(rows, axis=1, out=after)
     moved = after - before
     low = after - moved
     np.subtract(before, low, out=low)
     np.subtract(rows, moved, out=moved)
     low += moved
-    return after[:, -1] + low.cumsum(axis=1, out=low)[:, -1]
+    return after[:, -1] + np.add.accumulate(low, axis=1, out=low)[:, -1]
 
 
 def _moment_series(
@@ -544,14 +592,17 @@ def _moment_series(
         if count == math.inf:  # the mean lies beyond the last representable survival
             raise SeriesCapError(
                 f"{series} series for a={a} not certified: q is beyond the float range")
-        # The bound is never below the smallest normal float, so a smaller
-        # limit is never met.  Otherwise walk up from two steps short of the
-        # root: ceil(root) is at most one step past the exact root, so two
-        # steps earlier the exact bound exceeds the limit by at least its
-        # per-step factor (see _series_tail), far above rounding and the
-        # 1e-9 slack, and the walk ends at the least n the float bound meets.
-        first = n_cap + 1 if limit < _MIN_NORMAL else max(
-            math.ceil(_crossing(a, count, scale, limit, offset)) - 2, 0)
+        if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
+            raise SeriesCapError(
+                f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
+                f"bound of at most 10 * eps_term, below the smallest normal float "
+                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
+        # Walk up from two steps short of the root: ceil(root) is at most one
+        # step past the exact root, so two steps earlier the exact bound
+        # exceeds the limit by at least its per-step factor (see
+        # _series_tail), far above rounding and the 1e-9 slack, and the walk
+        # ends at the least n the float bound meets.
+        first = max(math.ceil(_crossing(a, count, scale, limit, offset)) - 2, 0)
         while first <= n_cap and _series_tail(a, count, first, second_moment) > limit:
             first += 1
         if first > n_cap:
@@ -567,19 +618,26 @@ def _moment_series(
         counts.append(count)
         firsts.append(first)
         ends.append(min(max(first, end), n_cap) + 1)
-    rows = np.zeros((2 * m if second_moment else m, max(ends)))
+    hi = max(ends)
+    # rows i < m hold the terms of qs[i]; for the variance, row m + i its weighted terms
+    rows = np.zeros((2 * m if second_moment else m, hi))
+    _coverage_terms(a, counts, ends, rows)
+    if second_moment:
+        np.multiply(rows[:m], np.arange(1.0, 2 * hi, 2.0), out=rows[m:])
     stops = []
-    for i, (q, first, terms) in enumerate(zip(qs, firsts, _coverage_terms(a, counts, ends))):
-        weighted = terms * np.arange(1.0, 2 * len(terms), 2.0) if second_moment else terms
-        small = weighted[first:] < eps
-        stop = first + int(small.argmax())
-        if not small[stop - first]:
+    for i, (q, first, end) in enumerate(zip(qs, firsts, ends)):
+        # the first small term is almost always at first, else one step on
+        stop, weighted = first, m + i if second_moment else i
+        while stop < end and not rows.item(weighted, stop) < eps:
+            stop += 1
+        if stop == end:
             raise SeriesCapError(uncertified.format(q))
         stops.append(stop)
-        rows[i, :stop] = terms[:stop]
-        if second_moment:
-            rows[m + i, :stop] = weighted[:stop]
-    totals = _compensated_totals(rows[:, :max(stops)]).tolist()
+    width = max(stops)
+    for i, stop in enumerate(stops):
+        if stop < width:
+            rows[i::m, stop:width] = 0.0  # row i, and row m + i of the variance
+    totals = _compensated_totals(rows[:, :width]).tolist()
     values = [t2 - t * t for t, t2 in zip(totals, totals[m:])] if second_moment else totals
     return [SeriesEstimate(value, _series_tail(a, count, stop, second_moment), stop)
             for value, count, stop in zip(values, counts, stops)]
