@@ -14,7 +14,6 @@ from bankcover import (
     BankSpec,
     centring,
     decay_rate,
-    exp_integral_e1,
     expected_tests,
     gumbel_cdf,
     mean_bounds,
@@ -58,6 +57,3 @@ print()
 sd = math.sqrt(variance_tests(BankSpec(A, Q)).value)
 vb = variance_bounds(A)
 print(f"series sd at a={A}, q={Q}: {sd:.4f}, inside [{vb.sd_lo:.4f}, {vb.sd_hi:.4f}]")
-print()
-print(f"the band arithmetic leans on E1(1) = {exp_integral_e1(1.0):.6f} "
-      "(exponential integral, computed in-house and cross-checked by quadrature)")

@@ -32,7 +32,6 @@ __all__ = [
     "local_pmf_approx",
     "mean_bounds",
     "band_second_moment",
-    "exp_integral_e1",
     "variance_bounds",
     "centred_mean_prediction",
 ]
@@ -40,6 +39,11 @@ __all__ = [
 # Euler-Mascheroni constant, stored as a literal rather than computed.
 EULER_GAMMA = 0.57721566490153286061
 GUMBEL_VARIANCE = math.pi ** 2 / 6.0
+# E1(1), the one point of the exponential integral the variance band needs;
+# the correctly rounded 0.21938393439552029 is 8 ulp lower and moves sd_bounds.
+_E1_ONE = 0.2193839343955205
+# Largest bank size the asymptotics accept: beyond it a is not exact as a float.
+_MAX_ASYMPTOTIC_A = 2 ** 53
 
 _QUAD_TOL = 1e-10
 
@@ -56,15 +60,18 @@ _GAUSS_CHECK = _gauss_legendre(60)
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature or continued fraction could not certify its tolerance."""
+    """A quadrature could not certify its tolerance."""
 
 
 def decay_rate(a: int) -> float:
-    """Exponential rate ``log(a / (a - 1))`` of the single-bank survival tail."""
+    """Exponential rate ``log(a / (a - 1))`` of the single-bank survival tail,
+    for integer ``2 <= a <= 2**53``."""
     if not isinstance(a, int):
         raise InvalidSpecError(f"a must be an integer, got {a!r}")
     if a < 2:
         raise InvalidSpecError(f"asymptotics need a >= 2, got {a}")
+    if a > _MAX_ASYMPTOTIC_A:
+        raise InvalidSpecError(f"asymptotics need a <= 2**53, got an a of {a.bit_length()} bits")
     return -math.log1p(-1.0 / a)
 
 
@@ -181,49 +188,6 @@ def band_second_moment(a: int) -> float:
     return value
 
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) for x > 0.
-
-    Alternating series near the log singularity (x <= 1), modified Lentz
-    continued fraction beyond; absolute error well under 1e-12 on both
-    branches.  E1 is 0.0 wherever e**-x underflows to zero, +inf included,
-    and an integer beyond the float range counts as +inf.  Raises
-    :class:`InvalidSpecError` for x <= 0 or NaN.
-    """
-    x = _saturating_float(x)
-    if not x > 0:
-        raise InvalidSpecError(f"E1 requires x > 0, got {x}")
-    if math.exp(-x) == 0.0:
-        return 0.0  # exact, as E1(x) < e**-x; there the fraction need not settle
-    if x <= 1.0:
-        total = 0.0
-        term = 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= x / k
-            contrib = term / k
-            total += -contrib if k % 2 == 0 else contrib
-            if contrib < 1e-18:
-                break
-        return total - EULER_GAMMA - math.log(x)
-    # Continued fraction e**(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))).
-    b = x + 1.0
-    c = 1e300
-    d = 1.0 / b
-    f = d
-    for j in range(1, 500):
-        coeff = -float(j * j)
-        b += 2.0
-        d = 1.0 / (coeff * d + b)
-        c = b + coeff / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x) * f
-    raise QuadratureError(f"E1 continued fraction did not settle at x={x}")
-
-
 @dataclass(frozen=True)
 class VarianceBoundSummary:
     """Variance band of the coverage maximum at large q, with its pieces.
@@ -247,7 +211,7 @@ def variance_bounds(a: int) -> VarianceBoundSummary:
     rate = decay_rate(a)
     center = GUMBEL_VARIANCE / (rate * rate)
     moment = band_second_moment(a)
-    half = moment + 1.0 - math.exp(-1.0) + 2.0 * (EULER_GAMMA + exp_integral_e1(1.0)) / rate
+    half = moment + 1.0 - math.exp(-1.0) + 2.0 * (EULER_GAMMA + _E1_ONE) / rate
     var_lo = center - half
     var_hi = center + half
     return VarianceBoundSummary(

@@ -1,12 +1,13 @@
-"""Gumbel asymptotics: rates, centring, envelopes, moment bands, E1."""
+"""Gumbel asymptotics: rates, centring, envelopes, moment bands, E1(1)."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import struct
-import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from bankcover.asymptotics import (
     centred_mean_prediction,
     centring,
     decay_rate,
-    exp_integral_e1,
     gumbel_cdf,
     local_pmf_approx,
     mean_bounds,
@@ -36,6 +36,9 @@ from bankcover.coupon import (
     test_count_cdf,
 )
 from bankcover.validate import SD_PRINTED
+
+# sha256 of every variance_bounds(a) field, as float.hex, for a = 2..64
+VARIANCE_BOUNDS_SHA256 = "dde8623688fb36fffd4eb0d7d789e046d56540d2cbc833a654647497d8b0bd3a"
 
 
 class TestDecayRate:
@@ -53,6 +56,34 @@ class TestDecayRate:
     def test_rejects_small_a(self):
         with pytest.raises(InvalidSpecError):
             decay_rate(1)
+
+
+# Every asymptotics entry point that takes a bank size, called with that size.
+ENTRY_POINTS = {
+    "decay_rate": decay_rate,
+    "centring": lambda a: centring(a, 10),
+    "sandwich_bounds": lambda a: sandwich_bounds(a, 0.5),
+    "local_pmf_approx": lambda a: local_pmf_approx(a, 10, 0),
+    "mean_bounds": mean_bounds,
+    "band_second_moment": band_second_moment,
+    "variance_bounds": variance_bounds,
+    "centred_mean_prediction": lambda a: centred_mean_prediction(a, 10),
+}
+
+
+class TestHugeBankSizes:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_largest_exact_a_returns_a_value(self, name):
+        assert ENTRY_POINTS[name](2 ** 53) is not None
+
+    # beyond 2**53 a is not exact as a float, and from about 10**200 on the
+    # arithmetic would overflow or divide by zero
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("a", [2 ** 53 + 1, 10 ** 100, 10 ** 200, 10 ** 308, 10 ** 400],
+                             ids=["2**53+1", "10**100", "10**200", "10**308", "10**400"])
+    def test_beyond_it_is_a_typed_error(self, name, a):
+        with pytest.raises(InvalidSpecError, match="a <= 2\\*\\*53"):
+            ENTRY_POINTS[name](a)
 
 
 class TestCentring:
@@ -235,10 +266,23 @@ class TestBandSecondMoment:
 
 
 class TestExpIntegral:
-    def test_reference_value(self):
-        assert exp_integral_e1(1.0) == pytest.approx(0.2194, abs=1e-4)
+    """E1(1), the one value of the exponential integral the variance band needs."""
 
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    def test_reference_value(self):
+        assert asymptotics._E1_ONE == pytest.approx(0.2194, abs=1e-4)
+
+    def test_literal_bits_and_distance_from_mpmath(self):
+        # these bits build the sd_bounds table; the correctly rounded E1(1)
+        # (the 50-digit value as a double) lies exactly 8 steps below them
+        assert asymptotics._E1_ONE.hex() == "0x1.c14c5d3bf8f9cp-3"
+        with mpmath.workdps(50):
+            exact = mpmath.e1(1)
+            correctly_rounded = float(exact)
+            steps = (asymptotics._E1_ONE - correctly_rounded) / math.ulp(correctly_rounded)
+            assert steps == 8.0
+            assert abs(mpmath.mpf(asymptotics._E1_ONE) - exact) < 9 * math.ulp(correctly_rounded)
+
+    @pytest.mark.parametrize("x", [1.0])
     def test_matches_quadrature(self, x):
         # the integral from 1 to infinity of exp(-x*t)/t dt: quadrature on
         # [1, T] plus an analytic bound exp(-x*T)/(x*T) on the discarded tail
@@ -248,53 +292,10 @@ class TestExpIntegral:
         )
         tail = math.exp(-x * top) / (x * top)
         assert err + tail < 1e-11
-        assert exp_integral_e1(x) == pytest.approx(reference, abs=1e-10)
+        assert asymptotics._E1_ONE == pytest.approx(reference, abs=1e-10)
 
     def test_matches_library_special_function(self):
-        for x in (0.05, 0.3, 0.999, 1.0, 1.001, 3.7, 10.0, 50.0, 300.0):
-            assert exp_integral_e1(x) == pytest.approx(float(special.exp1(x)), rel=1e-12, abs=1e-300)
-
-    def test_asymptotic_regime(self):
-        x = 50.0
-        leading = math.exp(-x) / x
-        assert exp_integral_e1(x) / leading == pytest.approx(1.0, abs=0.05)
-
-    def test_branch_seam_is_smooth(self):
-        below = exp_integral_e1(0.9999999)
-        above = exp_integral_e1(1.0000001)
-        assert abs(below - above) < 1e-6
-
-    def test_large_arguments(self):
-        for x in (300.0, 700.0):
-            assert exp_integral_e1(x) == pytest.approx(float(special.exp1(x)), rel=1e-12, abs=0.0)
-        # e**-745 / 745 underflows: the value is 0.0 from about x = 741 on
-        assert exp_integral_e1(745.0) == 0.0
-        assert exp_integral_e1(800.0) == 0.0
-
-    @pytest.mark.parametrize(
-        "x",
-        [
-            pytest.param(10 ** 400, id="10**400"),
-            pytest.param(math.inf, id="inf"),
-            # e**-x underflows here, and the continued fraction need not settle
-            pytest.param(2.1166280836390212e16, id="2.1166280836390212e16"),
-            pytest.param(1e308, id="1e308"),
-            pytest.param(sys.float_info.max, id="float_max"),
-        ],
-    )
-    def test_beyond_float_range_is_zero(self, x):
-        assert exp_integral_e1(x) == 0.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            exp_integral_e1(0.0)
-        with pytest.raises(ValueError):
-            exp_integral_e1(-2.0)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
-    def test_outside_domain_is_a_typed_error(self, x):
-        with pytest.raises(InvalidSpecError, match="E1 requires x > 0"):
-            exp_integral_e1(x)
+        assert asymptotics._E1_ONE == pytest.approx(float(special.exp1(1.0)), rel=1e-12)
 
 
 class TestVarianceBounds:
@@ -312,6 +313,15 @@ class TestVarianceBounds:
         for a in range(2, MAX_ALTERNATIVES + 1):
             got, want = dataclasses.astuple(variance_bounds(a)), dataclasses.astuple(fresh(a))
             assert struct.pack("<7d", *got) == struct.pack("<7d", *want), a
+
+    def test_every_field_matches_its_digest(self):
+        # all seven fields for a = 2..64, so a drift in E1(1) or the band
+        # moment shows even where the printed sd_bounds cells hide it
+        digest = hashlib.sha256()
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            fields = dataclasses.astuple(variance_bounds(a))
+            digest.update((" ".join(x.hex() for x in fields) + "\n").encode())
+        assert digest.hexdigest() == VARIANCE_BOUNDS_SHA256
 
     @pytest.mark.parametrize("bad", [5.0, True, 1])
     def test_memo_does_not_admit_bad_sizes(self, bad):

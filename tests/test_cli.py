@@ -220,6 +220,13 @@ class TestValidate:
             results["centred_table"].passed and results["centred_diff_band"].passed
         )
 
+    def test_e1_drift_trips_its_check(self, monkeypatch):
+        # the check reads the constant the variance band adds in
+        monkeypatch.setattr(asymptotics, "_E1_ONE", 0.2196)
+        results = {r.name: r for r in run_checks("quick")}
+        assert not results["exp_integral_value"].passed
+        assert results["exp_integral_value"].observed.startswith("E1(1) = 0.2196000")
+
     def test_tampered_run_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(asymptotics, "EULER_GAMMA", asymptotics.EULER_GAMMA - 1e-3)
         code, out, _ = run_cli(capsys, "validate", "--level", "quick")

@@ -1,0 +1,36 @@
+"""The README's Quickstart block runs and prints what its comments say."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from decimal import Decimal
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+NUMBER = re.compile(r"\d+\.\d+(?:e[-+]?\d+)?")
+
+
+def quickstart_block() -> str:
+    section = README.read_text(encoding="utf-8").split("## Quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_quickstart_prints_what_its_comments_say():
+    code = quickstart_block()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    checked = []
+    for line, shown in zip(prints, printed):
+        comment = line.partition("#")[2]
+        for claim, value in zip(NUMBER.findall(comment), shown.split()):
+            # a comment gives the printed value rounded to the digits it shows
+            step = Decimal(1).scaleb(Decimal(claim).as_tuple().exponent)
+            assert Decimal(value).quantize(step) == Decimal(claim), (claim, value)
+            checked.append(claim)
+    assert checked == ["65.0144", "9.807e-12", "11.507"]
