@@ -25,7 +25,7 @@ from .coupon import (
     expected_tests,
 )
 from .simulate import SimulationConfig, run_experiment
-from .tables import FIGURE_NAMES, TABLE_NAMES, build_table, render_figure_svg
+from .tables import FIGURE_NAMES, TABLE_NAMES, _write_text, build_table, render_figure_svg
 from .validate import LEVELS, format_report, run_checks
 
 OUT_DIR_ENV = "BANKCOVER_OUT_DIR"
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="write a reference dataset as CSV")
     table.add_argument("name", choices=TABLE_NAMES)
     table.add_argument("--out", default=None, help="output file or directory")
-    table.set_defaults(handler=_cmd_table)
+    table.set_defaults(handler=_cmd_write, suffix=".csv", render=lambda table: table.to_csv())
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
     simulate.add_argument("--a", type=int, required=True)
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="render a figure dataset as SVG")
     figure.add_argument("name", choices=FIGURE_NAMES)
     figure.add_argument("--out", default=None, help="output file or directory")
-    figure.set_defaults(handler=_cmd_figure)
+    figure.set_defaults(handler=_cmd_write, suffix=".svg", render=render_figure_svg)
 
     return parser
 
@@ -106,9 +106,9 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    path = _out_path(args.out, f"{args.name}.csv")
-    build_table(args.name).write(path)
+def _cmd_write(args: argparse.Namespace) -> int:
+    path = _out_path(args.out, f"{args.name}{args.suffix}")
+    _write_text(path, args.render(build_table(args.name)))
     print(path)
     return EXIT_OK
 
@@ -137,14 +137,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     results = run_checks(args.level)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    path = _out_path(args.out, f"{args.name}.svg")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_figure_svg(build_table(args.name)))
-    print(path)
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

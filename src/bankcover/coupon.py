@@ -131,7 +131,8 @@ class BankSpec:
         if not isinstance(self.a, int) or not isinstance(self.q, int):
             raise InvalidSpecError("a and q must be integers")
         if self.a < 1 or self.q < 1:
-            raise InvalidSpecError(f"need a >= 1 and q >= 1, got a={self.a}, q={self.q}")
+            raise InvalidSpecError(
+                f"need a >= 1 and q >= 1, got a={_shown(self.a)}, q={_shown(self.q)}")
         _check_gated_bank_size(self.a)
 
 
@@ -149,9 +150,10 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_term < 1.0:
-            raise InvalidSpecError(f"eps_term must lie in (0, 1), got {self.eps_term}")
+            raise InvalidSpecError(
+                f"eps_term must lie in (0, 1), got {_shown(self.eps_term, str)}")
         if not isinstance(self.n_cap, int) or self.n_cap < 1:
-            raise InvalidSpecError(f"n_cap must be an integer >= 1, got {self.n_cap}")
+            raise InvalidSpecError(f"n_cap must be an integer >= 1, got {_shown(self.n_cap, str)}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -202,18 +204,26 @@ class SeriesEstimate:
         return self.value
 
 
+def _shown(value, text=repr) -> str:
+    """``text(value)``, or for an int too long to print in decimal, its size."""
+    try:
+        return text(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def _check_bank_size(a: int) -> None:
     if not isinstance(a, int):
         raise InvalidSpecError(f"a must be an integer, got {a!r}")
     if a < 1:
-        raise InvalidSpecError(f"need a >= 1, got {a}")
+        raise InvalidSpecError(f"need a >= 1, got {_shown(a)}")
 
 
 def _check_gated_bank_size(a: int) -> None:
     _check_bank_size(a)
     if a > MAX_ALTERNATIVES:
         raise UnsupportedAlternativesError(
-            f"a={a} exceeds the supported maximum of {MAX_ALTERNATIVES} alternatives"
+            f"a={_shown(a)} exceeds the supported maximum of {MAX_ALTERNATIVES} alternatives"
         )
 
 
@@ -221,7 +231,7 @@ def _check_test_count(y: int, minimum: int = 0) -> None:
     if not isinstance(y, int):
         raise InvalidSpecError(f"test count must be an integer, got {y!r}")
     if y < minimum:
-        raise InvalidSpecError(f"test count must be >= {minimum}, got {y}")
+        raise InvalidSpecError(f"test count must be >= {minimum}, got {_shown(y)}")
 
 
 def expected_single_bank(a: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupon import BankSpec, InvalidSpecError
+from .coupon import BankSpec, InvalidSpecError, _shown
 
 __all__ = [
     "GENERATOR_ID",
@@ -55,11 +55,12 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.reps, int) or self.reps < 1:
-            raise InvalidSpecError(f"reps must be an integer >= 1, got {self.reps!r}")
+            raise InvalidSpecError(f"reps must be an integer >= 1, got {_shown(self.reps)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise InvalidSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+            raise InvalidSpecError(
+                f"seed must be an unsigned 64-bit integer, got {_shown(self.seed)}")
         if not isinstance(self.workers, int) or self.workers < 1:
-            raise InvalidSpecError(f"workers must be an integer >= 1, got {self.workers!r}")
+            raise InvalidSpecError(f"workers must be an integer >= 1, got {_shown(self.workers)}")
 
 
 @dataclass(frozen=True)

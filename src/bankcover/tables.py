@@ -69,11 +69,13 @@ class TableArtifact:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        # newline="" keeps the LF endings produced by to_csv untouched.
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
-        return path
+        return _write_text(path, self.to_csv())
+
+
+def _write_text(path: str | Path, text: str) -> Path:
+    path = Path(path)
+    path.write_text(text, encoding="utf-8", newline="")  # newline="": LF on every platform
+    return path
 
 
 def _value_rows(a_values, q_values, values) -> tuple[tuple, ...]:

@@ -17,7 +17,6 @@ from scipy import integrate, special
 import bankcover.asymptotics as asymptotics
 from bankcover.asymptotics import (
     EULER_GAMMA,
-    QuadratureError,
     band_second_moment,
     centred_mean_prediction,
     centring,
@@ -258,11 +257,29 @@ class TestBandSecondMoment:
             assert err < 1e-14, a
             assert abs(band_second_moment(a) - reference) <= 1e-14, a
 
-    def test_disagreeing_rules_raise(self, monkeypatch):
-        # below zero no difference between the 30- and 60-node rules passes
-        monkeypatch.setattr(asymptotics, "_QUAD_TOL", -1.0)
-        with pytest.raises(QuadratureError):
-            band_second_moment(10)
+    # a = 2..64 and a log-spaced sample of a up to 2**53, the largest served
+    PROOF_SIZES = list(range(2, 65)) + sorted({round(2 ** (k / 2)) for k in range(13, 107)})
+
+    def test_within_1e_14_of_a_50_digit_integral(self):
+        # independent route: mpmath's tanh-sinh quadrature at 50 digits
+        for a in self.PROOF_SIZES:
+            with mpmath.workdps(50):
+                rate = mpmath.mpf(decay_rate(a))
+                reference = mpmath.quad(
+                    lambda z: (1 + z / rate) ** 2 * mpmath.exp(-z - mpmath.exp(-z)), [-rate, 0]
+                )
+                rel = float(abs(band_second_moment(a) - reference) / reference)
+            assert rel <= 1e-14, (a, rel)
+
+    def test_agrees_with_a_60_node_rule(self):
+        # a rule of twice the nodes, evaluated in numpy, whose own error is far smaller
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        for a in self.PROOF_SIZES:
+            rate = decay_rate(a)
+            half = rate / 2.0
+            z = half * nodes - half
+            terms = weights * (1.0 + z / rate) ** 2 * np.exp(-z - np.exp(-z))
+            assert abs(half * math.fsum(terms.tolist()) - band_second_moment(a)) <= 1e-15, a
 
 
 class TestExpIntegral:

@@ -419,6 +419,12 @@ class TestTestCountCdf:
         v = test_count_cdf(BankSpec(10, 1000), 60)
         assert v.abs_err <= 1000 * single_bank_cdf(10, 60).abs_err + 1e-15
 
+    @pytest.mark.xfail(strict=True, reason="abs_err is 1.0 at a = 10, q = 1e18, n = 600, where "
+                       "p = 0.9999999965: q times the survival's absolute floor of 2**-53 "
+                       "exceeds 1, though S(600) is 3.5e-27")
+    def test_error_bound_is_informative_near_one(self):
+        assert test_count_cdf(BankSpec(10, 10 ** 18), 600).abs_err <= 1e-6
+
 
 class TestTestCountPmf:
     def test_single_alternative(self):
@@ -719,6 +725,14 @@ class TestSeriesNearFloatMax:
         exact = 2 * a * q * decay ** (n - 1) / (1 - decay) * ((2 * n + 1) + 2 * decay / (1 - decay))
         assert Fraction(est.tail_bound) >= exact
         assert est.tail_bound <= float(exact) * (1 + 1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="tail_bound covers truncation only: at a = 10, "
+                       "q = 1e306 the variance is 7.8e-9 from the decimal reference against a "
+                       "bound of 9.8e-12")
+    def test_variance_within_its_own_tail_bound(self):
+        _mean, variance = decimal_moments(10, 10 ** 306)
+        var = variance_tests(BankSpec(10, 10 ** 306))
+        assert abs(var.value - variance) <= var.tail_bound
 
 
 # Reference copy of the per-test-count route that the block cache replaced:
