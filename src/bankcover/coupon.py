@@ -12,16 +12,17 @@ The single-bank curve S(y) = 1 - F(y) depends on ``a`` alone, so every entry
 point here reads it from one cache: the curve and its error bounds are
 computed 256 test counts at a time (one block), bit for bit as a per-y
 compensated sum would give them, and kept as one flat read-only buffer per
-block, S, its bound, F and its bound end to end (about 8.7 KiB a block; at
-most 512 blocks, under 4.5 MiB; the variance series for every a in 2..64 at
-q = 1e6 reads 475).  The first touch of a block costs 1.5 to 3 ms at a = 64
-(about 6 ms for block 0, which holds the exact-integer cells) against about
-0.06 ms for one lone point; every later read is an index giving a Python
-float, and each entry point reads only the cells it returns, after one
-guard on its arguments.  The q-bank cdf and pmf share one float kernel, so
-a pmf reads two cdf cells and builds one :class:`ProbValue`.  Past the first
-y where every term of the closed form underflows, the curve is the constant
-tail S = 0, F = 1 and needs no block.
+block, five rows end to end: S, its bound, F, its bound and log1p(-S), that
+log1p formed once per block (about 10.7 KiB a block; at most 512 blocks,
+under 5.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads
+475).  The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms
+for block 0, which holds the exact-integer cells) against about 0.06 ms for
+one lone point; every later read is an index giving a Python float, and
+each entry point reads only the cells it returns, after one guard on its
+arguments.  The q-bank cdf and pmf share one float kernel, so a pmf reads
+two cdf cells and builds one :class:`ProbValue`.  Past the first y where
+every term of the closed form underflows, the curve is the constant tail
+S = 0, F = 1 and needs no block.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -31,13 +32,14 @@ logarithms and a walk up of a few steps, and a bound that still fails at the
 term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
 below the smallest normal float, the least value a bound takes.  A second
 solve, on the union bound P(N > n) <= q * a * ((a-1)/a)**n, says how far the
-terms must reach, so they are formed in one pass.  One kernel serves every q of a table at one bank
-size a: S(n) and log1p(-S(n)) are formed once per a and shared, while each q
-keeps its own ``expm1`` cells, its own stop and its own tail bound (``log1p``
-and ``expm1`` from the platform libm, fed straight from array buffers).
-Only the cells between the leading S = 1 run, whose terms are 1.0, and the
-constant tail, whose terms are 0.0, take a logarithm.  A single call is a
-sweep over one q, and its fixed cost is a few numpy calls per stage.
+terms must reach, so they are formed in one pass.  One kernel serves every
+q of a table at one bank size a: log1p(-S(n)) is read from the blocks once
+per call and shared, while each q keeps its own ``expm1`` cells (the
+platform libm, fed straight from an array buffer: one libm call a term),
+its own stop and its own tail bound.  Where S is exactly 1.0 the stored
+logarithm is -inf and the term expm1's limit, 1.0; the constant tail's
+terms are 0.0 and take none.  A single call is a sweep over one q, and its
+fixed cost is a few numpy calls per stage.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
@@ -52,6 +54,7 @@ main path: :func:`cdf_oracle` counts surjections in integers and
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -95,6 +98,8 @@ _MULTISUM_MAX_Q = 4
 _ULP = 2.0 ** -53
 _MIN_NORMAL = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
+# Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
+_OVERFLOW_COUNT = sys.float_info.max / 37.0
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
 # The survival curve is computed and cached this many test counts at a time.
@@ -238,9 +243,10 @@ def expected_single_bank(a: int) -> float:
     """Mean number of tests until one bank of ``a`` alternatives is covered.
 
     Equals ``a`` times the a-th harmonic number; the harmonic sum runs in
-    ascending index order.
+    ascending index order.  Gated at ``MAX_ALTERNATIVES`` like every other
+    entry point.
     """
-    _check_bank_size(a)
+    _check_gated_bank_size(a)
     h = 0.0
     for k in range(1, a + 1):
         h += 1.0 / k
@@ -274,7 +280,8 @@ def _frozen(values: np.ndarray) -> memoryview:
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _survival_block(a: int, j: int) -> memoryview:
-    """S(y), its error bound, F(y) and its error bound for y in one block.
+    """S(y), its error bound, F(y), its error bound and log1p(-S(y)) for y in
+    one block.
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
     alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y is
@@ -286,11 +293,14 @@ def _survival_block(a: int, j: int) -> memoryview:
     relative error through the power, so the bound is
     (y + 2a + 10) ulp times the sum of the term magnitudes.  Where that bound
     exceeds ``_EXACT_SWITCH`` the cell is redone in exact integers; the int
-    true division rounds correctly, as ``float(Fraction)`` does.
+    true division rounds correctly, as ``float(Fraction)`` does.  Then
+    log1p(-S(y)) is formed once per block, from the final S, with ``math.log1p``
+    (numpy's may round differently), and is -inf where S is exactly 1.0.
 
-    The four curves lie end to end in one read-only ``memoryview`` of
-    4 * _BLOCK doubles, about 8.7 KiB with its array, view and cache entry:
-    y's S, bound, F and bound are at i + k * _BLOCK, k = 0..3, i = y % _BLOCK.
+    The five rows lie end to end in one read-only ``memoryview`` of
+    5 * _BLOCK doubles, about 10.7 KiB with its array, view and cache entry:
+    y's S, bound, F, bound and log1p(-S) are at i + k * _BLOCK, k = 0..4,
+    i = y % _BLOCK.
     """
     lo = _BLOCK * j
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
@@ -308,12 +318,12 @@ def _survival_block(a: int, j: int) -> memoryview:
     p = _compensated_totals(rows)
     slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
     bound = slack * _ULP * magnitude
-    block = np.zeros(4 * _BLOCK)
-    curves = block.reshape(4, _BLOCK)
+    block = np.zeros(5 * _BLOCK)
+    curves = block.reshape(5, _BLOCK)
     curves[0, :start - lo] = 1.0  # S = 1, F = 0 exactly below y = a
     err = bound + _ULP
-    curves[:, start - lo:] = np.clip(p, 0.0, 1.0), err, np.clip(1.0 - p, 0.0, 1.0), err + _ULP
-    surv, surv_err, cdf, cdf_err = curves[:, start - lo:]
+    curves[:4, start - lo:] = np.clip(p, 0.0, 1.0), err, np.clip(1.0 - p, 0.0, 1.0), err + _ULP
+    surv, surv_err, cdf, cdf_err = curves[:4, start - lo:]
     # exact cells: terms[k-1] = (-1)^(k+1) C(a, k) (a-k)^y and denom = a^y,
     # carried from one cell to the next
     bases = range(a - 1, -1, -1)
@@ -327,18 +337,24 @@ def _survival_block(a: int, j: int) -> memoryview:
         total = sum(terms)
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
+    # log1p(-1) is a domain error; its limit -inf gives those terms exactly 1.0
+    below = curves[0] < 1.0
+    curves[4] = -math.inf
+    curves[4, below] = np.fromiter(map(math.log1p, (-curves[0, below]).data), float)
     return _frozen(block)
 
 
 # Laid out as blocks: from _tail_start(a) on, S = 0 and F = 1 with bounds ulp and
-# 2 ulp; at a = 1, S = 1 at y = 0 (index 0), 0 from y = 1 on (index 1), F = 1 - S.
-_TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP), _BLOCK))
-_ONE_BANK_BLOCK = _frozen(np.repeat((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (1, _BLOCK - 1) * 4))
+# 2 ulp; at a = 1, S = 1 at y = 0 (index 0), 0 from y = 1 on (index 1), F = 1 - S;
+# log1p(-S) is -0.0 where S = 0 and -inf where S = 1.
+_TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP, -0.0), _BLOCK))
+_ONE_BANK_BLOCK = _frozen(np.repeat((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -math.inf, -0.0),
+                                    (1, _BLOCK - 1) * 5))
 
 
 def _curve_cells(a: int, y: int) -> tuple[memoryview, int]:
-    """The block holding S(y), its bound, F(y) and its bound for one bank at
-    i + k * _BLOCK, k = 0..3, and y's index i in it."""
+    """The block holding S(y), its bound, F(y), its bound and log1p(-S(y)) for
+    one bank at i + k * _BLOCK, k = 0..4, and y's index i in it."""
     if a == 1:
         return _ONE_BANK_BLOCK, min(y, 1)
     if y >= _tail_start(a):
@@ -402,7 +418,7 @@ def _count_cdf(a: int, q: float, n: int) -> tuple[float, float]:
     if s == 0.0:
         p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
     elif s < 0.5:
-        p = math.exp(q * math.log1p(-s))
+        p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
     else:
         p = f ** q
     return p, min(1.0, q * f_err + _ULP)
@@ -505,48 +521,30 @@ def _crossing(a: int, q: float, scale: float, limit: float, offset: int | None) 
     return n
 
 
-@functools.cache
-def _leading_ones(a: int) -> int:
-    """How many cells of the curve, from y = 0 on, have S(y) exactly 1.0.
-
-    They are y < a, and for large a a few y past it where F(y) rounds to 0,
-    and no later S(y) is 1.0.  In block 0 the tests check this for every a;
-    past it, the exact S is below S(255), which is at most 0.71 for a <= 64,
-    and no cell is off by more than 1e-13 (``_EXACT_SWITCH``).
-    """
-    return int((np.frombuffer(_survival_block(a, 0), float, _BLOCK) < 1.0).argmax())
-
-
 def _coverage_terms(a: int, counts: list[float], ends: list[int], rows: np.ndarray) -> None:
     """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
     as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, ends[i]).
 
-    Where S(n) is 1.0 (the first :func:`_leading_ones` cells) the term is its
-    limit 1.0, with no logarithm: math.log1p(-1) is a domain error.  From
-    ``_tail_start(a)`` on, S(n) is 0.0 and the term 0.0, so those cells are
-    left as they are.  In between, -S is read from the cached blocks once;
-    log1p(-S(n)) does not depend on q, so it is formed once and shared, and
-    each q has its own ``expm1`` cells.  ``log1p`` and ``expm1`` come from
-    ``math`` (the platform libm; numpy's own may round differently) and read
-    their arguments straight from array buffers.  Every term lies in [0, 1]
-    and none is -0.0.
+    log1p(-S(n)) does not depend on q, so it is formed once per block, when
+    the block is filled, and read here from the blocks' last rows; each term
+    costs one ``expm1`` (``math``, the platform libm; numpy's own may round
+    differently), reading its arguments straight from an array buffer.  Where
+    S(n) is 1.0 that row holds -inf, and the term is expm1's limit, exactly
+    1.0.  From ``_tail_start(a)`` on, S(n) is 0.0 and the term 0.0, so those
+    cells are left as they are.  Every term lies in [0, 1] and none is -0.0.
     """
     cut = min(max(ends), _tail_start(a))
-    lead = min(_leading_ones(a), cut)
-    neg = np.empty(cut)
-    for lo in range(0, cut, _BLOCK):
-        top = min(cut, lo + _BLOCK)
-        np.negative(np.frombuffer(_survival_block(a, lo // _BLOCK), float, top - lo),
-                    out=neg[lo:top])
-    logs = np.fromiter(map(math.log1p, neg[lead:].data), float, cut - lead)  # from n = lead on
-    # |log1p(-S)| < 37 here, so a product overflows only past q = 4.9e306, to
-    # -inf, as a float product does, and the term is then 1.0
-    with np.errstate(over="ignore"):
+    # the log row starts 4 * _BLOCK doubles into each block
+    views = [np.frombuffer(_survival_block(a, j), float, _BLOCK, 4 * _BLOCK * 8)
+             for j in range(-(-cut // _BLOCK))]
+    logs = views[0] if len(views) == 1 else np.concatenate(views)
+    # a product overflows only for q past _OVERFLOW_COUNT, to -inf as a float
+    # product does, and the term is then 1.0
+    with np.errstate(over="ignore") if max(counts) > _OVERFLOW_COUNT else contextlib.nullcontext():
         for row, count, end in zip(rows, counts, ends):
-            row[:min(lead, end)] = 1.0
-            width = max(min(cut, end) - lead, 0)
+            width = min(cut, end)
             np.negative(np.fromiter(map(math.expm1, (count * logs[:width]).data), float, width),
-                        out=row[lead:lead + width])
+                        out=row[:width])
 
 
 def _compensated_totals(rows: np.ndarray) -> np.ndarray:

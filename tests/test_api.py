@@ -72,6 +72,7 @@ HUGE_SITES = {
     "test_count_cdf n": lambda: test_count_cdf(SPEC, HUGE),
     "test_count_pmf n": lambda: test_count_pmf(SPEC, HUGE),
     "expected_single_bank a": lambda: expected_single_bank(HUGE),
+    "expected_single_bank a too large": lambda: expected_single_bank(-HUGE),
     "cdf_oracle a": lambda: cdf_oracle(HUGE, 3),
     "cdf_oracle y": lambda: cdf_oracle(3, HUGE),
     "decay_rate a": lambda: decay_rate(HUGE),

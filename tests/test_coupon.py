@@ -229,6 +229,13 @@ class TestExpectedSingleBank:
         with pytest.raises(InvalidSpecError):
             expected_single_bank(2.0)
 
+    @pytest.mark.parametrize("a", [MAX_ALTERNATIVES + 1, 2 ** 64], ids=["65", "2**64"])
+    def test_beyond_the_gate_raises_before_summing(self, a):
+        # the harmonic loop runs a times, so the gate must come first: at
+        # 2**64 the loop would never end
+        with pytest.raises(UnsupportedAlternativesError, match=f"a={a} exceeds"):
+            expected_single_bank(a)
+
 
 class TestSingleBankSurvival:
     def test_certain_before_coverage_possible(self):
@@ -1066,26 +1073,33 @@ class TestSurvivalBlocks:
         assert test_count_cdf(spec, y).p == 1.0
         assert test_count_pmf(spec, y).p == 0.0
 
-    def test_ones_are_a_prefix(self):
-        # the series takes log1p(-S) only past the cells where S is 1.0, so
-        # those must come first: in block 0 for every a, and past it S(y)
-        # stays below S(255) plus the 1e-13 the float route may be off
+    def test_log_row_is_log1p_of_minus_s(self):
+        # the series and the q-bank cdf read log1p(-S) from each block's last
+        # row: it is math.log1p(-S) bit for bit wherever S < 1, and -inf
+        # exactly where S is 1.0, whose log1p(-1) is a domain error
+        n = coupon._BLOCK
+        blocks = {"tail": coupon._TAIL_BLOCK, "a = 1": coupon._ONE_BANK_BLOCK}
         for a in range(2, MAX_ALTERNATIVES + 1):
-            s = np.frombuffer(coupon._survival_block(a, 0), float, coupon._BLOCK)
-            lead = coupon._leading_ones(a)
-            assert lead >= a and (s[:lead] == 1.0).all() and (s[lead:] < 1.0).all(), a
-            last = single_bank_survival(a, coupon._BLOCK - 1)
-            assert last.p + last.abs_err + coupon._EXACT_SWITCH < 0.75, a
+            for j in {0, 1, (coupon._tail_start(a) - 1) // n}:
+                blocks[a, j] = coupon._survival_block(a, j)
+        for key, block in blocks.items():
+            cells = np.frombuffer(block, float)
+            surv, logs = cells[:n], cells[4 * n:]
+            ones = surv == 1.0
+            assert (logs[ones] == -math.inf).all() and np.isfinite(logs[~ones]).all(), key
+            want = [math.log1p(-s).hex() for s in surv[~ones].tolist()]
+            assert [x.hex() for x in logs[~ones].tolist()] == want, key
 
     def test_cached_blocks_are_read_only(self):
         # the cache hands every caller the same buffer: neither it nor an
-        # array over it can be written, in any of the four curves; the
+        # array over it can be written, in any of the five rows; the
         # constant tail and the a = 1 curve are shared the same way
         blocks = [coupon._survival_block(a, j)
                   for a, j in itertools.product((10, MAX_ALTERNATIVES), (0, 1))]
         for block in blocks + [coupon._TAIL_BLOCK, coupon._ONE_BANK_BLOCK]:
-            assert len(block) == 4 * coupon._BLOCK
-            for i in (0, coupon._BLOCK - 1, 2 * coupon._BLOCK, 4 * coupon._BLOCK - 1):
+            assert len(block) == 5 * coupon._BLOCK
+            for i in (0, coupon._BLOCK - 1, 2 * coupon._BLOCK, 4 * coupon._BLOCK - 1,
+                      4 * coupon._BLOCK, 5 * coupon._BLOCK - 1):
                 with pytest.raises(TypeError):
                     block[i] = 0.5
                 with pytest.raises(ValueError):
@@ -1106,6 +1120,23 @@ class TestSurvivalBlocks:
                 value, tail, terms = reference_series(a, q, second)
                 assert bits(est.value, est.tail_bound) == bits(value, tail), (a, q, fn)
                 assert est.terms == terms, (a, q, fn)
+
+    @pytest.mark.parametrize(
+        "a,q", [pytest.param(4, 10 ** 308, id="4,10**308"),
+                pytest.param(MAX_ALTERNATIVES, 10 ** 307, id="64,10**307")]
+    )
+    def test_overflowing_products_match_per_term_reference(self, a, q):
+        # q * log1p(-S(n)) overflows to -inf for the first n with S(n) < 1,
+        # S(4) = 0.906 at a = 4 and S = 1 - 2**-53 at a = 64, and the term is
+        # then 1.0, as the float product gives it; warnings are errors, so
+        # this also checks that the series expects that overflow
+        survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
+        first = next(n for n in itertools.count(a) if survival(n) < 1.0)
+        assert q * math.log1p(-survival(first)) == -math.inf
+        for fn, second in ((expected_tests, False), (variance_tests, True)):
+            est = fn(BankSpec(a, q))
+            want = reference_series(a, q, second, DEFAULT_POLICY, survival)
+            assert (bits(est.value, est.tail_bound), est.terms) == (bits(*want[:2]), want[2])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1136,8 +1167,8 @@ class TestSurvivalBlocks:
         assert est.terms == want[2], (a, q, policy, want)
 
     def test_cache_is_bounded_and_small(self):
-        # documented bound: at most 512 blocks of four 256-double arrays,
-        # under 4.5 MiB with the cache's own bookkeeping
+        # documented bound: at most 512 blocks of five 256-double rows,
+        # under 5.5 MiB with the cache's own bookkeeping
         assert coupon._survival_block.cache_info().maxsize == 512
         coupon._survival_block.cache_clear()
         tracemalloc.start()
@@ -1149,5 +1180,5 @@ class TestSurvivalBlocks:
             tracemalloc.stop()
         blocks = coupon._survival_block.cache_info().currsize
         assert blocks <= 512
-        assert held < 4.5 * 2 ** 20
-        assert held / blocks * 512 < 4.5 * 2 ** 20
+        assert held < 5.5 * 2 ** 20
+        assert held / blocks * 512 < 5.5 * 2 ** 20
