@@ -17,12 +17,15 @@ log1p formed once per block (about 10.7 KiB a block; at most 512 blocks,
 under 5.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads
 475).  The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms
 for block 0, which holds the exact-integer cells) against about 0.06 ms for
-one lone point; every later read is an index giving a Python float, and
-each entry point reads only the cells it returns, after one guard on its
-arguments.  The q-bank cdf and pmf share one float kernel, so a pmf reads
-two cdf cells and builds one :class:`ProbValue`.  Past the first y where
-every term of the closed form underflows, the curve is the constant tail
-S = 0, F = 1 and needs no block.
+one lone point.  Past the first y where every term of the closed form
+underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
+that y is kept per a in a table built at import.  So a point read is one
+guard on its arguments, one lookup (the table, then the cached block) and
+one fill: the cells it returns go straight into the slots of a
+:class:`ProbValue`, whose range checks ran once for the whole block when it
+was filled.  The q-bank cdf and pmf share one float kernel; a pmf reads its
+two cdf cells, n and n - 1, through one block lookup unless n starts a
+block or the tail.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -39,7 +42,8 @@ platform libm, fed straight from an array buffer: one libm call a term),
 its own stop and its own tail bound.  Where S is exactly 1.0 the stored
 logarithm is -inf and the term expm1's limit, 1.0; the constant tail's
 terms are 0.0 and take none.  A single call is a sweep over one q, and its
-fixed cost is a few numpy calls per stage.
+fixed cost is a few numpy calls per stage; the tail bound met by the walk
+is the one returned when the sum stops there, as it almost always does.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
@@ -100,6 +104,7 @@ _MIN_NORMAL = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
 # Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
 _OVERFLOW_COUNT = sys.float_info.max / 37.0
+_UNGUARDED = contextlib.nullcontext()  # reusable: it holds no state
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
 # The survival curve is computed and cached this many test counts at a time.
@@ -170,13 +175,14 @@ class ProbValue:
 
     Every point read returns one, and a caller may keep many (a survival
     sweep, a pmf window), so the class has slots: no per-instance
-    ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  The
-    dataclass ``__init__`` of a frozen class sets each field through
-    ``object.__setattr__``, which cost about half of a whole curve read;
-    this one validates, then fills the two slots through their member
+    ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  This
+    ``__init__`` validates, then fills the two slots through their member
     descriptors (``ProbValue.p.__set__``), which bypass the frozen
-    ``__setattr__``.  Assignment still raises ``FrozenInstanceError``, and
-    equality, hash and repr are the dataclass's.
+    ``__setattr__``.  The point reads skip it: they fill the slots of a
+    bare instance from cells that the same checks passed once per curve
+    block, or that lie in [0, 1] by construction (the q-bank cdf and pmf).
+    Assignment still raises ``FrozenInstanceError``, and equality, hash
+    and repr are the dataclass's.
     """
 
     p: float
@@ -194,7 +200,7 @@ class ProbValue:
         return self.p
 
 
-_set_p, _set_abs_err = ProbValue.p.__set__, ProbValue.abs_err.__set__
+_new, _set_p, _set_abs_err = object.__new__, ProbValue.p.__set__, ProbValue.abs_err.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +211,19 @@ class SeriesEstimate:
     tail_bound: float
     terms: int
 
+    def __init__(self, value: float, tail_bound: float, terms: int) -> None:
+        # through the member descriptors, as ProbValue does, at about half
+        # the cost of the frozen dataclass __init__
+        _set_value(self, value)
+        _set_tail_bound(self, tail_bound)
+        _set_terms(self, terms)
+
     def __float__(self) -> float:
         return self.value
+
+
+_set_value, _set_tail_bound, _set_terms = (
+    SeriesEstimate.value.__set__, SeriesEstimate.tail_bound.__set__, SeriesEstimate.terms.__set__)
 
 
 def _shown(value, text=repr) -> str:
@@ -262,7 +279,6 @@ def _saturating_float(x: float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-@functools.cache
 def _tail_start(a: int) -> int:
     """First y at which ((a-1)/a)**y, the largest term of the closed form,
     underflows to 0.0; from there on every term does."""
@@ -271,6 +287,11 @@ def _tail_start(a: int) -> int:
     # so r**hi is 0.0 and the first zero power is at most hi
     hi = math.ceil(1100 / -math.log2(r))
     return bisect.bisect_left(range(hi), True, key=lambda y: r ** y == 0.0)
+
+
+# _tail_start(a) at index a, built once (about 0.5 ms); a = 1 holds 0, as its
+# two-cell curve lies outside the blocks
+_TAIL_STARTS = (0, 0) + tuple(_tail_start(a) for a in range(2, MAX_ALTERNATIVES + 1))
 
 
 def _frozen(values: np.ndarray) -> memoryview:
@@ -296,6 +317,9 @@ def _survival_block(a: int, j: int) -> memoryview:
     true division rounds correctly, as ``float(Fraction)`` does.  Then
     log1p(-S(y)) is formed once per block, from the final S, with ``math.log1p``
     (numpy's may round differently), and is -inf where S is exactly 1.0.
+    Before that, every S and F must lie in [0, 1] and every bound be >= 0,
+    the checks of ``ProbValue.__init__``, or the fill raises and caches
+    nothing; the point reads rely on them.
 
     The five rows lie end to end in one read-only ``memoryview`` of
     5 * _BLOCK doubles, about 10.7 KiB with its array, view and cache entry:
@@ -337,6 +361,13 @@ def _survival_block(a: int, j: int) -> memoryview:
         total = sum(terms)
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
+    # the point reads fill their ProbValue from these cells unchecked, so the
+    # checks of ProbValue.__init__ run here, once for the whole block
+    probs, bounds = curves[0:4:2], curves[1:4:2]
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise ValueError(f"probability out of range in the curve block a={a}, j={j}")
+    if not (bounds >= 0.0).all():
+        raise ValueError(f"error bound must be nonnegative in the curve block a={a}, j={j}")
     # log1p(-1) is a domain error; its limit -inf gives those terms exactly 1.0
     below = curves[0] < 1.0
     curves[4] = -math.inf
@@ -344,7 +375,7 @@ def _survival_block(a: int, j: int) -> memoryview:
     return _frozen(block)
 
 
-# Laid out as blocks: from _tail_start(a) on, S = 0 and F = 1 with bounds ulp and
+# Laid out as blocks: from _TAIL_STARTS[a] on, S = 0 and F = 1 with bounds ulp and
 # 2 ulp; at a = 1, S = 1 at y = 0 (index 0), 0 from y = 1 on (index 1), F = 1 - S;
 # log1p(-S) is -0.0 where S = 0 and -inf where S = 1.
 _TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP, -0.0), _BLOCK))
@@ -352,14 +383,11 @@ _ONE_BANK_BLOCK = _frozen(np.repeat((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -ma
                                     (1, _BLOCK - 1) * 5))
 
 
-def _curve_cells(a: int, y: int) -> tuple[memoryview, int]:
-    """The block holding S(y), its bound, F(y), its bound and log1p(-S(y)) for
-    one bank at i + k * _BLOCK, k = 0..4, and y's index i in it."""
-    if a == 1:
-        return _ONE_BANK_BLOCK, min(y, 1)
-    if y >= _tail_start(a):
-        return _TAIL_BLOCK, 0
-    return _survival_block(a, y // _BLOCK), y % _BLOCK
+def _constant_cells(a: int, y: int) -> tuple[memoryview, int]:
+    """The constant block holding one bank's S(y), its bound, F(y), its bound
+    and log1p(-S(y)) at i + k * _BLOCK, k = 0..4, and y's index i in it, for
+    y >= _TAIL_STARTS[a]."""
+    return (_ONE_BANK_BLOCK, min(y, 1)) if a == 1 else (_TAIL_BLOCK, 0)
 
 
 def single_bank_survival(a: int, y: int) -> ProbValue:
@@ -370,8 +398,16 @@ def single_bank_survival(a: int, y: int) -> ProbValue:
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
         _check_gated_bank_size(a)
         _check_test_count(y)
-    b, i = _curve_cells(a, y)
-    return ProbValue(b[i], b[i + _BLOCK])
+    # one lookup: y's block and its index i there, then the cells, already
+    # checked when the block was filled, go straight into the slots
+    if y < _TAIL_STARTS[a]:
+        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
+    else:
+        b, i = _constant_cells(a, y)
+    value = _new(ProbValue)
+    _set_p(value, b[i])
+    _set_abs_err(value, b[i + _BLOCK])
+    return value
 
 
 def single_bank_cdf(a: int, y: int) -> ProbValue:
@@ -382,8 +418,14 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
         _check_gated_bank_size(a)  # as in single_bank_survival
         _check_test_count(y)
-    b, i = _curve_cells(a, y)
-    return ProbValue(b[i + 2 * _BLOCK], b[i + 3 * _BLOCK])
+    if y < _TAIL_STARTS[a]:
+        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
+    else:
+        b, i = _constant_cells(a, y)
+    value = _new(ProbValue)
+    _set_p(value, b[i + 2 * _BLOCK])
+    _set_abs_err(value, b[i + 3 * _BLOCK])
+    return value
 
 
 def cdf_oracle(a: int, y: int) -> Fraction:
@@ -406,22 +448,40 @@ def cdf_oracle(a: int, y: int) -> Fraction:
     return Fraction(onto[a], a ** y)
 
 
-def _count_cdf(a: int, q: float, n: int) -> tuple[float, float]:
-    """The q-bank cdf at a valid test count ``n`` and its error bound, for a
-    bank count ``q`` already saturated to a float."""
-    if n < a:
-        return 0.0, 0.0
-    if a == 1:
-        return 1.0, 0.0
-    b, i = _curve_cells(a, n)
-    s, f, f_err = b[i], b[i + 2 * _BLOCK], b[i + 3 * _BLOCK]
-    if s == 0.0:
-        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
-    elif s < 0.5:
-        p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
-    else:
-        p = f ** q
-    return p, min(1.0, q * f_err + _ULP)
+def _count_cdf(a: int, q: float, ys: tuple[int, ...]) -> list[float]:
+    """The q-bank cdf and its error bound at valid test counts ``ys``, each
+    one less than the one before, for a bank count ``q`` already saturated
+    to a float: [p(ys[0]), bound(ys[0]), p(ys[1]), bound(ys[1]), ...].
+
+    One lookup serves the cells that share a block: a pmf's n and n - 1 do
+    unless n is a multiple of _BLOCK (n - 1 ends the block before) or
+    n - 1 < _TAIL_STARTS[a] <= n.
+    """
+    out = []
+    i = 0
+    for y in ys:
+        if y < a:
+            out += 0.0, 0.0
+            continue
+        if a == 1:
+            out += 1.0, 0.0
+            continue
+        if i:
+            i -= 1  # y + 1 was read at index i of this block
+        elif y < _TAIL_STARTS[a]:
+            b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
+        else:
+            b, i = _constant_cells(a, y)
+        s = b[i]
+        if s == 0.0:
+            p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
+        elif s < 0.5:
+            p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
+        else:
+            p = b[i + 2 * _BLOCK] ** q
+        err = q * b[i + 3 * _BLOCK] + _ULP
+        out += p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call
+    return out
 
 
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
@@ -432,17 +492,23 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     small enough for direct powering to lose accuracy.  A q beyond the float
     range counts as +inf, and the error bound is then 1.
     """
-    _check_test_count(n)
-    return ProbValue(*_count_cdf(spec.a, _saturating_float(spec.q), n))
+    if type(n) is not int or n < 0:
+        _check_test_count(n)
+    p, err = _count_cdf(spec.a, _saturating_float(spec.q), (n,))
+    # p is 0.0, 1.0, exp of a value <= 0 or a power of F in [0.5, 1], and the
+    # bound 0.0 or a sum >= ulp capped at 1.0: ProbValue's checks would pass
+    value = _new(ProbValue)
+    _set_p(value, p)
+    _set_abs_err(value, err)
+    return value
 
 
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
     """P(full coverage happens exactly at test ``n``): the cdf difference at
     n and n - 1, with the sum of their error bounds."""
-    _check_test_count(n, minimum=1)
-    a, q = spec.a, _saturating_float(spec.q)
-    hi, hi_err = _count_cdf(a, q, n)
-    lo, lo_err = _count_cdf(a, q, n - 1)
+    if type(n) is not int or n < 1:
+        _check_test_count(n, minimum=1)
+    hi, hi_err, lo, lo_err = _count_cdf(spec.a, _saturating_float(spec.q), (n, n - 1))
     diff = hi - lo
     if diff < 0.0:
         if diff < -_PMF_CLAMP:
@@ -450,7 +516,10 @@ def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
                 f"cdf difference {diff} at n={n} is negative beyond round-off"
             )
         diff = 0.0
-    return ProbValue(diff, hi_err + lo_err)
+    value = _new(ProbValue)  # two cdf cells in [0, 1] and their bounds: checks would pass
+    _set_p(value, diff)
+    _set_abs_err(value, hi_err + lo_err)
+    return value
 
 
 # library functions, not tests; keep pytest from collecting them by name
@@ -530,17 +599,17 @@ def _coverage_terms(a: int, counts: list[float], ends: list[int], rows: np.ndarr
     costs one ``expm1`` (``math``, the platform libm; numpy's own may round
     differently), reading its arguments straight from an array buffer.  Where
     S(n) is 1.0 that row holds -inf, and the term is expm1's limit, exactly
-    1.0.  From ``_tail_start(a)`` on, S(n) is 0.0 and the term 0.0, so those
+    1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0, so those
     cells are left as they are.  Every term lies in [0, 1] and none is -0.0.
     """
-    cut = min(max(ends), _tail_start(a))
-    # the log row starts 4 * _BLOCK doubles into each block
-    views = [np.frombuffer(_survival_block(a, j), float, _BLOCK, 4 * _BLOCK * 8)
-             for j in range(-(-cut // _BLOCK))]
+    cut = min(max(ends), _TAIL_STARTS[a])
+    # the log row is the last _BLOCK doubles of each block's array, the
+    # memoryview's .obj (a third of the cost of np.frombuffer on the view)
+    views = [_survival_block(a, j).obj[4 * _BLOCK:] for j in range(-(-cut // _BLOCK))]
     logs = views[0] if len(views) == 1 else np.concatenate(views)
     # a product overflows only for q past _OVERFLOW_COUNT, to -inf as a float
     # product does, and the term is then 1.0
-    with np.errstate(over="ignore") if max(counts) > _OVERFLOW_COUNT else contextlib.nullcontext():
+    with np.errstate(over="ignore") if max(counts) > _OVERFLOW_COUNT else _UNGUARDED:
         for row, count, end in zip(rows, counts, ends):
             width = min(cut, end)
             np.negative(np.fromiter(map(math.expm1, (count * logs[:width]).data), float, width),
@@ -570,6 +639,10 @@ def _compensated_totals(rows: np.ndarray) -> np.ndarray:
     return after[:, -1] + np.add.accumulate(low, axis=1, out=low)[:, -1]
 
 
+def _uncertified(series: str, a: int, q: int, n_cap: int) -> SeriesCapError:
+    return SeriesCapError(f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}")
+
+
 def _moment_series(
     a: int, qs: tuple[int, ...], second_moment: bool, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> list[SeriesEstimate]:
@@ -593,8 +666,7 @@ def _moment_series(
     limit = 10.0 * eps
     # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
     scale, offset = 2.0 * a ** 3 / (a - 1), (2 * a - 1 if second_moment else None)
-    uncertified = f"{series} series for a={a}, q={{}} not certified within n_cap={n_cap}"
-    counts, firsts, ends = [], [], []
+    counts, firsts, tails, ends = [], [], [], []
     for q in qs:
         count = _saturating_float(q)
         if count == math.inf:  # the mean lies beyond the last representable survival
@@ -611,20 +683,21 @@ def _moment_series(
         # _series_tail), far above rounding and the 1e-9 slack, and the walk
         # ends at the least n the float bound meets.
         first = max(math.ceil(_crossing(a, count, scale, limit, offset)) - 2, 0)
-        while first <= n_cap and _series_tail(a, count, first, second_moment) > limit:
+        while first <= n_cap and (tail := _series_tail(a, count, first, second_moment)) > limit:
             first += 1
         if first > n_cap:
-            raise SeriesCapError(uncertified.format(q))
+            raise _uncertified(series, a, q, n_cap)
         # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1
         # for the variance, starts above eps and has one peak, so it stays
         # below eps / 2 past this crossing, and every series stops by it; the
         # factor 2 covers the terms' rounding and a fixed point one step
         # short.  The end is not first + 1: a few steps short of
-        # _tail_start(a), S(n) is a subnormal of a few ulps that rounds up by
+        # _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by
         # as much as 2x, and the first small term can lie three steps past first.
         end = math.ceil(_crossing(a, count, a, 0.5 * eps, 1 if second_moment else None))
         counts.append(count)
         firsts.append(first)
+        tails.append(tail)  # the bound at first, kept for a stop there
         ends.append(min(max(first, end), n_cap) + 1)
     hi = max(ends)
     # rows i < m hold the terms of qs[i]; for the variance, row m + i its weighted terms
@@ -639,7 +712,7 @@ def _moment_series(
         while stop < end and not rows.item(weighted, stop) < eps:
             stop += 1
         if stop == end:
-            raise SeriesCapError(uncertified.format(q))
+            raise _uncertified(series, a, q, n_cap)
         stops.append(stop)
     width = max(stops)
     for i, stop in enumerate(stops):
@@ -647,8 +720,9 @@ def _moment_series(
             rows[i::m, stop:width] = 0.0  # row i, and row m + i of the variance
     totals = _compensated_totals(rows[:, :width]).tolist()
     values = [t2 - t * t for t, t2 in zip(totals, totals[m:])] if second_moment else totals
-    return [SeriesEstimate(value, _series_tail(a, count, stop, second_moment), stop)
-            for value, count, stop in zip(values, counts, stops)]
+    return [SeriesEstimate(
+                value, tail if stop == first else _series_tail(a, count, stop, second_moment), stop)
+            for value, count, first, tail, stop in zip(values, counts, firsts, tails, stops)]
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:

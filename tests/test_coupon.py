@@ -392,9 +392,17 @@ class TestOracleIndependence:
         def disabled(*args, **kwargs):
             raise AssertionError("an oracle reached the main path")
 
-        for name in ("_survival_block", "_curve_cells", "_compensated_totals", "_moment_series"):
+        class Disabled:
+            __getitem__ = staticmethod(disabled)
+
+        # a point read looks its block up through _TAIL_STARTS, then
+        # _survival_block or _constant_cells
+        for name in ("_survival_block", "_constant_cells", "_compensated_totals", "_moment_series"):
             monkeypatch.setattr(coupon, name, disabled)
+        monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
+        with pytest.raises(AssertionError, match="main path"):
+            single_bank_survival(5, 20)  # the patches do reach the main path
 
 
 class TestTestCountCdf:
@@ -476,7 +484,7 @@ class TestTestCountPmf:
         # the pmf is the difference of the cdf cells at n and n - 1, a tiny
         # negative difference clamped to 0.0, with the sum of their bounds
         spec = BankSpec(a, q)
-        cut = coupon._tail_start(a) if a > 1 else 1
+        cut = coupon._TAIL_STARTS[a] if a > 1 else 1
         ns = {*range(1, 3 * a + 2), cut - 1, cut, cut + 1, cut + 300, 10 ** 30}
         for n in sorted(ns - {0}):
             hi, lo = test_count_cdf(spec, n), test_count_cdf(spec, n - 1)
@@ -957,7 +965,7 @@ class TestSeriesSweep:
                 self._assert_sweep(a, (1, 1, 10, 1), second)
 
     def test_stop_search_near_underflow(self):
-        # eps_term puts the certified stop within 12 steps of _tail_start(a),
+        # eps_term puts the certified stop within 12 steps of _TAIL_STARTS[a],
         # where decay**n underflows: there S(n) rounds up by as much as 2x, so
         # the first small term can lie three steps past the first certified n.
         # Each call must stop, or fail, where the one-term reference does
@@ -968,7 +976,7 @@ class TestSeriesSweep:
                 fn = variance_tests if second else expected_tests
                 for _ in range(6):
                     q = int(10 ** rng.uniform(200, top))
-                    f = coupon._tail_start(a) + rng.randint(-12, 12)
+                    f = coupon._TAIL_STARTS[a] + rng.randint(-12, 12)
                     eps = coupon._series_tail(a, float(q), f, second) / 10 * (1 + 1e-12)
                     policy = TruncationPolicy(eps_term=eps)
                     got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
@@ -1055,7 +1063,7 @@ class TestSurvivalBlocks:
 
     def test_block_edges_and_constant_tail(self):
         for a in range(2, MAX_ALTERNATIVES + 1):
-            cut = coupon._tail_start(a)
+            cut = coupon._TAIL_STARTS[a]
             ys = [255, 256, 257, 511, 512, 513, cut - 1, cut, cut + 1, 10 ** 6]
             for y in ys:
                 self._assert_point(a, y)
@@ -1080,7 +1088,7 @@ class TestSurvivalBlocks:
         n = coupon._BLOCK
         blocks = {"tail": coupon._TAIL_BLOCK, "a = 1": coupon._ONE_BANK_BLOCK}
         for a in range(2, MAX_ALTERNATIVES + 1):
-            for j in {0, 1, (coupon._tail_start(a) - 1) // n}:
+            for j in {0, 1, (coupon._TAIL_STARTS[a] - 1) // n}:
                 blocks[a, j] = coupon._survival_block(a, j)
         for key, block in blocks.items():
             cells = np.frombuffer(block, float)
@@ -1182,3 +1190,74 @@ class TestSurvivalBlocks:
         assert blocks <= 512
         assert held < 5.5 * 2 ** 20
         assert held / blocks * 512 < 5.5 * 2 ** 20
+
+
+class TestPointReads:
+    """The one-lookup read path: the tail-start table, the values it fills
+    into ProbValue unchecked, and the range check that runs at block fill."""
+
+    @staticmethod
+    def _counts(a: int) -> list[int]:
+        # blocks 0 and 1, the last block before the constant tail, and the tail
+        n, cut = coupon._BLOCK, coupon._TAIL_STARTS[a] if a > 1 else 1
+        last = (cut - 1) // n * n
+        return sorted({*range(min(2 * n, cut + 3)), *range(last, cut + 3), 10 ** 6, 10 ** 400})
+
+    @staticmethod
+    def _assert_valid(values) -> None:
+        # each value is what the validating __init__ builds from its cells
+        for v in values:
+            assert type(v) is ProbValue and type(v.p) is float and type(v.abs_err) is float
+            checked = ProbValue(v.p, v.abs_err)
+            assert bits(v.p, v.abs_err) == bits(checked.p, checked.abs_err), v
+
+    def test_tail_start_table(self):
+        starts = coupon._TAIL_STARTS
+        assert len(starts) == MAX_ALTERNATIVES + 1 and starts[1] == 0
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            r, cut = (a - 1) / a, starts[a]
+            assert r ** cut == 0.0 and r ** (cut - 1) != 0.0, a
+            assert 0.0 not in (r ** y for y in range(cut)), a
+
+    @pytest.mark.parametrize("a", range(1, MAX_ALTERNATIVES + 1))
+    def test_reads_are_valid_values(self, a):
+        ys = self._counts(a)
+        self._assert_valid(single_bank_survival(a, y) for y in ys)
+        self._assert_valid(single_bank_cdf(a, y) for y in ys)
+        for q in (1, 10 ** 3, 10 ** 6, 10 ** 400):
+            spec = BankSpec(a, q)
+            cdf = {n: test_count_cdf(spec, n) for n in ys}
+            self._assert_valid(cdf.values())
+            pmf = {n: test_count_pmf(spec, n) for n in ys if n}
+            self._assert_valid(pmf.values())
+            # n and n - 1 share one block lookup unless n starts a block or
+            # the tail; either way the pmf is the clamped cdf difference
+            for n, got in pmf.items():
+                hi, lo = cdf[n], cdf.get(n - 1) or test_count_cdf(spec, n - 1)
+                want = max(hi.p - lo.p, 0.0), hi.abs_err + lo.abs_err
+                assert bits(got.p, got.abs_err) == bits(*want), (a, q, n)
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [("_compensated_totals", lambda rows: np.full(len(rows), math.nan),
+          "probability out of range"),
+         ("_ULP", -_ULP, "error bound must be nonnegative")],
+        ids=["nan replay", "negative bound"],
+    )
+    def test_block_fill_runs_the_range_checks(self, monkeypatch, name, value, message):
+        # ProbValue's checks run once per block, when it is filled: a bad
+        # cell raises there, on the direct call and on a read, and no block
+        # is cached
+        coupon._survival_block.cache_clear()
+        monkeypatch.setattr(coupon, name, value)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                coupon._survival_block(10, j)
+            with pytest.raises(ValueError, match=message):
+                single_bank_survival(10, coupon._BLOCK * j + 40)
+        assert coupon._survival_block.cache_info().currsize == 0
+        monkeypatch.undo()
+        for y in (40, coupon._BLOCK + 40):
+            want, _route = reference_curve_point(10, y)
+            got = single_bank_survival(10, y), single_bank_cdf(10, y)
+            assert bits(*(c for v in got for c in (v.p, v.abs_err))) == bits(*want)
