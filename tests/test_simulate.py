@@ -21,8 +21,10 @@ from bankcover.simulate import (
     GENERATOR_ID,
     SimulationConfig,
     SimulationResult,
+    _bank_stages,
     _block_maxima,
     _block_size,
+    _Stages,
     run_experiment,
 )
 
@@ -49,6 +51,68 @@ def simulate_one_reference(spec: BankSpec, stream: np.random.Generator) -> int:
                 done = False
         if done:
             return tests
+
+
+def geometric_loop_reference(a: int, q: int, seed: int, block: int, rows: int) -> np.ndarray:
+    """The block sampler as it was with one ``rng.geometric`` call a stage."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    best = np.zeros(rows, dtype=np.int64)
+    width = min(q, 2 ** 17)
+    for lo in range(0, q, width):
+        totals = np.ones((rows, min(width, q - lo)), dtype=np.int64)
+        for k in range(2, a + 1):
+            totals += rng.geometric((a - k + 1) / a, size=totals.shape)
+        np.maximum(best, totals.max(axis=1), out=best)
+    return best
+
+
+def numpy_partial_sums(p: float) -> list[float]:
+    """The sums numpy's geometric search compares U with, in its order, up to
+    the first that no U in [0, 1 - 2**-53] exceeds or where they stop growing."""
+    total = prod = p
+    sums = [total]
+    while total < 1.0 - 2.0 ** -53:
+        prod *= 1.0 - p
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return sums
+
+
+def untempered(words: np.ndarray) -> np.ndarray:
+    """MT19937 state words whose tempered outputs are ``words``."""
+    y = words.astype(np.uint64)
+    y ^= y >> np.uint64(18)
+    y ^= (y << np.uint64(15)) & np.uint64(0xEFC60000)
+    x = y.copy()
+    for _ in range(5):
+        x = y ^ ((x << np.uint64(7)) & np.uint64(0x9D2C5680))
+    y = x & np.uint64(0xFFFFFFFF)
+    x = y.copy()
+    for _ in range(3):
+        x = y ^ (x >> np.uint64(11))
+    return (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+
+
+def uniforms_ahead(bitgen: np.random.MT19937, grid: list[int]) -> None:
+    """Set ``bitgen`` so that its next doubles are k * 2**-53 for k in ``grid``.
+
+    numpy's MT19937 double is (w1 >> 5) * 2**26 + (w2 >> 6) over 2**53 for
+    two consecutive tempered words; up to 312 doubles fit in one state.
+    """
+    words = []
+    for k in grid:
+        words += [(k >> 26) << 5, (k & (2 ** 26 - 1)) << 6]
+    key = np.zeros(624, np.uint32)
+    key[:len(words)] = untempered(np.array(words, dtype=np.uint64))
+    bitgen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+
+
+def stage_waits(p: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    sums = np.zeros(n)
+    _Stages([p]).add(rng, sums)
+    return sums
 
 
 def draws_of(result: SimulationResult) -> np.ndarray:
@@ -91,6 +155,80 @@ class TestSimulateOne:
         first = _block_maxima(10, 10, 7, 3, 64)
         assert (first == _block_maxima(10, 10, 7, 3, 64)).all()
         assert not (first == _block_maxima(10, 10, 7, 4, 64)).all()
+
+
+class TestStageWaits:
+    """Each stage's waits are numpy's ``rng.geometric`` draws, bit for bit."""
+
+    def test_every_stage_matches_numpy(self):
+        # same key, same integers, and the stream left where numpy leaves it
+        for a in range(2, 65):
+            for k in range(2, a + 1):
+                p = (a - k + 1) / a
+                key = np.random.SeedSequence((a, k))
+                ours = np.random.Generator(np.random.Philox(key))
+                theirs = np.random.Generator(np.random.Philox(key))
+                waits = stage_waits(p, ours, 2000)
+                assert (waits == theirs.geometric(p, 2000)).all(), (a, k)
+                assert ours.random() == theirs.random(), (a, k)
+
+    def test_switch_is_numpys(self):
+        # numpy searches from the double 0.333333333333333333333333 up
+        assert (3 - 3 + 1) / 3 == 1 / 3 == 0.333333333333333333333333
+        assert _Stages([1 / 3]).searches == 1
+        assert _Stages([21 / 64]).searches == 0
+        assert _bank_stages(3).searches == 2
+        assert _bank_stages(64).searches == 42  # p = 22/64 .. 63/64
+        assert max(_bank_stages(a).searches for a in range(1, 65)) == 42
+
+    def test_search_edges_match_numpy(self):
+        # every U on either side of every sum numpy compares with, for every
+        # search probability of a = 2..64, injected through MT19937 so that
+        # numpy's own loop gives the reference; a bucket holding two sums
+        # would lose one and fail here
+        bitgen = np.random.MT19937(0)
+        rng = np.random.Generator(bitgen)
+        probs = {(a - k + 1) / a for a in range(2, 65) for k in range(2, a + 1)}
+        checked = 0
+        for p in sorted(x for x in probs if x >= 1 / 3):
+            sums = numpy_partial_sums(p)
+            grid = {0, 2 ** 53 - 1}
+            for t in sums:
+                below = math.floor(t * 2.0 ** 53)  # U <= t; one more is U > t
+                grid.update((below, below + 1))
+            # past a sum that stopped growing, numpy's loop never ends
+            grid = sorted(k for k in grid if k < 2 ** 53 and k * 2.0 ** -53 <= sums[-1])
+            for lo in range(0, len(grid), 312):
+                part = grid[lo:lo + 312]
+                uniforms_ahead(bitgen, part)
+                ours = stage_waits(p, rng, len(part))
+                uniforms_ahead(bitgen, part)
+                assert (ours == rng.geometric(p, len(part))).all(), p
+                checked += len(part)
+        assert checked > 60_000  # 839 probabilities
+
+    def test_uniform_past_a_stalled_sum_gets_a_finite_wait(self):
+        # at p = 0.35 numpy's sums stop growing below the largest uniform,
+        # 1 - 2**-53, so numpy's loop never returns for it; the table does
+        sums = numpy_partial_sums(0.35)
+        assert sums[-1] == 0.9999999999999997 < 1.0 - 2.0 ** -53
+        bitgen = np.random.MT19937(0)
+        rng = np.random.Generator(bitgen)
+        uniforms_ahead(bitgen, [2 ** 53 - 1])
+        assert rng.random() == 1.0 - 2.0 ** -53
+        uniforms_ahead(bitgen, [2 ** 53 - 1])
+        assert stage_waits(0.35, rng, 1).tolist() == [1 + len(sums)]
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 10, 20, 64])
+    def test_blocks_match_the_geometric_loop(self, a):
+        # whole stages batched per numpy call at small q, one stage in pieces
+        # at large q, two column slices at 2**17 + 3; full and partial blocks
+        for q in (1, 2, 50, 2000, 2 ** 17 + 3):
+            size = _block_size(q)
+            for block, rows in ((0, size), (1, max(1, size // 3))):
+                ours = _block_maxima(a, q, 29, block, rows)
+                assert ours.dtype == np.int64
+                assert (ours == geometric_loop_reference(a, q, 29, block, rows)).all(), (q, block)
 
 
 class TestRunExperiment:
