@@ -432,7 +432,9 @@ def cdf_oracle(a: int, y: int) -> Fraction:
     """Exact coverage probability a! S2(y, a) / a**y from surjection counts.
 
     An O(a**2) integer triangle sharing no code with the closed form, kept
-    for cross-checking.  Trusted range: a <= 12, y <= 200.
+    for cross-checking.  Trusted range: a <= 12, y <= 200.  The triangle's
+    row at y holds the count of every smaller bank size too: entry k over
+    k**y is ``cdf_oracle(k, y)``, so one row serves a whole column of cells.
     """
     _check_bank_size(a)
     _check_test_count(y)
@@ -440,12 +442,17 @@ def cdf_oracle(a: int, y: int) -> Fraction:
         raise OracleRangeError(
             f"oracle trusted only for a <= {_ORACLE_MAX_A} and y <= {_ORACLE_MAX_Y}"
         )
-    # onto[k] counts the length-y draws from k values that show all k: every
-    # draw shows exactly some j of them, so k**y = sum_j C(k, j) onto[j]
+    return Fraction(_onto_row(a, y)[a], a ** y)
+
+
+def _onto_row(a: int, y: int) -> list[int]:
+    """[onto[0], ..., onto[a]]: onto[k] counts the length-y draws from k
+    values that show all k.  Every draw shows exactly some j of them, so
+    k**y = sum_j C(k, j) onto[j]."""
     onto: list[int] = []
     for k in range(a + 1):
         onto.append(k ** y - sum(math.comb(k, j) * onto[j] for j in range(k)))
-    return Fraction(onto[a], a ** y)
+    return onto
 
 
 def _count_cdf(a: int, q: float, ys: tuple[int, ...]) -> list[float]:

@@ -25,7 +25,7 @@ import pytest
 from bankcover import asymptotics, validate
 from bankcover.asymptotics import centred_mean_prediction
 from bankcover.coupon import expected_single_bank
-from bankcover.tables import TABLE_Q
+from bankcover.tables import TABLE_Q, build_table
 
 
 def _verdict(number: int, passed: bool, detail: str) -> None:
@@ -83,7 +83,7 @@ def test_acceptance_01_single_bank_means():
 def test_acceptance_02_mean_table():
     """All 21 reference mean cells within 0.05 via the survival series; < 1 s."""
     start = time.perf_counter()
-    worst, _ = validate.mean_table_deviation()
+    worst, _ = validate.mean_table_deviation(build_table("fig_high").rows)
     elapsed = time.perf_counter() - start
     ok = worst <= 0.05 and elapsed < 1.0
     _verdict(2, ok, f"max deviation {worst:.4f} (tol 0.05), {elapsed:.2f} s (< 1 s)")
@@ -109,7 +109,7 @@ def test_acceptance_03_centred_predictions():
         "reference erratum vanished; restore the direct comparison"
     )
     worst = validate.centred_table_deviation()
-    band_lo, band_hi = validate.centred_diff_band()
+    band_lo, band_hi = validate.centred_diff_band(build_table("fig_high").rows)
     ok = worst <= 0.05 and band_lo >= 0.45 and band_hi <= 0.65
     _verdict(3, ok, f"max cell deviation {worst:.4f} (tol 0.05); "
              f"band [{band_lo:.4f}, {band_hi:.4f}] within [0.45, 0.65]; "

@@ -41,7 +41,7 @@ from bankcover.coupon import (
     test_count_pmf,
     variance_tests,
 )
-from bankcover import coupon
+from bankcover import coupon, validate
 from bankcover.tables import FIG_HIGH_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
@@ -367,6 +367,20 @@ class TestCdfOracle:
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidSpecError):
             cdf_oracle(0, 5)
+
+    def test_one_row_holds_every_smaller_bank_size(self):
+        for y in range(1, 201):
+            row = coupon._onto_row(12, y)
+            for k in range(1, 13):
+                assert Fraction(row[k], k ** y) == cdf_oracle(k, y), (k, y)
+
+    def test_validate_reads_the_same_cells(self):
+        # the quick battery's oracle check reads 452 cells from 60 rows; one
+        # cell at a time through cdf_oracle it is the same number
+        cells = [(a, y) for a in range(1, 9) for y in range(a, 61)]
+        assert len(cells) == 452
+        worst = max(abs(single_bank_cdf(a, y).p - float(cdf_oracle(a, y))) for a, y in cells)
+        assert validate.oracle_deviation() == worst
 
     def test_whole_trusted_range_matches_alternating_sum(self):
         for a in range(1, 13):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 
 import pytest
 
+from bankcover import validate
+from bankcover.asymptotics import centred_mean_prediction
+from bankcover.coupon import _moment_series
 from bankcover.tables import (
     FIG_HIGH_Q,
     FIG_LOW_Q,
@@ -176,3 +180,53 @@ class TestOutputBytes:
 
     def test_quick_report_digest(self):
         assert sha256(format_report(run_checks("quick"))) == QUICK_REPORT_SHA256
+
+
+class TestSharedMeanPass:
+    """``run_checks`` judges the mean table, the centred band and the plot
+    prints from one ``fig_high`` table, which holds every q they read."""
+
+    @staticmethod
+    def _lines(name: str) -> list[str]:
+        return build_table(name).to_csv().splitlines()[1:]
+
+    @pytest.mark.parametrize("name", ["en_q", "fig_low"])
+    def test_mean_tables_are_fig_high_lines(self, name):
+        high = {tuple(line.split(",")[:2]): line for line in self._lines("fig_high")}
+        lines = self._lines(name)
+        assert len(lines) == len(TABLE_A) * len(TABLE_Q if name == "en_q" else FIG_LOW_Q)
+        for line in lines:
+            assert line == high[tuple(line.split(",")[:2])]
+
+    def test_centred_band_matches_its_own_series(self):
+        qs = (20, 50, 100, 200)
+        diffs = [estimate.value - centred_mean_prediction(a, q) for a in TABLE_A
+                 for q, estimate in zip(qs, _moment_series(a, qs, second_moment=False))]
+        band = validate.centred_diff_band(build_table("fig_high").rows)
+        assert band == (min(diffs), max(diffs))
+
+    @pytest.mark.parametrize("check", [validate.mean_table_deviation, validate.figure_deviation])
+    def test_a_moved_mean_cell_fails(self, check):
+        rows = build_table("fig_high").rows
+        assert check(rows)[0] <= 0.05
+        for cell in [(a, q) for a in TABLE_A for q in TABLE_Q]:
+            moved = tuple(
+                # 0.06 away from the print, so the cell is off by more than 0.05
+                (a, q, value + math.copysign(0.06, value - float(rounded)), rounded)
+                if (a, q) == cell else (a, q, value, rounded)
+                for a, q, value, rounded in rows
+            )
+            assert check(moved)[0] > 0.05, cell
+
+    def test_run_checks_judges_the_table_it_builds(self, monkeypatch):
+        def moved(name):
+            table = build_table(name)
+            if name != "fig_high":
+                return table
+            rows = tuple((a, q, value + 0.06 if (a, q) == (20, 20) else value, rounded)
+                         for a, q, value, rounded in table.rows)
+            return TableArtifact(table.name, table.header, rows)
+
+        monkeypatch.setattr(validate, "build_table", moved)
+        failed = {r.name for r in run_checks("quick") if not r.passed}
+        assert failed == {"mean_table", "centred_diff_band", "figure_data"}
