@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 bad usage, 3 series cap
 exceeded, 4 I/O failure, 5 internal error (any other exception, reported as
 one ``error: internal:`` line on stderr).  The BANKCOVER_OUT_DIR environment
 variable sets the default output directory for table and figure files; --out
-wins over it.
+wins over it.  An --out that is a directory, or ends in a path separator (the
+directory is then made if missing), gets the file ``<name>.csv`` or
+``<name>.svg`` inside it.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _out_path(explicit: str | None, default_name: str) -> Path:
     if explicit:
         path = Path(explicit)
+        # Path drops a trailing separator, which names a directory: make it
+        if explicit.endswith((os.sep, os.altsep or os.sep)):
+            path.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             return path / default_name
         return path

@@ -23,27 +23,28 @@ that y is kept per a in a table built at import.  So a point read is one
 guard on its arguments, one lookup (the table, then the cached block) and
 one fill: the cells it returns go straight into the slots of a
 :class:`ProbValue`, whose range checks ran once for the whole block when it
-was filled.  The q-bank cdf and pmf share one float kernel; a pmf reads its
-two cdf cells, n and n - 1, through one block lookup unless n starts a
-block or the tail.
+was filled.  The q-bank cdf and pmf share one float kernel that reads one
+cdf cell; a pmf reads its two cells, n and n - 1, with two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
-geometric bound on the rest is certified.  That bound never increases with
-n, so where it is first met is found before any term, by one root solve in
-logarithms and a walk up of a few steps, and a bound that still fails at the
+geometric bound on the rest is certified.  That bound is one line per q in
+logarithms, c - r*n (plus log(2n + 2a - 1) for the variance), raised by
+1e-9 to stay a bound.  It never increases with n, so where it first meets
+the limit is found before any term, by one root solve on the line and a
+walk up of a step or two along it, and a bound that still fails at the
 term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
-below the smallest normal float, the least value a bound takes.  A second
-solve, on the union bound P(N > n) <= q * a * ((a-1)/a)**n, says how far the
-terms must reach, so they are formed in one pass.  One kernel serves every
-q of a table at one bank size a: log1p(-S(n)) is read from the blocks once
-per call and shared, while each q keeps its own ``expm1`` cells (the
-platform libm, fed straight from an array buffer: one libm call a term),
-its own stop and its own tail bound.  Where S is exactly 1.0 the stored
-logarithm is -inf and the term expm1's limit, 1.0; the constant tail's
-terms are 0.0 and take none.  A single call is a sweep over one q, and its
-fixed cost is a few numpy calls per stage; the tail bound met by the walk
-is the one returned when the sum stops there, as it almost always does.
+below the smallest normal float, the least value a bound takes.  The same
+solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n, a line with its
+own constant, says how far the terms must reach, so they are formed in one
+pass.  One kernel serves every q of a table at one bank size a:
+log1p(-S(n)) is read from the blocks once per call and shared, while each q
+keeps its own ``expm1`` cells (the platform libm, fed straight from an
+array buffer: one libm call a term), its own stop and its own tail bound,
+the line read at the stop.  Where S is exactly 1.0 the stored logarithm is
+-inf and the term expm1's limit, 1.0; the constant tail's terms are 0.0
+and take none.  A single call is a sweep over one q, and its fixed cost is
+a few numpy calls per stage.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
@@ -175,26 +176,24 @@ class ProbValue:
 
     Every point read returns one, and a caller may keep many (a survival
     sweep, a pmf window), so the class has slots: no per-instance
-    ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  This
-    ``__init__`` validates, then fills the two slots through their member
-    descriptors (``ProbValue.p.__set__``), which bypass the frozen
-    ``__setattr__``.  The point reads skip it: they fill the slots of a
-    bare instance from cells that the same checks passed once per curve
-    block, or that lie in [0, 1] by construction (the q-bank cdf and pmf).
-    Assignment still raises ``FrozenInstanceError``, and equality, hash
-    and repr are the dataclass's.
+    ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  The
+    dataclass ``__init__`` runs the range checks of ``__post_init__``.  The
+    point reads skip both: they fill the slots of a bare instance through
+    their member descriptors (``ProbValue.p.__set__``, which bypass the
+    frozen ``__setattr__``) from cells that the same checks passed once per
+    curve block, or that lie in [0, 1] by construction (the q-bank cdf and
+    pmf).  Assignment still raises ``FrozenInstanceError``, and equality,
+    hash and repr are the dataclass's.
     """
 
     p: float
     abs_err: float
 
-    def __init__(self, p: float, abs_err: float) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability out of range: {p}")
-        if not abs_err >= 0.0:
-            raise ValueError(f"error bound must be nonnegative, got {abs_err}")
-        _set_p(self, p)
-        _set_abs_err(self, abs_err)
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"probability out of range: {self.p}")
+        if not self.abs_err >= 0.0:
+            raise ValueError(f"error bound must be nonnegative, got {self.abs_err}")
 
     def __float__(self) -> float:
         return self.p
@@ -211,19 +210,8 @@ class SeriesEstimate:
     tail_bound: float
     terms: int
 
-    def __init__(self, value: float, tail_bound: float, terms: int) -> None:
-        # through the member descriptors, as ProbValue does, at about half
-        # the cost of the frozen dataclass __init__
-        _set_value(self, value)
-        _set_tail_bound(self, tail_bound)
-        _set_terms(self, terms)
-
     def __float__(self) -> float:
         return self.value
-
-
-_set_value, _set_tail_bound, _set_terms = (
-    SeriesEstimate.value.__set__, SeriesEstimate.tail_bound.__set__, SeriesEstimate.terms.__set__)
 
 
 def _shown(value, text=repr) -> str:
@@ -318,7 +306,7 @@ def _survival_block(a: int, j: int) -> memoryview:
     log1p(-S(y)) is formed once per block, from the final S, with ``math.log1p``
     (numpy's may round differently), and is -inf where S is exactly 1.0.
     Before that, every S and F must lie in [0, 1] and every bound be >= 0,
-    the checks of ``ProbValue.__init__``, or the fill raises and caches
+    the checks of ``ProbValue.__post_init__``, or the fill raises and caches
     nothing; the point reads rely on them.
 
     The five rows lie end to end in one read-only ``memoryview`` of
@@ -362,7 +350,7 @@ def _survival_block(a: int, j: int) -> memoryview:
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
     # the point reads fill their ProbValue from these cells unchecked, so the
-    # checks of ProbValue.__init__ run here, once for the whole block
+    # checks of ProbValue.__post_init__ run here, once for the whole block
     probs, bounds = curves[0:4:2], curves[1:4:2]
     if not ((probs >= 0.0) & (probs <= 1.0)).all():
         raise ValueError(f"probability out of range in the curve block a={a}, j={j}")
@@ -455,40 +443,26 @@ def _onto_row(a: int, y: int) -> list[int]:
     return onto
 
 
-def _count_cdf(a: int, q: float, ys: tuple[int, ...]) -> list[float]:
-    """The q-bank cdf and its error bound at valid test counts ``ys``, each
-    one less than the one before, for a bank count ``q`` already saturated
-    to a float: [p(ys[0]), bound(ys[0]), p(ys[1]), bound(ys[1]), ...].
-
-    One lookup serves the cells that share a block: a pmf's n and n - 1 do
-    unless n is a multiple of _BLOCK (n - 1 ends the block before) or
-    n - 1 < _TAIL_STARTS[a] <= n.
-    """
-    out = []
-    i = 0
-    for y in ys:
-        if y < a:
-            out += 0.0, 0.0
-            continue
-        if a == 1:
-            out += 1.0, 0.0
-            continue
-        if i:
-            i -= 1  # y + 1 was read at index i of this block
-        elif y < _TAIL_STARTS[a]:
-            b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
-        else:
-            b, i = _constant_cells(a, y)
-        s = b[i]
-        if s == 0.0:
-            p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
-        elif s < 0.5:
-            p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
-        else:
-            p = b[i + 2 * _BLOCK] ** q
-        err = q * b[i + 3 * _BLOCK] + _ULP
-        out += p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call
-    return out
+def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
+    """The q-bank cdf at a valid test count ``y`` and its error bound, for a
+    bank count ``q`` already saturated to a float."""
+    if y < a:
+        return 0.0, 0.0
+    if a == 1:
+        return 1.0, 0.0
+    if y < _TAIL_STARTS[a]:
+        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
+    else:
+        b, i = _constant_cells(a, y)
+    s = b[i]
+    if s == 0.0:
+        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
+    elif s < 0.5:
+        p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
+    else:
+        p = b[i + 2 * _BLOCK] ** q
+    err = q * b[i + 3 * _BLOCK] + _ULP
+    return p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call
 
 
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
@@ -501,7 +475,7 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     """
     if type(n) is not int or n < 0:
         _check_test_count(n)
-    p, err = _count_cdf(spec.a, _saturating_float(spec.q), (n,))
+    p, err = _count_cell(spec.a, _saturating_float(spec.q), n)
     # p is 0.0, 1.0, exp of a value <= 0 or a power of F in [0.5, 1], and the
     # bound 0.0 or a sum >= ulp capped at 1.0: ProbValue's checks would pass
     value = _new(ProbValue)
@@ -515,7 +489,9 @@ def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
     n and n - 1, with the sum of their error bounds."""
     if type(n) is not int or n < 1:
         _check_test_count(n, minimum=1)
-    hi, hi_err, lo, lo_err = _count_cdf(spec.a, _saturating_float(spec.q), (n, n - 1))
+    a, q = spec.a, _saturating_float(spec.q)
+    hi, hi_err = _count_cell(a, q, n)
+    lo, lo_err = _count_cell(a, q, n - 1)
     diff = hi - lo
     if diff < 0.0:
         if diff < -_PMF_CLAMP:
@@ -534,66 +510,61 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-def _tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
-    """The series tail bound 2*a*q * decay**(n-1) / (1 - decay) * weight,
-    decay = (a-1)/a, formed from logarithms.
+# (c, r, offset) of a tail line; see _tail_line
+_Line = tuple[float, float, int | None]
 
-    For where the direct product overflows (q near the float maximum) or
-    decay**(n-1) falls to zero or a subnormal and loses its relative
-    accuracy (q past about 1e300).  The exponent is raised by 1e-9, far above
-    the rounding of the logarithms, so the result stays a bound; it is never
-    below the smallest normal float, so it is never zero.
+
+def _tail_line(a: int, q: float, scale: float, offset: int | None) -> _Line:
+    """The bound scale * q * decay**n, decay = (a-1)/a, times 2n + offset
+    when an offset is given, as (c, r, offset): in logarithms it is the line
+    c - r*n, plus log(2n + offset).
+
+    c is raised by 1e-9, far above the rounding of the logarithms and of
+    r*n for any n a series reaches, so the line stays a bound.
     """
-    decay = (a - 1) / a
-    log_tail = (
-        math.log(2.0 * a * weight) + math.log(q)
-        + (n - 1) * math.log(decay) - math.log1p(-decay) + 1e-9
-    )
-    if log_tail >= _LOG_MAX:
-        return math.inf
-    return max(math.exp(log_tail), _MIN_NORMAL)
+    return math.log(scale) + math.log(q) + 1e-9, -math.log((a - 1) / a), offset
 
 
-def _series_tail(a: int, q: float, n: int, second_moment: bool) -> float:
-    """Certified bound on the sum of the series terms from test count ``n`` on.
+def _tail_bound(line: _Line, n: int) -> float:
+    """The bound on ``line`` at test count ``n``: inf above the float
+    range, and never below the smallest normal float, so never zero."""
+    c, r, offset = line
+    log_tail = c - r * n if offset is None else c - r * n + math.log(2 * n + offset)
+    return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
-    P(N > m) <= q * a * decay**m with decay = (a-1)/a, so the mean's terms
-    from n on sum to at most q * a * decay**n / (1 - decay); the bound is
-    2/decay times that.  The variance's weights 2m+1 add the factor
-    (2n+1) + 2*decay/(1-decay).  The exact bound strictly decreases in n, by
-    a factor of at most (2a^2 - a - 1) / (2a^2 - a) per step, a relative
-    step far above the rounding of either the direct or the logarithmic
-    form, so the computed bound never increases with n either.
+
+def _crossing(line: _Line, limit: float) -> float:
+    """The real n past the peak of ``line`` at which it falls to ``limit``.
+
+    Solved in logarithms, with three fixed-point steps for the weight; they
+    start below that root and climb towards it, so the result lies at or
+    below it, up to rounding.
     """
-    decay = (a - 1) / a
-    power = decay ** (n - 1)
-    weight = 1.0
-    if second_moment:
-        weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
-        tail = 2.0 * a * q * (power / (1.0 - decay)) * weight
-    else:
-        tail = 2.0 * a * q * power / (1.0 - decay)
-    if not (power >= _MIN_NORMAL and tail < math.inf):
-        tail = _tail_from_logs(a, q, n, weight)
-    return tail
-
-
-def _crossing(a: int, q: float, scale: float, limit: float, offset: int | None) -> float:
-    """The real n at which scale * q * decay**n, times 2n + offset when an
-    offset is given, falls to ``limit``, decay = (a-1)/a.
-
-    Solved in logarithms, with the exponent raised by 1e-9 as in
-    :func:`_tail_from_logs` and three fixed-point steps for the weight; they
-    start below the root and climb towards it, so the result is past the
-    exact root by less than 1e-7 steps: the slack moves it by
-    1e-9 / log(a/(a-1)), and rounding by far less.
-    """
-    steps = -math.log((a - 1) / a)
-    excess = math.log(scale) + math.log(q) - math.log(limit) + 1e-9
-    n = excess / steps
+    c, r, offset = line
+    excess = c - math.log(limit)
+    n = excess / r
     if offset is not None:
         for _ in range(3):
-            n = (excess + math.log(2.0 * n + offset)) / steps
+            n = (excess + math.log(2.0 * n + offset)) / r
+    return n
+
+
+def _least_certified(line: _Line, limit: float) -> int:
+    """The least n >= 0 whose bound on a series' ``line`` is at most ``limit``.
+
+    The series' exact bound strictly decreases in n, by a factor of at most
+    (2a^2 - a - 1) / (2a^2 - a) per step with the variance's weight
+    2n + 2a - 1, a relative step far above the rounding of the line, so the
+    computed bound never increases with n either.  The solve and the walk
+    read that one line, so the solved root and the first n where the bound
+    meets the limit differ only by rounding, about 1e-10 steps: ceil(root)
+    lies past that n only where the root is within rounding of an integer,
+    and then by one step.  So the walk starts one step short of ceil(root)
+    and climbs to the least n.
+    """
+    n = max(math.ceil(_crossing(line, limit)) - 1, 0)
+    while _tail_bound(line, n) > limit:
+        n += 1
     return n
 
 
@@ -658,9 +629,10 @@ def _moment_series(
     Term n is P(N > n), weighted by 2n+1 for the second moment.  Each sum
     stops at the first n whose weighted term is below ``eps_term`` and whose
     tail bound is at most ``10 * eps_term``; as the bound never increases,
-    that is the first small term at or after the least n the bound certifies.
-    :func:`_crossing` places both that n and the end of the term window.  A
-    q whose bound still fails at ``n_cap`` raises before any term is formed.
+    that is the first small term at or after the least n the bound certifies,
+    found by :func:`_least_certified`; :func:`_crossing` places the end of
+    the term window on the union bound.  A q whose bound still fails at
+    ``n_cap`` raises before any term is formed.
     The terms of every q come from one :func:`_coverage_terms` call, and
     every row is summed by one compensated replay, zero-padded past its stop:
     a trailing +0.0 leaves the replay's total alone, so each q gets what a
@@ -673,7 +645,7 @@ def _moment_series(
     limit = 10.0 * eps
     # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
     scale, offset = 2.0 * a ** 3 / (a - 1), (2 * a - 1 if second_moment else None)
-    counts, firsts, tails, ends = [], [], [], []
+    counts, lines, firsts, ends = [], [], [], []
     for q in qs:
         count = _saturating_float(q)
         if count == math.inf:  # the mean lies beyond the last representable survival
@@ -684,14 +656,8 @@ def _moment_series(
                 f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
                 f"bound of at most 10 * eps_term, below the smallest normal float "
                 f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
-        # Walk up from two steps short of the root: ceil(root) is at most one
-        # step past the exact root, so two steps earlier the exact bound
-        # exceeds the limit by at least its per-step factor (see
-        # _series_tail), far above rounding and the 1e-9 slack, and the walk
-        # ends at the least n the float bound meets.
-        first = max(math.ceil(_crossing(a, count, scale, limit, offset)) - 2, 0)
-        while first <= n_cap and (tail := _series_tail(a, count, first, second_moment)) > limit:
-            first += 1
+        line = _tail_line(a, count, scale, offset)
+        first = _least_certified(line, limit)
         if first > n_cap:
             raise _uncertified(series, a, q, n_cap)
         # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1
@@ -701,10 +667,11 @@ def _moment_series(
         # short.  The end is not first + 1: a few steps short of
         # _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by
         # as much as 2x, and the first small term can lie three steps past first.
-        end = math.ceil(_crossing(a, count, a, 0.5 * eps, 1 if second_moment else None))
+        reach = _tail_line(a, count, a, 1 if second_moment else None)
+        end = math.ceil(_crossing(reach, 0.5 * eps))
         counts.append(count)
+        lines.append(line)
         firsts.append(first)
-        tails.append(tail)  # the bound at first, kept for a stop there
         ends.append(min(max(first, end), n_cap) + 1)
     hi = max(ends)
     # rows i < m hold the terms of qs[i]; for the variance, row m + i its weighted terms
@@ -727,9 +694,8 @@ def _moment_series(
             rows[i::m, stop:width] = 0.0  # row i, and row m + i of the variance
     totals = _compensated_totals(rows[:, :width]).tolist()
     values = [t2 - t * t for t, t2 in zip(totals, totals[m:])] if second_moment else totals
-    return [SeriesEstimate(
-                value, tail if stop == first else _series_tail(a, count, stop, second_moment), stop)
-            for value, count, first, tail, stop in zip(values, counts, firsts, tails, stops)]
+    return [SeriesEstimate(value, _tail_bound(line, stop), stop)
+            for value, line, stop in zip(values, lines, stops)]
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:

@@ -129,6 +129,15 @@ class TestTable:
         assert code == EXIT_OK
         assert (tmp_path / "en_q.csv").exists()
 
+    def test_out_with_trailing_separator_makes_directory(self, capsys, tmp_path):
+        for target in (tmp_path / "tables", tmp_path / "deep" / "er"):
+            code, printed, _ = run_cli(capsys, "table", "en_q", "--out", f"{target}{os.sep}")
+            assert code == EXIT_OK and printed == f"{target / 'en_q.csv'}\n"
+            assert target.is_dir() and (target / "en_q.csv").is_file()
+        # an existing directory named with the separator is used as it is
+        code, printed, _ = run_cli(capsys, "table", "sd_bounds", "--out", f"{tmp_path}{os.sep}")
+        assert code == EXIT_OK and (tmp_path / "sd_bounds.csv").is_file()
+
     def test_unknown_table_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "table", "wat")
         assert code == EXIT_USAGE
@@ -235,6 +244,12 @@ class TestValidate:
 
 
 class TestFigure:
+    def test_out_with_trailing_separator_makes_directory(self, capsys, tmp_path):
+        target = tmp_path / "figs"
+        code, printed, _ = run_cli(capsys, "figure", "fig_high", "--out", f"{target}{os.sep}")
+        assert code == EXIT_OK and printed == f"{target / 'fig_high.svg'}\n"
+        assert (target / "fig_high.svg").read_text(encoding="utf-8").startswith("<svg")
+
     def test_svg_axes(self, capsys, tmp_path):
         out = tmp_path / "f.svg"
         code, _, _ = run_cli(capsys, "figure", "fig_low", "--out", str(out))

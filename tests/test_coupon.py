@@ -15,6 +15,7 @@ from dataclasses import FrozenInstanceError, astuple, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -745,7 +746,7 @@ class TestSeriesNearFloatMax:
         assert var.value == pytest.approx(variance, rel=1e-9)
 
     def test_bound_covers_the_geometric_tail(self):
-        # at the stopping point the log-form bound is at least the direct
+        # at the stopping point the tail line's bound is at least the direct
         # product evaluated in exact rationals
         a, q = 10, 10 ** 306
         est = variance_tests(BankSpec(a, q))
@@ -823,18 +824,26 @@ def neumaier(values) -> float:
     return s + c
 
 
-def reference_tail_from_logs(a: int, q: float, n: int, weight: float) -> float:
-    """2*a*q * decay**(n-1) / (1 - decay) * weight from logarithms, its
-    exponent raised by 1e-9 and the result held at or above the smallest
-    normal float; the tests' own copy of the library's fallback bound."""
-    decay = (a - 1) / a
-    log_tail = (
-        math.log(2.0 * a * weight) + math.log(q)
-        + (n - 1) * math.log(decay) - math.log1p(-decay) + 1e-9
-    )
+def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
+    """2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance, from
+    its logarithm c - r*n (+ log(2n + 2a - 1)) with c raised by 1e-9: inf
+    above the float range, and at least the smallest normal float; the
+    tests' own copy of the library's tail line, rounded as it rounds."""
+    c = math.log(2.0 * a ** 3 / (a - 1)) + math.log(q) + 1e-9
+    r = -math.log((a - 1) / a)
+    log_tail = c - r * n
+    if second_moment:
+        log_tail += math.log(2 * n + 2 * a - 1)
     if log_tail >= math.log(sys.float_info.max):
         return math.inf
     return max(math.exp(log_tail), sys.float_info.min)
+
+
+def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
+    """The library's series tail bound from test count ``n`` on."""
+    line = coupon._tail_line(
+        a, float(q), 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second_moment else None)
+    return coupon._tail_bound(line, n)
 
 
 def reference_series(
@@ -848,15 +857,13 @@ def reference_series(
     term at a time; raises SeriesCapError as the library words it.
 
     ``survival(n)`` gives S(n) for n >= a; by default the per-y reference
-    route.  The tail bound falls back to logarithms where the direct product
-    overflows or decay**(n-1) leaves the normal range.
+    route.  The tail bound is :func:`reference_tail`.
     """
     if a == 1:
         return (0.0 if second_moment else 1.0), 0.0, 1
     if survival is None:
         survival = lambda n: reference_curve_point(a, n)[0][0]  # noqa: E731
     bank_count = float(q)
-    decay = (a - 1) / a
     mean_terms, second_terms = [], []
     for n in range(policy.n_cap + 1):
         s = 1.0 if n < a else survival(n)
@@ -868,15 +875,7 @@ def reference_series(
             term = -math.expm1(bank_count * math.log1p(-s))
         weighted = (2 * n + 1) * term if second_moment else term
         if weighted < policy.eps_term:
-            power = decay ** (n - 1)
-            if second_moment:
-                weight = (2 * n + 1) + 2.0 * decay / (1.0 - decay)
-                tail = 2.0 * a * bank_count * (power / (1.0 - decay)) * weight
-            else:
-                weight = 1.0
-                tail = 2.0 * a * bank_count * power / (1.0 - decay)
-            if not (power >= sys.float_info.min and tail < math.inf):
-                tail = reference_tail_from_logs(a, bank_count, n, weight)
+            tail = reference_tail(a, bank_count, n, second_moment)
             if tail <= 10.0 * policy.eps_term:
                 if second_moment:
                     mean = neumaier(mean_terms)
@@ -967,7 +966,7 @@ class TestSeriesSweep:
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
                     # the least n whose tail bound meets the limit; the bound never increases
                     first = bisect.bisect_left(range(n_cap + 1), True, key=lambda n: (
-                        coupon._series_tail(a, float(q), n, second) <= limit))
+                        library_tail(a, q, n, second) <= limit))
                     past_first += est.terms > first
         # some sums (at a = 2 and 3) stop past the first certified n, where
         # the term is not yet small
@@ -991,7 +990,7 @@ class TestSeriesSweep:
                 for _ in range(6):
                     q = int(10 ** rng.uniform(200, top))
                     f = coupon._TAIL_STARTS[a] + rng.randint(-12, 12)
-                    eps = coupon._series_tail(a, float(q), f, second) / 10 * (1 + 1e-12)
+                    eps = library_tail(a, q, f, second) / 10 * (1 + 1e-12)
                     policy = TruncationPolicy(eps_term=eps)
                     got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
                     want = series_outcome(lambda: reference_series(
@@ -1000,7 +999,7 @@ class TestSeriesSweep:
 
     def test_limit_on_a_float_tail_value(self):
         # 10 * eps_term lies within an ulp of the float tail bound at some f,
-        # so the last bits of _series_tail decide the least certified n; a
+        # so the last bits of the tail line decide the least certified n; a
         # search that starts past it, or stops short of it, stops elsewhere
         # than the one-term reference
         rng = random.Random(15)
@@ -1010,7 +1009,7 @@ class TestSeriesSweep:
             q = int(10 ** rng.uniform(0, 12))
             f = rng.randint(1, 40 * a)
             for second in (False, True):
-                eps = coupon._series_tail(a, float(q), f, second) / 10
+                eps = library_tail(a, q, f, second) / 10
                 if not 0.0 < eps < 1.0:
                     continue
                 policy = TruncationPolicy(eps_term=eps)
@@ -1054,6 +1053,93 @@ class TestSeriesSweep:
             coupon._moment_series(2, qs, second, policy)
         assert str(got.value) == failing[0]
         assert bool(calls) == formed
+
+
+def exact_series_tail(a: int, q: float, n: int, second_moment: bool) -> mpmath.mpf:
+    """2/decay times the geometric tail sum over m >= n of q * a * decay**m,
+    weighted by 2m + 1 for the variance, decay = (a-1)/a: the quantity the
+    library's tail line bounds, summed in closed form in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(a - 1) / a
+        if second_moment:
+            total = d ** n * ((2 * n + 1) / (1 - d) + 2 * d / (1 - d) ** 2)
+        else:
+            total = d ** n / (1 - d)
+        return 2 / d * mpmath.mpf(q) * a * total
+
+
+class TestTailLine:
+    """The one tail line against the exact geometric tail it bounds."""
+
+    TOP, LEAST = sys.float_info.max, sys.float_info.min
+
+    @classmethod
+    def _cases(cls):
+        """(a, q, second moment, tail line, sampled n) over a = 2..64, q from
+        1 to 1e306, both moments; n runs from 0 to past the point where the
+        bound stops at the smallest normal float."""
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            qs = [1.0, 10.0, 1e3, 1e6, 1e12, 1e50, 1e100, 1e200, 1e288, 1e300, 1e306]
+            # the q past which the former direct product 2a**3/(a-1) * q * decay**n
+            # overflowed at n = 0 and the bound was taken from logarithms, for
+            # the mean and, with the weight 2a - 1, for the variance
+            direct_top = cls.TOP / (2 * a ** 3) * (a - 1)
+            for edge in (direct_top, direct_top / (2 * a - 1)):
+                qs += [edge * (1 - 1e-9), edge, edge * (1 + 1e-9)]
+            # where decay**(n - 1), that product's power, left the normal range
+            power_end = 1 + math.ceil(math.log(cls.LEAST) / math.log((a - 1) / a))
+            for second in (False, True):
+                for q in qs:
+                    line = coupon._tail_line(
+                        a, q, 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second else None)
+                    span = range(400_000)
+                    finite = bisect.bisect_left(
+                        span, True, key=lambda n: coupon._tail_bound(line, n) < math.inf)
+                    floor = bisect.bisect_left(
+                        span, True, key=lambda n: coupon._tail_bound(line, n) == cls.LEAST)
+                    ns = {0, 1, 2, *(floor * k // 8 for k in range(1, 10))}
+                    for edge in (finite, floor, power_end):
+                        ns.update(n for n in (edge - 1, edge, edge + 1) if n >= 0)
+                    yield a, q, second, line, sorted(ns)
+
+    def test_bound_is_the_exact_tail_within_2e_9(self):
+        checked = 0
+        for a, q, second, line, ns in self._cases():
+            for n in ns:
+                got = coupon._tail_bound(line, n)
+                exact = exact_series_tail(a, q, n, second)
+                if got == math.inf:
+                    # the line is past log(float max): so is the exact tail, to 1e-9
+                    assert exact >= self.TOP * (1 - 2e-9), (a, q, second, n)
+                    continue
+                assert mpmath.mpf(got) >= exact, (a, q, second, n, got)
+                assert mpmath.mpf(got) <= max(exact * (1 + 2e-9), self.LEAST), (a, q, second, n)
+                checked += 1
+        assert checked > 30_000
+
+    def test_walk_starts_at_the_least_certified_n(self):
+        # limits from a few eps_term and at, just above and just below the
+        # bound itself, where the last bits of the line decide the least n
+        for a, q, second, line, ns in self._cases():
+            limits = [10 * eps for eps in (1e-15, 1e-12, 1e-6, 0.099)]
+            for n in ns[::3]:
+                bound = coupon._tail_bound(line, n)
+                limits += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
+            for limit in limits:
+                # a series walks only to a limit 10 * eps_term of at least the
+                # smallest normal float, with eps_term < 1
+                if not self.LEAST <= limit < 10.0:
+                    continue
+                first = coupon._least_certified(line, limit)
+                assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
+                assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
+                    a, q, second, limit)
+
+    def test_bound_never_increases(self):
+        for a, q, second, line, ns in self._cases():
+            for n in ns:
+                assert coupon._tail_bound(line, n) >= coupon._tail_bound(line, n + 1), (
+                    a, q, second, n)
 
 
 class TestSurvivalBlocks:
@@ -1133,7 +1219,7 @@ class TestSurvivalBlocks:
         cells += [(rng.randint(2, MAX_ALTERNATIVES), int(10 ** rng.uniform(0, 6)))
                   for _ in range(10)]
         cells += [(2, 10 ** 6), (MAX_ALTERNATIVES, 10 ** 6)]
-        # the tail bound at the stop falls back to logarithms here
+        # q near the float maximum, where the tail line starts near or past the float range
         cells += [(10, 10 ** 306), (10, 10 ** 307), (2, 10 ** 308), (MAX_ALTERNATIVES, 10 ** 300)]
         for a, q in cells:
             spec = BankSpec(a, q)

@@ -205,6 +205,32 @@ class TestSharedMeanPass:
         band = validate.centred_diff_band(build_table("fig_high").rows)
         assert band == (min(diffs), max(diffs))
 
+    def test_band_judges_every_q_from_20(self, monkeypatch):
+        # fig_high holds q = 25..48, 60, 80 and 150 between the four mean
+        # table q >= 20; a cell there moved by 0.2 leaves the band
+        # [0.45, 0.65], while a moved q = 19 cell lies outside its domain
+        rows = build_table("fig_high").rows
+        lo, hi = validate.centred_diff_band(rows)
+        assert 0.45 <= lo and hi <= 0.65
+        for a in TABLE_A:
+            for q, step, inside in ((25, 0.2, False), (25, -0.2, False), (19, 0.2, True)):
+                moved = tuple((a_, q_, value + step if (a_, q_) == (a, q) else value, rounded)
+                              for a_, q_, value, rounded in rows)
+                lo, hi = validate.centred_diff_band(moved)
+                assert (0.45 <= lo and hi <= 0.65) == inside, (a, q, step)
+
+        def moved_table(name):
+            table = build_table(name)
+            if name != "fig_high":
+                return table
+            return TableArtifact(table.name, table.header, tuple(
+                (a, q, value + 0.2 if (a, q) == (10, 25) else value, rounded)
+                for a, q, value, rounded in table.rows))
+
+        monkeypatch.setattr(validate, "build_table", moved_table)
+        failed = {r.name for r in run_checks("quick") if not r.passed}
+        assert "centred_diff_band" in failed
+
     @pytest.mark.parametrize("check", [validate.mean_table_deviation, validate.figure_deviation])
     def test_a_moved_mean_cell_fails(self, check):
         rows = build_table("fig_high").rows
