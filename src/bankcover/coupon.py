@@ -43,8 +43,14 @@ keeps its own ``expm1`` cells (the platform libm, fed straight from an
 array buffer: one libm call a term), its own stop and its own tail bound,
 the line read at the stop.  Where S is exactly 1.0 the stored logarithm is
 -inf and the term expm1's limit, 1.0; the constant tail's terms are 0.0
-and take none.  A single call is a sweep over one q, and its fixed cost is
-a few numpy calls per stage.
+and take none.  The mean of one spec is a prefix of its variance's
+unweighted row, so :func:`expected_tests` and :func:`variance_tests` share
+one pass, the variance's: it runs the mean's prologue too, scans for the
+mean's stop on that row, and reads the mean from the replay at that stop,
+since the replay adds strictly left to right.  The pair is kept in a
+one-entry memo, so the second of the two calls for one spec and policy is
+a lookup; a lone mean costs a variance pass.  The tables and the quick
+checks keep one mean pass for all the q of a bank size.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
@@ -568,7 +574,8 @@ def _least_certified(line: _Line, limit: float) -> int:
     return n
 
 
-def _coverage_terms(a: int, counts: list[float], ends: list[int], rows: np.ndarray) -> None:
+def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
+                    rows: np.ndarray) -> None:
     """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
     as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, ends[i]).
 
@@ -594,17 +601,21 @@ def _coverage_terms(a: int, counts: list[float], ends: list[int], rows: np.ndarr
                         out=row[:width])
 
 
-def _compensated_totals(rows: np.ndarray) -> np.ndarray:
-    """What a Neumaier loop started at s = c = 0.0 returns for each row.
+def _compensated_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums and running corrections of a Neumaier loop started at
+    s = c = 0.0 over each row: their sum at column k is what the loop
+    returns after the terms up to k.
 
     Neumaier's correction for s + x is the exact rounding error of that
     addition, and so is Knuth's branch-free TwoSum for any two floats, so
     one pass serves signed and unsigned rows alike.  ``np.add.accumulate``
     (what ``cumsum`` calls, at half its fixed cost) adds strictly left to
     right, so it replays the running sum and then the sum of the per-step
-    errors exactly (``np.sum`` adds pairwise and would not).  The running
-    sum starts at 0.0, so the first step is replayed too; a row must not
-    start with -0.0, since the loop's 0.0 + -0.0 is +0.0.
+    errors exactly (``np.sum`` adds pairwise and would not); column k of
+    both depends on the first k + 1 terms alone, so a loop stopped there
+    gives the same bits.  The running sum starts at 0.0, so the first step
+    is replayed too; a row must not start with -0.0, since the loop's
+    0.0 + -0.0 is +0.0.
     """
     running = np.zeros((len(rows), rows.shape[1] + 1))
     before, after = running[:, :-1], running[:, 1:]
@@ -614,88 +625,148 @@ def _compensated_totals(rows: np.ndarray) -> np.ndarray:
     np.subtract(before, low, out=low)
     np.subtract(rows, moved, out=moved)
     low += moved
-    return after[:, -1] + np.add.accumulate(low, axis=1, out=low)[:, -1]
+    return after, np.add.accumulate(low, axis=1, out=low)
+
+
+def _compensated_totals(rows: np.ndarray) -> np.ndarray:
+    """What a Neumaier loop started at s = c = 0.0 returns for each row."""
+    sums, lows = _compensated_running(rows)
+    return sums[:, -1] + lows[:, -1]
 
 
 def _uncertified(series: str, a: int, q: int, n_cap: int) -> SeriesCapError:
     return SeriesCapError(f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}")
 
 
-def _moment_series(
-    a: int, qs: tuple[int, ...], second_moment: bool, policy: TruncationPolicy = DEFAULT_POLICY
-) -> list[SeriesEstimate]:
-    """The mean or the variance series at bank size ``a``, one for each q in ``qs``.
-
-    Term n is P(N > n), weighted by 2n+1 for the second moment.  Each sum
-    stops at the first n whose weighted term is below ``eps_term`` and whose
-    tail bound is at most ``10 * eps_term``; as the bound never increases,
-    that is the first small term at or after the least n the bound certifies,
-    found by :func:`_least_certified`; :func:`_crossing` places the end of
-    the term window on the union bound.  A q whose bound still fails at
-    ``n_cap`` raises before any term is formed.
-    The terms of every q come from one :func:`_coverage_terms` call, and
-    every row is summed by one compensated replay, zero-padded past its stop:
-    a trailing +0.0 leaves the replay's total alone, so each q gets what a
-    call for it alone gives.
-    """
+def _window(a: int, q: int, second_moment: bool, eps: float,
+            n_cap: int) -> tuple[float, _Line, int, int]:
+    """q saturated to a float, the tail line of its mean or variance series,
+    the least n that line certifies and the end of the term window; raises
+    where no term can help, before any is formed."""
     series = "variance" if second_moment else "mean"
-    if a == 1:
-        return [SeriesEstimate(0.0 if second_moment else 1.0, 0.0, 1)] * len(qs)
-    eps, n_cap, m = policy.eps_term, policy.n_cap, len(qs)
-    limit = 10.0 * eps
+    count, limit = _saturating_float(q), 10.0 * eps
+    if count == math.inf:  # the mean lies beyond the last representable survival
+        raise SeriesCapError(
+            f"{series} series for a={a} not certified: q is beyond the float range")
+    if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
+        raise SeriesCapError(
+            f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
+            f"bound of at most 10 * eps_term, below the smallest normal float "
+            f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
     # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
-    scale, offset = 2.0 * a ** 3 / (a - 1), (2 * a - 1 if second_moment else None)
-    counts, lines, firsts, ends = [], [], [], []
-    for q in qs:
-        count = _saturating_float(q)
-        if count == math.inf:  # the mean lies beyond the last representable survival
-            raise SeriesCapError(
-                f"{series} series for a={a} not certified: q is beyond the float range")
-        if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
-            raise SeriesCapError(
-                f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
-                f"bound of at most 10 * eps_term, below the smallest normal float "
-                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
-        line = _tail_line(a, count, scale, offset)
-        first = _least_certified(line, limit)
-        if first > n_cap:
-            raise _uncertified(series, a, q, n_cap)
-        # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1
-        # for the variance, starts above eps and has one peak, so it stays
-        # below eps / 2 past this crossing, and every series stops by it; the
-        # factor 2 covers the terms' rounding and a fixed point one step
-        # short.  The end is not first + 1: a few steps short of
-        # _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by
-        # as much as 2x, and the first small term can lie three steps past first.
-        reach = _tail_line(a, count, a, 1 if second_moment else None)
-        end = math.ceil(_crossing(reach, 0.5 * eps))
-        counts.append(count)
-        lines.append(line)
-        firsts.append(first)
-        ends.append(min(max(first, end), n_cap) + 1)
-    hi = max(ends)
-    # rows i < m hold the terms of qs[i]; for the variance, row m + i its weighted terms
-    rows = np.zeros((2 * m if second_moment else m, hi))
+    line = _tail_line(a, count, 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second_moment else None)
+    first = _least_certified(line, limit)
+    if first > n_cap:
+        raise _uncertified(series, a, q, n_cap)
+    # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1 for
+    # the variance, starts above eps and has one peak, so it stays below
+    # eps / 2 past this crossing, and every series stops by it; the factor 2
+    # covers the terms' rounding and a fixed point one step short.  The end
+    # is not first + 1: a few steps short of _TAIL_STARTS[a], S(n) is a
+    # subnormal of a few ulps that rounds up by as much as 2x, and the first
+    # small term can lie three steps past first.
+    reach = _tail_line(a, count, a, 1 if second_moment else None)
+    end = math.ceil(_crossing(reach, 0.5 * eps))
+    return count, line, first, min(max(first, end), n_cap) + 1
+
+
+def _first_small(rows: np.ndarray, row: int, n: int, end: int, eps: float) -> int:
+    """The first test count from ``n`` on, below ``end``, whose term in
+    ``rows[row]`` is below ``eps``, else ``end``: almost always ``n``, the
+    least certified, else one step on."""
+    while n < end and not rows.item(row, n) < eps:
+        n += 1
+    return n
+
+
+def _mean_series(
+    a: int, qs: tuple[int, ...], policy: TruncationPolicy = DEFAULT_POLICY
+) -> list[SeriesEstimate]:
+    """The mean series at bank size ``a``, one for each q in ``qs``.
+
+    Term n is P(N > n).  Each sum stops at the first n whose term is below
+    ``eps_term`` and whose tail bound is at most ``10 * eps_term``; as the
+    bound never increases, that is the first small term at or after the
+    least n the bound certifies, found by :func:`_least_certified`;
+    :func:`_crossing` places the end of the term window on the union bound
+    (both in :func:`_window`).  A q whose bound still fails at ``n_cap``
+    raises before any term is formed.  The terms of every q come from one
+    :func:`_coverage_terms` call, and every row is summed by one compensated
+    replay, zero-padded past its stop: a trailing +0.0 leaves the replay's
+    total alone, so each q gets what a call for it alone gives.
+    """
+    if a == 1:
+        return [SeriesEstimate(1.0, 0.0, 1)] * len(qs)
+    eps, n_cap = policy.eps_term, policy.n_cap
+    counts, lines, firsts, ends = zip(*(_window(a, q, False, eps, n_cap) for q in qs))
+    rows = np.zeros((len(qs), max(ends)))
     _coverage_terms(a, counts, ends, rows)
-    if second_moment:
-        np.multiply(rows[:m], np.arange(1.0, 2 * hi, 2.0), out=rows[m:])
-    stops = []
-    for i, (q, first, end) in enumerate(zip(qs, firsts, ends)):
-        # the first small term is almost always at first, else one step on
-        stop, weighted = first, m + i if second_moment else i
-        while stop < end and not rows.item(weighted, stop) < eps:
-            stop += 1
+    stops = [_first_small(rows, i, first, end, eps)
+             for i, (first, end) in enumerate(zip(firsts, ends))]
+    for q, stop, end in zip(qs, stops, ends):
         if stop == end:
-            raise _uncertified(series, a, q, n_cap)
-        stops.append(stop)
+            raise _uncertified("mean", a, q, n_cap)
     width = max(stops)
     for i, stop in enumerate(stops):
-        if stop < width:
-            rows[i::m, stop:width] = 0.0  # row i, and row m + i of the variance
+        rows[i, stop:width] = 0.0
     totals = _compensated_totals(rows[:, :width]).tolist()
-    values = [t2 - t * t for t, t2 in zip(totals, totals[m:])] if second_moment else totals
-    return [SeriesEstimate(value, _tail_bound(line, stop), stop)
-            for value, line, stop in zip(values, lines, stops)]
+    return [SeriesEstimate(total, _tail_bound(line, stop), stop)
+            for total, line, stop in zip(totals, lines, stops)]
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _moments(a: int, q: int, eps: float, n_cap: int) -> tuple[SeriesEstimate | str, ...]:
+    """(mean, variance) of one spec from one pass, the variance's; a series
+    that cannot be certified is kept as the message it raises.
+
+    Term n of the variance is (2n+1) * P(N > n), and E N^2 - mean**2 is
+    summed under the same stopping rule as :func:`_mean_series`.  The pass
+    also runs the mean's prologue.  The variance's tail line lies above the
+    mean's (by the factor 2n + 2a - 1) and its window reaches at least as
+    far, and a weighted term is never below its unweighted one, so the
+    unweighted row holds every term the mean reads, and the mean's stop,
+    scanned on that row and never past its own window end, is at most the
+    variance's.  The replay adds strictly left to right, so the mean is the
+    replay's total at its own stop, bit for bit what a mean summed alone
+    gives.  Only where the variance's prologue raises, before any term is
+    formed, is the mean summed alone, by :func:`_mean_series`.
+
+    The one entry is keyed by type too, so a bool and its int, which print
+    differently in a message, are kept apart.  The callers ask for the two
+    moments of one spec in turn; a larger memo would serve repeated specs
+    rather than the pass.
+    """
+    if a == 1:
+        return SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
+    try:
+        count, line, first, end = _window(a, q, True, eps, n_cap)
+    except SeriesCapError as exc:
+        try:
+            return _mean_series(a, (q,), TruncationPolicy(eps, n_cap))[0], str(exc)
+        except SeriesCapError as mean_exc:
+            return str(mean_exc), str(exc)
+    # cannot raise once the variance's window passed: its bound lies above this one
+    _, mean_line, mean_first, mean_end = _window(a, q, False, eps, n_cap)
+    rows = np.zeros((2, end))  # the terms, then the weighted terms
+    _coverage_terms(a, (count,), (end,), rows)
+    np.multiply(rows[0], np.arange(1.0, 2 * end, 2.0), out=rows[1])
+    stop = _first_small(rows, 1, first, end, eps)
+    mean_stop = _first_small(rows, 0, mean_first, mean_end, eps)
+    sums, lows = _compensated_running(rows[:, :stop])
+    t, t2, mean = (sums.item(i, k - 1) + lows.item(i, k - 1)
+                   for i, k in ((0, stop), (1, stop), (0, mean_stop)))
+    return (
+        str(_uncertified("mean", a, q, n_cap)) if mean_stop == mean_end
+        else SeriesEstimate(mean, _tail_bound(mean_line, mean_stop), mean_stop),
+        str(_uncertified("variance", a, q, n_cap)) if stop == end
+        else SeriesEstimate(t2 - t * t, _tail_bound(line, stop), stop),
+    )
+
+
+def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
+    if type(moment) is str:
+        raise SeriesCapError(moment)  # a new instance on every call
+    return moment
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -703,21 +774,26 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
 
     Sums P(coverage needs more than n tests) over n >= 0 under ``policy``.
     The returned estimate carries a certified bound on the discarded tail.
+    It comes from one pass with :func:`variance_tests` of the same spec and
+    policy (see :func:`_moments`), so a lone mean costs a variance pass,
+    about 40% more than the mean alone, and the variance asked next is a
+    lookup.
     """
-    return _moment_series(spec.a, (spec.q,), False, policy)[0]
+    return _certified(_moments(spec.a, spec.q, policy.eps_term, policy.n_cap)[0])
 
 
 def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
     """Variance of the number of tests until every bank is covered.
 
     Uses E N^2 = sum over n of (2n+1) * P(N > n), with the same certified
-    geometric tail treatment as :func:`expected_tests`.  ``tail_bound``
+    geometric tail treatment as :func:`expected_tests`, in one pass with it
+    (see :func:`_moments`): the mean asked next is a lookup.  ``tail_bound``
     covers that truncation only, not rounding, which E N^2 - mean**2
     magnifies: at q = 1 the value misses it for 21 of the bank sizes
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
     xfail ``test_single_bank_variance_within_its_tail_bound`` records this.
     """
-    return _moment_series(spec.a, (spec.q,), True, policy)[0]
+    return _certified(_moments(spec.a, spec.q, policy.eps_term, policy.n_cap)[1])
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

@@ -243,11 +243,20 @@ def _block_maxima(a: int, q: int, seed: int, block: int, rows: int) -> np.ndarra
 
 
 def _count_block(a: int, q: int, seed: int, reps: int, block: int) -> Counter:
-    """How often each coverage time occurs among block ``block``'s replications."""
+    """How often each coverage time occurs among block ``block``'s replications,
+    in ascending order of time.
+
+    A block's maxima span a narrow range of integers (about 500 at a = 64), so one
+    ``np.bincount`` over their offsets from the least counts them, at about
+    half the fixed cost of ``np.unique``, which sorts.
+    """
     size = _block_size(q)
     rows = min(size, reps - block * size)
-    values, counts = np.unique(_block_maxima(a, q, seed, block, rows), return_counts=True)
-    return Counter(dict(zip(values.tolist(), counts.tolist())))
+    maxima = _block_maxima(a, q, seed, block, rows)
+    low = int(maxima.min())
+    counts = np.bincount(maxima - low)
+    seen = np.flatnonzero(counts)
+    return Counter(dict(zip((seen + low).tolist(), counts[seen].tolist())))
 
 
 def _available_cpus() -> int:

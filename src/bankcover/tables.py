@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import _moment_series
+from .coupon import _mean_series
 
 __all__ = [
     "TABLE_A",
@@ -98,7 +98,7 @@ def build_table(name: str) -> TableArtifact:
     """
 
     def mean(a: int, qs: tuple[int, ...]) -> list[float]:  # one series pass per bank size
-        return [estimate.value for estimate in _moment_series(a, qs, second_moment=False)]
+        return [estimate.value for estimate in _mean_series(a, qs)]
 
     def centred(a: int, qs: tuple[int, ...]) -> list[float]:
         return [centred_mean_prediction(a, q) for q in qs]

@@ -43,7 +43,7 @@ from .asymptotics import (
 )
 from .coupon import (
     BankSpec,
-    _moment_series,
+    _mean_series,
     _onto_row,
     expected_single_bank,
     expected_tests,
@@ -185,7 +185,7 @@ def multisum_deviation() -> float:
     return max(
         abs(expected_tests_multisum(BankSpec(a, q)) - estimate.value)
         for a, qs in _MULTISUM_QS.items()
-        for q, estimate in zip(qs, _moment_series(a, qs, second_moment=False))
+        for q, estimate in zip(qs, _mean_series(a, qs))
     )
 
 

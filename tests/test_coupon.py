@@ -10,6 +10,7 @@ import pickle
 import random
 import struct
 import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, astuple, replace
 from decimal import Decimal, localcontext
@@ -412,7 +413,7 @@ class TestOracleIndependence:
 
         # a point read looks its block up through _TAIL_STARTS, then
         # _survival_block or _constant_cells
-        for name in ("_survival_block", "_constant_cells", "_compensated_totals", "_moment_series"):
+        for name in ("_survival_block", "_constant_cells", "_compensated_totals", "_mean_series"):
             monkeypatch.setattr(coupon, name, disabled)
         monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
@@ -943,17 +944,26 @@ class TestCompensatedReplay:
 
 
 class TestSeriesSweep:
-    """One kernel call over a vector of q against one call per q, bit for bit."""
+    """One mean kernel call over a vector of q against one call per q, bit
+    for bit; the variance, summed one q at a time, against the one-term
+    reference."""
 
     @staticmethod
     def _assert_sweep(a: int, qs: tuple[int, ...], second: bool) -> list:
-        fn = variance_tests if second else expected_tests
-        got = coupon._moment_series(a, qs, second)
+        if second:
+            got = [variance_tests(BankSpec(a, q)) for q in qs]
+            survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
+            for q, est in zip(qs, got):
+                want = reference_series(a, q, True, DEFAULT_POLICY, survival)
+                assert (bits(est.value, est.tail_bound), est.terms) == (
+                    bits(*want[:2]), want[2]), (a, q)
+            return got
+        got = coupon._mean_series(a, qs)
         assert len(got) == len(qs)
         for q, est in zip(qs, got):
-            want = fn(BankSpec(a, q))
+            want = expected_tests(BankSpec(a, q))
             assert bits(est.value, est.tail_bound) == bits(want.value, want.tail_bound), (a, q)
-            assert est.terms == want.terms, (a, q, second)
+            assert est.terms == want.terms, (a, q)
         return got
 
     def test_every_bank_size(self):
@@ -1036,23 +1046,144 @@ class TestSeriesSweep:
         ],
     )
     def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, policy, formed):
+        # the variance is summed one q at a time: its case asks for the failing q
         fn = variance_tests if second else expected_tests
         failing = []
         for q in qs:
             try:
                 fn(BankSpec(2, q), policy)
             except SeriesCapError as exc:
-                failing.append(str(exc))
+                failing.append((q, str(exc)))
         assert len(failing) == 1, failing
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
             coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
         )
+        coupon._moments.cache_clear()
         with pytest.raises(SeriesCapError) as got:
-            coupon._moment_series(2, qs, second, policy)
-        assert str(got.value) == failing[0]
+            if second:
+                variance_tests(BankSpec(2, failing[0][0]), policy)
+            else:
+                coupon._mean_series(2, qs, policy)
+        assert str(got.value) == failing[0][1]
         assert bool(calls) == formed
+
+
+def both_moments(spec: BankSpec, policy: TruncationPolicy, variance_first: bool) -> list:
+    """The outcomes of the mean and the variance, in that order, asked for
+    one after the other from an empty memo."""
+    coupon._moments.cache_clear()
+    calls = {False: expected_tests, True: variance_tests}
+    got = {}
+    for second in (variance_first, not variance_first):
+        got[second] = series_outcome(lambda: astuple(calls[second](spec, policy)))
+    return [got[False], got[True]]
+
+
+class TestMomentPair:
+    """The mean and the variance of one spec from one pass and a one-entry memo."""
+
+    @pytest.mark.parametrize("variance_first", [False, True], ids=["mean first", "variance first"])
+    def test_both_orders_match_reference(self, variance_first):
+        for a in (2, 3, 10, 33, MAX_ALTERNATIVES):
+            survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
+            for q in (1, 7, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306):
+                want = [series_outcome(lambda: reference_series(
+                    a, q, second, DEFAULT_POLICY, survival)) for second in (False, True)]
+                assert both_moments(BankSpec(a, q), DEFAULT_POLICY, variance_first) == want, (a, q)
+
+    @pytest.mark.parametrize("variance_first", [False, True], ids=["mean first", "variance first"])
+    @pytest.mark.parametrize("a,q", [(2, 1), (10, 10), (20, 100)])
+    def test_mean_certifies_where_the_variance_does_not(self, a, q, variance_first):
+        # n_caps between the two stops: at the mean's stop, and one short of
+        # the variance's
+        spec = BankSpec(a, q)
+        mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
+        assert mean_stop < stop - 1
+        survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
+        for n_cap in (mean_stop, stop - 1):
+            policy = TruncationPolicy(n_cap=n_cap)
+            want = [series_outcome(lambda: reference_series(a, q, second, policy, survival))
+                    for second in (False, True)]
+            assert want[0][0] != "raised"
+            assert want[1] == ("raised", f"variance series for a={a}, q={q} not certified "
+                               f"within n_cap={n_cap}")
+            assert both_moments(spec, policy, variance_first) == want, n_cap
+
+    def test_memoised_failure_is_a_new_instance_each_time(self):
+        spec, policy = BankSpec(10, 10), TruncationPolicy(n_cap=320)
+        for fn in (expected_tests, variance_tests) * 2:
+            raised = []
+            for _ in range(2):
+                with pytest.raises(SeriesCapError) as got:
+                    fn(BankSpec(10, 10 ** 400), policy)
+                raised.append(got.value)
+            assert raised[0] is not raised[1]
+            assert str(raised[0]) == str(raised[1])
+        # the variance fails at this cap while the mean certifies
+        errors = []
+        for _ in range(2):
+            assert expected_tests(spec, policy).terms == 314
+            with pytest.raises(SeriesCapError, match="variance series") as got:
+                variance_tests(spec, policy)
+            errors.append(got.value)
+        assert errors[0] is not errors[1] and type(errors[1]) is SeriesCapError
+
+    def test_memo_holds_one_spec(self, monkeypatch):
+        assert coupon._moments.cache_info().maxsize == 1
+        coupon._moments.cache_clear()
+        calls = []
+        real = coupon._coverage_terms
+        monkeypatch.setattr(
+            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
+        )
+        first, other = BankSpec(12, 1000), BankSpec(12, 1001)
+        pair = expected_tests(first), variance_tests(first)
+        assert len(calls) == 1
+        assert (expected_tests(first), variance_tests(first)) == pair
+        assert len(calls) == 1
+        variance_tests(other)
+        assert len(calls) == 2
+        # the memo held the other spec, so the first one's terms are formed again
+        assert (variance_tests(first), expected_tests(first)) == pair[::-1]
+        assert len(calls) == 3
+        # another policy is another key
+        expected_tests(first, TruncationPolicy(eps_term=1e-10))
+        assert len(calls) == 4
+        # so is a bool standing for its int, whose messages print differently
+        for n_cap in (1, True):
+            with pytest.raises(SeriesCapError, match=f"within n_cap={n_cap}$"):
+                variance_tests(first, TruncationPolicy(n_cap=n_cap))
+
+    def test_threads_asking_alternating_specs_get_their_own(self):
+        # four threads, more than the cores CI has, switching often: each
+        # gets its own spec's pair whatever the memo held a moment before
+        specs = [BankSpec(12, 1000), BankSpec(30, 7)]
+        want = [(expected_tests(s), variance_tests(s)) for s in specs]
+        start = threading.Barrier(4, timeout=60)
+        wrong = []
+
+        def ask(i: int) -> None:
+            start.wait()
+            for k in range(150):
+                spec = specs[(i + k) % 2]
+                got = (expected_tests(spec), variance_tests(spec))
+                if got != want[(i + k) % 2]:
+                    wrong.append((i, k, got))
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def exact_series_tail(a: int, q: float, n: int, second_moment: bool) -> mpmath.mpf:

@@ -10,7 +10,7 @@ import pytest
 
 from bankcover import validate
 from bankcover.asymptotics import centred_mean_prediction
-from bankcover.coupon import _moment_series
+from bankcover.coupon import _mean_series
 from bankcover.tables import (
     FIG_HIGH_Q,
     FIG_LOW_Q,
@@ -201,7 +201,7 @@ class TestSharedMeanPass:
     def test_centred_band_matches_its_own_series(self):
         qs = (20, 50, 100, 200)
         diffs = [estimate.value - centred_mean_prediction(a, q) for a in TABLE_A
-                 for q, estimate in zip(qs, _moment_series(a, qs, second_moment=False))]
+                 for q, estimate in zip(qs, _mean_series(a, qs))]
         band = validate.centred_diff_band(build_table("fig_high").rows)
         assert band == (min(diffs), max(diffs))
 
