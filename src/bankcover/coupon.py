@@ -37,27 +37,27 @@ term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
 below the smallest normal float, the least value a bound takes.  The same
 solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n, a line with its
 own constant, says how far the terms must reach, so they are formed in one
-pass.  One kernel serves every q of a table at one bank size a:
-log1p(-S(n)) is read from the blocks once per call and shared, while each q
-keeps its own ``expm1`` cells (the platform libm, fed straight from an
-array buffer: one libm call a term), its own stop and its own tail bound,
-the line read at the stop.  Where S is exactly 1.0 the stored logarithm is
--inf and the term expm1's limit, 1.0; the constant tail's terms are 0.0
-and take none.  The mean of one spec is a prefix of its variance's
-unweighted row, so :func:`expected_tests` and :func:`variance_tests` share
-one pass, the variance's: it runs the mean's prologue too, scans for the
-mean's stop on that row, and reads the mean from the replay at that stop,
-since the replay adds strictly left to right.  The pair is kept in a
-one-entry memo, so the second of the two calls for one spec and policy is
-a lookup; a lone mean costs a variance pass.  The tables and the quick
-checks keep one mean pass for all the q of a bank size.
+pass.  One kernel (:func:`_series`) sums both moments of every q at one
+bank size a: log1p(-S(n)) is read from the blocks once per call and
+shared, while each q keeps its own ``expm1`` cells (the platform libm, fed
+straight from an array buffer: one libm call a term), its own stops and its
+own tail bounds, the line read at each stop.  Where S is exactly 1.0 the
+stored logarithm is -inf and the term expm1's limit, 1.0; the constant
+tail's terms are 0.0 and take none.  Each moment reads its sum from the
+replay at its own stop, since the replay adds strictly left to right, so
+the mean comes from the pass that forms the variance's unweighted row.
+:func:`expected_tests` and :func:`variance_tests` ask it for both moments
+of one spec, kept in a one-entry memo, so the second of the two calls for
+one spec and policy is a lookup and a lone mean costs a variance pass; the
+tables and the quick checks ask it for the means of all the q of a bank
+size.
 
 Every compensated sum of the main path, the closed form of each block row
 and the series rows of every q at one a, is one replay of Neumaier's loop:
 two strictly ordered running-sum passes, one for the running sum and one
-for the exact rounding errors of its additions.  It gives, bit for bit, what
-a term-by-term loop gives; the series rows are zero-padded past their
-stops, which leaves each total alone.  The oracles share no code with the
+for the exact rounding errors of its additions.  Each column gives, bit for
+bit, what a term-by-term loop stopped there gives: a block row is read at
+its last column, a series at its stop.  The oracles share no code with the
 main path: :func:`cdf_oracle` counts surjections in integers and
 :func:`expected_tests_multisum` sums with ``math.fsum``.
 """
@@ -301,8 +301,9 @@ def _survival_block(a: int, j: int) -> memoryview:
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
     alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y is
     laid out as one row of signed terms per y, in k order, and summed by the
-    same compensated replay as the series (:func:`_compensated_totals`), so
-    every value and bound is a lone per-y Neumaier sum's, bit for bit.
+    same compensated replay as the series (:func:`_compensated_running`,
+    read at its last column), so every value and bound is a lone per-y
+    Neumaier sum's, bit for bit.
     The powers come from Python's ``float.__pow__`` (the platform libm);
     ``np.power`` may round differently.  Each term carries about y ulps of
     relative error through the power, so the bound is
@@ -333,7 +334,8 @@ def _survival_block(a: int, j: int) -> memoryview:
             np.multiply(powers, float(math.comb(a, k)), out=rows[:, k - 1])
     magnitude = rows.cumsum(axis=1)[:, -1]  # in k order; np.sum would add pairwise
     np.negative(rows[:, 1::2], out=rows[:, 1::2])  # the even k are subtracted
-    p = _compensated_totals(rows)
+    sums, lows = _compensated_running(rows)
+    p = sums[:, -1] + lows[:, -1]
     slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
     bound = slack * _ULP * magnitude
     block = np.zeros(5 * _BLOCK)
@@ -628,36 +630,29 @@ def _compensated_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return after, np.add.accumulate(low, axis=1, out=low)
 
 
-def _compensated_totals(rows: np.ndarray) -> np.ndarray:
-    """What a Neumaier loop started at s = c = 0.0 returns for each row."""
-    sums, lows = _compensated_running(rows)
-    return sums[:, -1] + lows[:, -1]
+def _uncertified(series: str, a: int, q: int, n_cap: int) -> str:
+    return f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}"
 
 
-def _uncertified(series: str, a: int, q: int, n_cap: int) -> SeriesCapError:
-    return SeriesCapError(f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}")
-
-
-def _window(a: int, q: int, second_moment: bool, eps: float,
-            n_cap: int) -> tuple[float, _Line, int, int]:
-    """q saturated to a float, the tail line of its mean or variance series,
-    the least n that line certifies and the end of the term window; raises
-    where no term can help, before any is formed."""
+def _window(a: int, q: int, count: float, second_moment: bool, eps: float,
+            n_cap: int) -> tuple[_Line, int, int] | str:
+    """The tail line of q's mean or variance series, the least n that line
+    certifies and the end of the term window, for q saturated to the float
+    ``count``; or, where no term can help, the message of the series'
+    failure."""
     series = "variance" if second_moment else "mean"
-    count, limit = _saturating_float(q), 10.0 * eps
+    limit = 10.0 * eps
     if count == math.inf:  # the mean lies beyond the last representable survival
-        raise SeriesCapError(
-            f"{series} series for a={a} not certified: q is beyond the float range")
+        return f"{series} series for a={a} not certified: q is beyond the float range"
     if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
-        raise SeriesCapError(
-            f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
-            f"bound of at most 10 * eps_term, below the smallest normal float "
-            f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
+        return (f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
+                f"bound of at most 10 * eps_term, below the smallest normal float "
+                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
     # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
     line = _tail_line(a, count, 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second_moment else None)
     first = _least_certified(line, limit)
     if first > n_cap:
-        raise _uncertified(series, a, q, n_cap)
+        return _uncertified(series, a, q, n_cap)
     # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1 for
     # the variance, starts above eps and has one peak, so it stays below
     # eps / 2 past this crossing, and every series stops by it; the factor 2
@@ -667,7 +662,7 @@ def _window(a: int, q: int, second_moment: bool, eps: float,
     # small term can lie three steps past first.
     reach = _tail_line(a, count, a, 1 if second_moment else None)
     end = math.ceil(_crossing(reach, 0.5 * eps))
-    return count, line, first, min(max(first, end), n_cap) + 1
+    return line, first, min(max(first, end), n_cap) + 1
 
 
 def _first_small(rows: np.ndarray, row: int, n: int, end: int, eps: float) -> int:
@@ -679,88 +674,72 @@ def _first_small(rows: np.ndarray, row: int, n: int, end: int, eps: float) -> in
     return n
 
 
-def _mean_series(
-    a: int, qs: tuple[int, ...], policy: TruncationPolicy = DEFAULT_POLICY
-) -> list[SeriesEstimate]:
-    """The mean series at bank size ``a``, one for each q in ``qs``.
+def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
+            second_moment: bool) -> list[tuple[SeriesEstimate | str, ...]]:
+    """For each q in ``qs`` at bank size ``a``, its mean and, with
+    ``second_moment``, its variance; a series that cannot be certified is
+    kept as the message it raises (see :func:`_certified`).
 
-    Term n is P(N > n).  Each sum stops at the first n whose term is below
-    ``eps_term`` and whose tail bound is at most ``10 * eps_term``; as the
-    bound never increases, that is the first small term at or after the
-    least n the bound certifies, found by :func:`_least_certified`;
-    :func:`_crossing` places the end of the term window on the union bound
-    (both in :func:`_window`).  A q whose bound still fails at ``n_cap``
-    raises before any term is formed.  The terms of every q come from one
-    :func:`_coverage_terms` call, and every row is summed by one compensated
-    replay, zero-padded past its stop: a trailing +0.0 leaves the replay's
-    total alone, so each q gets what a call for it alone gives.
+    Term n of the mean is P(N > n); the variance is E N^2, the sum of
+    (2n+1) * P(N > n), less the square of the unweighted sum at the
+    variance's stop.  Each sum stops at the first n whose term is below
+    ``eps`` and whose tail bound is at most ``10 * eps``; as the bound never
+    increases, that is the first small term at or after the least n the
+    bound certifies.  That n and the end of the term window are found before
+    any term is formed (:func:`_window`), and a series whose window fails is
+    its message.  Each q's row of terms is formed once, out to the farthest
+    of its windows that passed, by one :func:`_coverage_terms` call for
+    every q, and the weighted rows follow.  One :func:`_compensated_running`
+    call replays every row strictly left to right, so column stop - 1 of its
+    running sums and corrections is, bit for bit, the loop stopped there:
+    each moment reads its totals at its own stop, no row is padded past it,
+    and each q gets what a call for it alone gives.
     """
     if a == 1:
-        return [SeriesEstimate(1.0, 0.0, 1)] * len(qs)
-    eps, n_cap = policy.eps_term, policy.n_cap
-    counts, lines, firsts, ends = zip(*(_window(a, q, False, eps, n_cap) for q in qs))
-    rows = np.zeros((len(qs), max(ends)))
-    _coverage_terms(a, counts, ends, rows)
-    stops = [_first_small(rows, i, first, end, eps)
-             for i, (first, end) in enumerate(zip(firsts, ends))]
-    for q, stop, end in zip(qs, stops, ends):
-        if stop == end:
-            raise _uncertified("mean", a, q, n_cap)
-    width = max(stops)
-    for i, stop in enumerate(stops):
-        rows[i, stop:width] = 0.0
-    totals = _compensated_totals(rows[:, :width]).tolist()
-    return [SeriesEstimate(total, _tail_bound(line, stop), stop)
-            for total, line, stop in zip(totals, lines, stops)]
+        exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
+        return [exact[:1 + second_moment]] * len(qs)
+    m = len(qs)
+    counts = [_saturating_float(q) for q in qs]
+    # window and row k * m + i are q_i's mean (k = 0) and variance (k = 1)
+    windows = [_window(a, q, count, second, eps, n_cap)
+               for second in (False, True)[:1 + second_moment] for q, count in zip(qs, counts)]
+    reach = [w[2] if type(w) is tuple else 0 for w in windows]  # 0 where a window failed
+    ends = list(map(max, reach[:m], reach[m:])) if second_moment else reach
+    width = max(ends)
+    rows = np.zeros((len(windows), width))
+    if width:
+        _coverage_terms(a, counts, ends, rows[:m])
+        if second_moment:
+            np.multiply(rows[:m], np.arange(1.0, 2 * width, 2.0), out=rows[m:])
+    sums, lows = _compensated_running(rows)
+    outcomes = []  # each moment's estimate, or the message of its failure
+    for row, outcome in enumerate(windows):
+        if type(outcome) is tuple:
+            line, first, end = outcome
+            stop = _first_small(rows, row, first, end, eps)
+            if stop == end:
+                outcome = _uncertified("variance" if row >= m else "mean", a, qs[row % m], n_cap)
+            else:
+                value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
+                if row >= m:  # E N^2 less the square of the unweighted sum at this stop
+                    t = sums.item(row - m, stop - 1) + lows.item(row - m, stop - 1)
+                    value -= t * t
+                outcome = SeriesEstimate(value, _tail_bound(line, stop), stop)
+        outcomes.append(outcome)
+    return [tuple(outcomes[i::m]) for i in range(m)]
 
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _moments(a: int, q: int, eps: float, n_cap: int) -> tuple[SeriesEstimate | str, ...]:
-    """(mean, variance) of one spec from one pass, the variance's; a series
-    that cannot be certified is kept as the message it raises.
-
-    Term n of the variance is (2n+1) * P(N > n), and E N^2 - mean**2 is
-    summed under the same stopping rule as :func:`_mean_series`.  The pass
-    also runs the mean's prologue.  The variance's tail line lies above the
-    mean's (by the factor 2n + 2a - 1) and its window reaches at least as
-    far, and a weighted term is never below its unweighted one, so the
-    unweighted row holds every term the mean reads, and the mean's stop,
-    scanned on that row and never past its own window end, is at most the
-    variance's.  The replay adds strictly left to right, so the mean is the
-    replay's total at its own stop, bit for bit what a mean summed alone
-    gives.  Only where the variance's prologue raises, before any term is
-    formed, is the mean summed alone, by :func:`_mean_series`.
+    """(mean, variance) of one spec from one :func:`_series` pass, kept
+    for the other moment's call.
 
     The one entry is keyed by type too, so a bool and its int, which print
     differently in a message, are kept apart.  The callers ask for the two
     moments of one spec in turn; a larger memo would serve repeated specs
     rather than the pass.
     """
-    if a == 1:
-        return SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
-    try:
-        count, line, first, end = _window(a, q, True, eps, n_cap)
-    except SeriesCapError as exc:
-        try:
-            return _mean_series(a, (q,), TruncationPolicy(eps, n_cap))[0], str(exc)
-        except SeriesCapError as mean_exc:
-            return str(mean_exc), str(exc)
-    # cannot raise once the variance's window passed: its bound lies above this one
-    _, mean_line, mean_first, mean_end = _window(a, q, False, eps, n_cap)
-    rows = np.zeros((2, end))  # the terms, then the weighted terms
-    _coverage_terms(a, (count,), (end,), rows)
-    np.multiply(rows[0], np.arange(1.0, 2 * end, 2.0), out=rows[1])
-    stop = _first_small(rows, 1, first, end, eps)
-    mean_stop = _first_small(rows, 0, mean_first, mean_end, eps)
-    sums, lows = _compensated_running(rows[:, :stop])
-    t, t2, mean = (sums.item(i, k - 1) + lows.item(i, k - 1)
-                   for i, k in ((0, stop), (1, stop), (0, mean_stop)))
-    return (
-        str(_uncertified("mean", a, q, n_cap)) if mean_stop == mean_end
-        else SeriesEstimate(mean, _tail_bound(mean_line, mean_stop), mean_stop),
-        str(_uncertified("variance", a, q, n_cap)) if stop == end
-        else SeriesEstimate(t2 - t * t, _tail_bound(line, stop), stop),
-    )
+    return _series(a, (q,), eps, n_cap, True)[0]
 
 
 def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:

@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import _mean_series
+from .coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series
 
 __all__ = [
     "TABLE_A",
@@ -98,7 +98,8 @@ def build_table(name: str) -> TableArtifact:
     """
 
     def mean(a: int, qs: tuple[int, ...]) -> list[float]:  # one series pass per bank size
-        return [estimate.value for estimate in _mean_series(a, qs)]
+        outcomes = _series(a, qs, DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, False)
+        return [_certified(estimate).value for (estimate,) in outcomes]
 
     def centred(a: int, qs: tuple[int, ...]) -> list[float]:
         return [centred_mean_prediction(a, q) for q in qs]
@@ -129,8 +130,13 @@ def render_figure_svg(artifact: TableArtifact) -> str:
     """Line-and-marker SVG for a value table, one series per bank size.
 
     Deterministic output: same artifact, same bytes.  Axes are labelled with
-    the question count ``q`` and the mean coverage time ``E N_q``.
+    the question count ``q`` and the mean coverage time ``E N_q``.  A table
+    without the value header, or without rows, raises ``InvalidSpecError``.
     """
+    if artifact.header != _VALUE_HEADER or not artifact.rows:
+        raise InvalidSpecError(
+            f"cannot draw table {artifact.name!r}: a figure needs the header "
+            f"{','.join(_VALUE_HEADER)} and at least one row")
     series: dict[int, list[tuple[int, float]]] = {}
     for a, q, value, _rounded in artifact.rows:
         series.setdefault(a, []).append((q, value))

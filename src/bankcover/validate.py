@@ -42,9 +42,11 @@ from .asymptotics import (
     variance_bounds,
 )
 from .coupon import (
+    DEFAULT_POLICY,
     BankSpec,
-    _mean_series,
+    _certified,
     _onto_row,
+    _series,
     expected_single_bank,
     expected_tests,
     expected_tests_multisum,
@@ -183,9 +185,10 @@ def oracle_deviation() -> float:
 def multisum_deviation() -> float:
     """Worst |alternating multi-sum - series mean| over ``MULTISUM_CELLS``."""
     return max(
-        abs(expected_tests_multisum(BankSpec(a, q)) - estimate.value)
+        abs(expected_tests_multisum(BankSpec(a, q)) - _certified(mean).value)
         for a, qs in _MULTISUM_QS.items()
-        for q, estimate in zip(qs, _mean_series(a, qs))
+        for q, (mean,) in zip(qs, _series(a, qs, DEFAULT_POLICY.eps_term,
+                                          DEFAULT_POLICY.n_cap, False))
     )
 
 

@@ -413,7 +413,7 @@ class TestOracleIndependence:
 
         # a point read looks its block up through _TAIL_STARTS, then
         # _survival_block or _constant_cells
-        for name in ("_survival_block", "_constant_cells", "_compensated_totals", "_mean_series"):
+        for name in ("_survival_block", "_constant_cells", "_compensated_running", "_series"):
             monkeypatch.setattr(coupon, name, disabled)
         monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
@@ -811,10 +811,12 @@ def clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
-def neumaier(values) -> float:
-    """Neumaier's compensated sum, one term at a time from s = c = 0.0; the
-    tests' own loop, sharing no summation code with the library."""
+def neumaier_running(values) -> list[float]:
+    """s + c after each term of Neumaier's compensated sum, one term at a
+    time from s = c = 0.0; the tests' own loop, sharing no summation code
+    with the library."""
     s = c = 0.0
+    running = []
     for x in values:
         t = s + x
         if abs(s) >= abs(x):
@@ -822,7 +824,13 @@ def neumaier(values) -> float:
         else:
             c += (x - t) + s
         s = t
-    return s + c
+        running.append(s + c)
+    return running
+
+
+def neumaier(values) -> float:
+    """Neumaier's compensated sum of ``values``: 0.0 for none."""
+    return ([0.0] + neumaier_running(values))[-1]
 
 
 def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
@@ -924,23 +932,19 @@ class TestCompensatedReplay:
     @settings(max_examples=100, deadline=None)
     @given(rows=replay_rows())
     def test_signed_rows_match_scalar_neumaier(self, rows):
-        got = coupon._compensated_totals(np.array(rows)).tolist()
-        assert bits(*got) == bits(*map(neumaier, rows)), rows
-
-    @settings(max_examples=30, deadline=None)
-    @given(rows=replay_rows(), pad=st.integers(0, 50))
-    def test_trailing_zeros_leave_totals_alone(self, rows, pad):
-        # the series kernel sums the rows of many q in one call, each padded
-        # with +0.0 past its own stop; a +0.0 step adds nothing to s or to c
-        padded = np.array([row + [0.0] * pad for row in rows])
-        want = [coupon._compensated_totals(np.array([row])).item() for row in rows]
-        assert bits(*coupon._compensated_totals(padded).tolist()) == bits(*want), (rows, pad)
+        # the series kernel reads each moment at its own stop, so every
+        # column must be the loop stopped there
+        sums, lows = coupon._compensated_running(np.array(rows))
+        for row, row_sums, row_lows in zip(rows, sums.tolist(), lows.tolist()):
+            got = [s + c for s, c in zip(row_sums, row_lows)]
+            assert bits(*got) == bits(*neumaier_running(row)), row
 
     def test_cancelling_row(self):
         # 1 - 1e16 loses the 1 to rounding, which the correction keeps; the
         # big terms then cancel.  The larger magnitude here is the negative term
         row = [1.0, -1e16, 1e16, 3.0]
-        assert coupon._compensated_totals(np.array([row])).tolist() == [4.0] == [neumaier(row)]
+        sums, lows = coupon._compensated_running(np.array([row]))
+        assert sums.item(0, -1) + lows.item(0, -1) == 4.0 == neumaier(row)
 
 
 class TestSeriesSweep:
@@ -958,7 +962,8 @@ class TestSeriesSweep:
                 assert (bits(est.value, est.tail_bound), est.terms) == (
                     bits(*want[:2]), want[2]), (a, q)
             return got
-        got = coupon._mean_series(a, qs)
+        eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
+        got = [coupon._certified(mean) for (mean,) in coupon._series(a, qs, eps, n_cap, False)]
         assert len(got) == len(qs)
         for q, est in zip(qs, got):
             want = expected_tests(BankSpec(a, q))
@@ -1055,6 +1060,19 @@ class TestSeriesSweep:
             except SeriesCapError as exc:
                 failing.append((q, str(exc)))
         assert len(failing) == 1, failing
+        (failing_q, message), = failing
+        eps, n_cap = policy.eps_term, policy.n_cap
+        if not second:
+            # one mean kernel call returns every q's outcome: the failing
+            # q's message, and what each other q gets alone
+            for q, (mean,) in zip(qs, coupon._series(2, qs, eps, n_cap, False)):
+                if q == failing_q:
+                    with pytest.raises(SeriesCapError) as got:
+                        coupon._certified(mean)
+                    assert str(got.value) == message
+                else:
+                    assert series_outcome(lambda: astuple(coupon._certified(mean))) == (
+                        series_outcome(lambda: astuple(expected_tests(BankSpec(2, q), policy)))), q
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
@@ -1063,10 +1081,10 @@ class TestSeriesSweep:
         coupon._moments.cache_clear()
         with pytest.raises(SeriesCapError) as got:
             if second:
-                variance_tests(BankSpec(2, failing[0][0]), policy)
+                variance_tests(BankSpec(2, failing_q), policy)
             else:
-                coupon._mean_series(2, qs, policy)
-        assert str(got.value) == failing[0][1]
+                coupon._certified(coupon._series(2, (failing_q,), eps, n_cap, False)[0][0])
+        assert str(got.value) == message
         assert bool(calls) == formed
 
 
@@ -1470,7 +1488,7 @@ class TestPointReads:
 
     @pytest.mark.parametrize(
         "name,value,message",
-        [("_compensated_totals", lambda rows: np.full(len(rows), math.nan),
+        [("_compensated_running", lambda rows: (np.full(rows.shape, math.nan),) * 2,
           "probability out of range"),
          ("_ULP", -_ULP, "error bound must be nonnegative")],
         ids=["nan replay", "negative bound"],

@@ -10,7 +10,7 @@ import pytest
 
 from bankcover import validate
 from bankcover.asymptotics import centred_mean_prediction
-from bankcover.coupon import _mean_series
+from bankcover.coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series
 from bankcover.tables import (
     FIG_HIGH_Q,
     FIG_LOW_Q,
@@ -168,6 +168,15 @@ class TestFigureSvg:
         for a in TABLE_A:
             assert f"a={a}" in svg
 
+    def test_undrawable_table_raises_typed_error(self):
+        # a table of another header, and a value table with no rows
+        no_rows = TableArtifact("fig_low", build_table("fig_low").header, ())
+        for table in (build_table("sd_bounds"), no_rows):
+            with pytest.raises(InvalidSpecError) as got:
+                render_figure_svg(table)
+            assert str(got.value) == (f"cannot draw table {table.name!r}: a figure needs the "
+                                      "header a,q,value,value_rounded and at least one row")
+
 
 class TestOutputBytes:
     @pytest.mark.parametrize("name", list(CSV_SHA256))
@@ -200,8 +209,9 @@ class TestSharedMeanPass:
 
     def test_centred_band_matches_its_own_series(self):
         qs = (20, 50, 100, 200)
-        diffs = [estimate.value - centred_mean_prediction(a, q) for a in TABLE_A
-                 for q, estimate in zip(qs, _mean_series(a, qs))]
+        eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
+        diffs = [_certified(mean).value - centred_mean_prediction(a, q) for a in TABLE_A
+                 for q, (mean,) in zip(qs, _series(a, qs, eps, n_cap, False))]
         band = validate.centred_diff_band(build_table("fig_high").rows)
         assert band == (min(diffs), max(diffs))
 
