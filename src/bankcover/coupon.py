@@ -20,11 +20,15 @@ for block 0, which holds the exact-integer cells) against about 0.06 ms for
 one lone point.  Past the first y where every term of the closed form
 underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
 that y is kept per a in a table built at import.  So a point read is one
-guard on its arguments, one lookup (the table, then the cached block) and
-one fill: the cells it returns go straight into the slots of a
-:class:`ProbValue`, whose range checks ran once for the whole block when it
-was filled.  The q-bank cdf and pmf share one float kernel that reads one
-cdf cell; a pmf reads its two cells, n and n - 1, with two calls.
+guard on its arguments, one lookup (the table, then a cached row of ready
+values) and one index.  Each row holds the S or the F of one block as 256
+shared frozen :class:`ProbValue` instances, filled slot by slot from cells
+whose range checks ran once for the whole block when it was filled (about
+26.8 KB and 80 us a row, on top of the block's fill; at most 256 rows, under
+7 MiB); the tail and a = 1 read constants.  The q-bank cdf and pmf depend on
+q, so they share one float kernel that reads one cdf cell from the block
+and build one value a call; a pmf reads its two cells, n and n - 1, with
+two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -183,13 +187,16 @@ class ProbValue:
     Every point read returns one, and a caller may keep many (a survival
     sweep, a pmf window), so the class has slots: no per-instance
     ``__dict__``, 48 bytes an instance against 88 (CPython 3.11).  The
-    dataclass ``__init__`` runs the range checks of ``__post_init__``.  The
-    point reads skip both: they fill the slots of a bare instance through
+    dataclass ``__init__`` runs the range checks of ``__post_init__``.
+    :func:`_value` skips both: it fills the slots of a bare instance through
     their member descriptors (``ProbValue.p.__set__``, which bypass the
-    frozen ``__setattr__``) from cells that the same checks passed once per
-    curve block, or that lie in [0, 1] by construction (the q-bank cdf and
-    pmf).  Assignment still raises ``FrozenInstanceError``, and equality,
-    hash and repr are the dataclass's.
+    frozen ``__setattr__``).  It builds the cached rows of the single-bank
+    reads from cells that the same checks passed once per curve block, so
+    those reads return shared instances, the same object for the same
+    point; only the q-bank cdf and pmf, whose cells lie in [0, 1] by
+    construction, build one per call.  Assignment still raises
+    ``FrozenInstanceError``, and equality, hash and repr are the
+    dataclass's.
     """
 
     p: float
@@ -206,6 +213,15 @@ class ProbValue:
 
 
 _new, _set_p, _set_abs_err = object.__new__, ProbValue.p.__set__, ProbValue.abs_err.__set__
+
+
+def _value(p: float, abs_err: float) -> ProbValue:
+    """A ProbValue filled slot by slot, for cells that passed its checks
+    already or lie in range by construction."""
+    value = _new(ProbValue)
+    _set_p(value, p)
+    _set_abs_err(value, abs_err)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,7 +330,8 @@ def _survival_block(a: int, j: int) -> memoryview:
     (numpy's may round differently), and is -inf where S is exactly 1.0.
     Before that, every S and F must lie in [0, 1] and every bound be >= 0,
     the checks of ``ProbValue.__post_init__``, or the fill raises and caches
-    nothing; the point reads rely on them.
+    nothing, and no row of values is built from it; the point reads rely on
+    them.
 
     The five rows lie end to end in one read-only ``memoryview`` of
     5 * _BLOCK doubles, about 10.7 KiB with its array, view and cache entry:
@@ -357,8 +374,9 @@ def _survival_block(a: int, j: int) -> memoryview:
         total = sum(terms)
         surv[i], cdf[i] = total / denom, (denom - total) / denom
         surv_err[i] = cdf_err[i] = _ULP
-    # the point reads fill their ProbValue from these cells unchecked, so the
-    # checks of ProbValue.__post_init__ run here, once for the whole block
+    # the rows of ready values (_point_row) are filled from these cells
+    # unchecked, so the checks of ProbValue.__post_init__ run here, once for
+    # the whole block
     probs, bounds = curves[0:4:2], curves[1:4:2]
     if not ((probs >= 0.0) & (probs <= 1.0)).all():
         raise ValueError(f"probability out of range in the curve block a={a}, j={j}")
@@ -371,19 +389,27 @@ def _survival_block(a: int, j: int) -> memoryview:
     return _frozen(block)
 
 
-# Laid out as blocks: from _TAIL_STARTS[a] on, S = 0 and F = 1 with bounds ulp and
-# 2 ulp; at a = 1, S = 1 at y = 0 (index 0), 0 from y = 1 on (index 1), F = 1 - S;
-# log1p(-S) is -0.0 where S = 0 and -inf where S = 1.
+# Laid out as a block: from _TAIL_STARTS[a] on, S = 0 and F = 1 with bounds ulp
+# and 2 ulp, and log1p(-S) is -0.0
 _TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP, -0.0), _BLOCK))
-_ONE_BANK_BLOCK = _frozen(np.repeat((1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -math.inf, -0.0),
-                                    (1, _BLOCK - 1) * 5))
+# what the point reads return there, and at a = 1, whose S is 1 at y = 0 and 0
+# from y = 1 on, exactly
+_TAIL_S, _TAIL_F = ProbValue(0.0, _ULP), ProbValue(1.0, 2 * _ULP)
+_ONE_BANK_S = ProbValue(1.0, 0.0), ProbValue(0.0, 0.0)
+_ONE_BANK_F = _ONE_BANK_S[::-1]
+# The point reads index ready rows of values, each the S or the F of one block
+# (about 26.8 KB and 80 us a row): at most 256 rows, under 7 MiB, so that the
+# 157 rows the exact_queries benchmark reads at seed 1 stay cached together.
+_ROW_CACHE_SIZE = 256
 
 
-def _constant_cells(a: int, y: int) -> tuple[memoryview, int]:
-    """The constant block holding one bank's S(y), its bound, F(y), its bound
-    and log1p(-S(y)) at i + k * _BLOCK, k = 0..4, and y's index i in it, for
-    y >= _TAIL_STARTS[a]."""
-    return (_ONE_BANK_BLOCK, min(y, 1)) if a == 1 else (_TAIL_BLOCK, 0)
+@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _point_row(a: int, j: int, row: int) -> tuple[ProbValue, ...]:
+    """The values of curve block (a, j) at row 0 (S) or 2 (F), with their
+    bounds from the next row: one frozen ProbValue per test count, built
+    once and shared by every read of it."""
+    cells = _survival_block(a, j).obj[row * _BLOCK:(row + 2) * _BLOCK]
+    return tuple(map(_value, *cells.reshape(2, _BLOCK).tolist()))
 
 
 def single_bank_survival(a: int, y: int) -> ProbValue:
@@ -394,16 +420,10 @@ def single_bank_survival(a: int, y: int) -> ProbValue:
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
         _check_gated_bank_size(a)
         _check_test_count(y)
-    # one lookup: y's block and its index i there, then the cells, already
-    # checked when the block was filled, go straight into the slots
+    # one lookup: y's row of ready values, then its index there
     if y < _TAIL_STARTS[a]:
-        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
-    else:
-        b, i = _constant_cells(a, y)
-    value = _new(ProbValue)
-    _set_p(value, b[i])
-    _set_abs_err(value, b[i + _BLOCK])
-    return value
+        return _point_row(a, y // _BLOCK, 0)[y % _BLOCK]
+    return _ONE_BANK_S[min(y, 1)] if a == 1 else _TAIL_S
 
 
 def single_bank_cdf(a: int, y: int) -> ProbValue:
@@ -415,13 +435,8 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
         _check_gated_bank_size(a)  # as in single_bank_survival
         _check_test_count(y)
     if y < _TAIL_STARTS[a]:
-        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
-    else:
-        b, i = _constant_cells(a, y)
-    value = _new(ProbValue)
-    _set_p(value, b[i + 2 * _BLOCK])
-    _set_abs_err(value, b[i + 3 * _BLOCK])
-    return value
+        return _point_row(a, y // _BLOCK, 2)[y % _BLOCK]
+    return _ONE_BANK_F[min(y, 1)] if a == 1 else _TAIL_F
 
 
 def cdf_oracle(a: int, y: int) -> Fraction:
@@ -461,7 +476,7 @@ def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     if y < _TAIL_STARTS[a]:
         b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
     else:
-        b, i = _constant_cells(a, y)
+        b, i = _TAIL_BLOCK, 0
     s = b[i]
     if s == 0.0:
         p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
@@ -486,10 +501,7 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     p, err = _count_cell(spec.a, _saturating_float(spec.q), n)
     # p is 0.0, 1.0, exp of a value <= 0 or a power of F in [0.5, 1], and the
     # bound 0.0 or a sum >= ulp capped at 1.0: ProbValue's checks would pass
-    value = _new(ProbValue)
-    _set_p(value, p)
-    _set_abs_err(value, err)
-    return value
+    return _value(p, err)
 
 
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
@@ -507,10 +519,7 @@ def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
                 f"cdf difference {diff} at n={n} is negative beyond round-off"
             )
         diff = 0.0
-    value = _new(ProbValue)  # two cdf cells in [0, 1] and their bounds: checks would pass
-    _set_p(value, diff)
-    _set_abs_err(value, hi_err + lo_err)
-    return value
+    return _value(diff, hi_err + lo_err)  # two cdf cells in [0, 1] and their bounds
 
 
 # library functions, not tests; keep pytest from collecting them by name

@@ -411,9 +411,9 @@ class TestOracleIndependence:
         class Disabled:
             __getitem__ = staticmethod(disabled)
 
-        # a point read looks its block up through _TAIL_STARTS, then
-        # _survival_block or _constant_cells
-        for name in ("_survival_block", "_constant_cells", "_compensated_running", "_series"):
+        # a point read looks its row up through _TAIL_STARTS, then _point_row,
+        # which reads _survival_block
+        for name in ("_survival_block", "_point_row", "_compensated_running", "_series"):
             monkeypatch.setattr(coupon, name, disabled)
         monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
@@ -1335,7 +1335,7 @@ class TestSurvivalBlocks:
         # row: it is math.log1p(-S) bit for bit wherever S < 1, and -inf
         # exactly where S is 1.0, whose log1p(-1) is a domain error
         n = coupon._BLOCK
-        blocks = {"tail": coupon._TAIL_BLOCK, "a = 1": coupon._ONE_BANK_BLOCK}
+        blocks = {"tail": coupon._TAIL_BLOCK}
         for a in range(2, MAX_ALTERNATIVES + 1):
             for j in {0, 1, (coupon._TAIL_STARTS[a] - 1) // n}:
                 blocks[a, j] = coupon._survival_block(a, j)
@@ -1350,10 +1350,10 @@ class TestSurvivalBlocks:
     def test_cached_blocks_are_read_only(self):
         # the cache hands every caller the same buffer: neither it nor an
         # array over it can be written, in any of the five rows; the
-        # constant tail and the a = 1 curve are shared the same way
+        # constant tail is shared the same way
         blocks = [coupon._survival_block(a, j)
                   for a, j in itertools.product((10, MAX_ALTERNATIVES), (0, 1))]
-        for block in blocks + [coupon._TAIL_BLOCK, coupon._ONE_BANK_BLOCK]:
+        for block in blocks + [coupon._TAIL_BLOCK]:
             assert len(block) == 5 * coupon._BLOCK
             for i in (0, coupon._BLOCK - 1, 2 * coupon._BLOCK, 4 * coupon._BLOCK - 1,
                       4 * coupon._BLOCK, 5 * coupon._BLOCK - 1):
@@ -1442,8 +1442,9 @@ class TestSurvivalBlocks:
 
 
 class TestPointReads:
-    """The one-lookup read path: the tail-start table, the values it fills
-    into ProbValue unchecked, and the range check that runs at block fill."""
+    """The one-lookup read path: the tail-start table, the cached rows of
+    ready values it indexes, filled into ProbValue unchecked, and the range
+    check that runs at block fill."""
 
     @staticmethod
     def _counts(a: int) -> list[int]:
@@ -1459,6 +1460,57 @@ class TestPointReads:
             assert type(v) is ProbValue and type(v.p) is float and type(v.abs_err) is float
             checked = ProbValue(v.p, v.abs_err)
             assert bits(v.p, v.abs_err) == bits(checked.p, checked.abs_err), v
+
+    @pytest.mark.parametrize("a", range(1, MAX_ALTERNATIVES + 1))
+    def test_reads_are_the_block_cells(self, a):
+        # at the first and last count of blocks 0 and 1 and of the last block
+        # before the constant tail, and around the tail start, both reads are
+        # the block's (S, bound) and (F, bound) cells, bit for bit; a = 1 has
+        # no blocks, and its S is 1 at y = 0 and 0 from y = 1 on, exactly
+        n, cut = coupon._BLOCK, coupon._TAIL_STARTS[a]
+        last = (cut - 1) // n * n
+        edges = {0, n - 1, n, 2 * n - 1, last, last + n - 1, cut - 1, cut, cut + 1, 10 ** 400}
+        for y in sorted(y for y in edges if y >= 0):  # a = 1 has cut = 0
+            if a == 1:
+                cells = (1.0, 0.0, 0.0, 0.0) if y == 0 else (0.0, 0.0, 1.0, 0.0)
+            else:
+                block, i = ((coupon._survival_block(a, y // n), y % n) if y < cut
+                            else (coupon._TAIL_BLOCK, 0))
+                cells = tuple(block[i + k * n] for k in range(4))
+            s, f = single_bank_survival(a, y), single_bank_cdf(a, y)
+            assert bits(s.p, s.abs_err, f.p, f.abs_err) == bits(*cells), (a, y)
+
+    @pytest.mark.parametrize("a,y", [(1, 0), (1, 5), (10, 40), (10, 300), (64, 10 ** 6)])
+    def test_reads_share_frozen_values(self, a, y):
+        # a point read indexes a cached row, or a constant for the tail and
+        # a = 1: a repeat read returns the same object, which cannot change
+        for read in (single_bank_survival, single_bank_cdf):
+            v = read(a, y)
+            assert read(a, y) is v and type(v) is ProbValue
+            with pytest.raises(FrozenInstanceError):
+                v.p = 0.5
+            assert read(a, y) == ProbValue(v.p, v.abs_err)
+
+    def test_row_cache_is_bounded_and_small(self):
+        # documented bound: at most 256 rows of 256 values, under 7 MiB with
+        # the cache's own bookkeeping; measured on a few rows whose blocks
+        # are filled before tracing starts
+        assert coupon._point_row.cache_info().maxsize == 256
+        keys = [(a, j) for a in (10, 40, MAX_ALTERNATIVES) for j in (0, 1)]
+        for a, j in keys:
+            coupon._survival_block(a, j)
+        coupon._point_row.cache_clear()
+        tracemalloc.start()
+        try:
+            for a, j in keys:
+                single_bank_survival(a, coupon._BLOCK * j + a)
+                single_bank_cdf(a, coupon._BLOCK * j + a)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = coupon._point_row.cache_info().currsize
+        assert rows == 2 * len(keys)
+        assert held / rows * 256 < 7 * 2 ** 20
 
     def test_tail_start_table(self):
         starts = coupon._TAIL_STARTS
@@ -1479,8 +1531,9 @@ class TestPointReads:
             self._assert_valid(cdf.values())
             pmf = {n: test_count_pmf(spec, n) for n in ys if n}
             self._assert_valid(pmf.values())
-            # n and n - 1 share one block lookup unless n starts a block or
-            # the tail; either way the pmf is the clamped cdf difference
+            # a pmf reads its cells at n and n - 1 with two calls, within one
+            # block or across a block edge or the tail start; either way it is
+            # the clamped cdf difference
             for n, got in pmf.items():
                 hi, lo = cdf[n], cdf.get(n - 1) or test_count_cdf(spec, n - 1)
                 want = max(hi.p - lo.p, 0.0), hi.abs_err + lo.abs_err
@@ -1496,15 +1549,19 @@ class TestPointReads:
     def test_block_fill_runs_the_range_checks(self, monkeypatch, name, value, message):
         # ProbValue's checks run once per block, when it is filled: a bad
         # cell raises there, on the direct call and on a read, and no block
-        # is cached
+        # and no row of values is cached
         coupon._survival_block.cache_clear()
+        coupon._point_row.cache_clear()
         monkeypatch.setattr(coupon, name, value)
         for j in (0, 1):
             with pytest.raises(ValueError, match=message):
                 coupon._survival_block(10, j)
             with pytest.raises(ValueError, match=message):
                 single_bank_survival(10, coupon._BLOCK * j + 40)
+            with pytest.raises(ValueError, match=message):
+                single_bank_cdf(10, coupon._BLOCK * j + 40)
         assert coupon._survival_block.cache_info().currsize == 0
+        assert coupon._point_row.cache_info().currsize == 0
         monkeypatch.undo()
         for y in (40, coupon._BLOCK + 40):
             want, _route = reference_curve_point(10, y)
