@@ -25,10 +25,12 @@ values) and one index.  Each row holds the S or the F of one block as 256
 shared frozen :class:`ProbValue` instances, filled slot by slot from cells
 whose range checks ran once for the whole block when it was filled (about
 26.8 KB and 80 us a row, on top of the block's fill; at most 256 rows, under
-7 MiB); the tail and a = 1 read constants.  The q-bank cdf and pmf depend on
-q, so they share one float kernel that reads one cdf cell from the block
-and build one value a call; a pmf reads its two cells, n and n - 1, with
-two calls.
+7 MiB); the tail and a = 1 read constants.  A caller that wants the
+probabilities alone, as the self-checks do, copies the F cells of the
+blocks (:func:`_cdf_cells`) and builds no value.  The q-bank cdf and pmf
+depend on q, so they share one float kernel that reads one cdf cell from
+the block and build one value a call; a pmf reads its two cells, n and
+n - 1, with two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -41,11 +43,13 @@ term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
 below the smallest normal float, the least value a bound takes.  The same
 solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n, a line with its
 own constant, says how far the terms must reach, so they are formed in one
-pass.  One kernel (:func:`_series`) sums both moments of every q at one
-bank size a: log1p(-S(n)) is read from the blocks once per call and
-shared, while each q keeps its own ``expm1`` cells (the platform libm, fed
-straight from an array buffer: one libm call a term), its own stops and its
-own tail bounds, the line read at each stop.  Where S is exactly 1.0 the
+pass.  Both moments of a q share each line's constant and rate, so the
+logarithms of both solves are formed once per q.  One kernel
+(:func:`_series`) sums both moments of every q at one bank size a:
+log1p(-S(n)) is read from the blocks once per call and shared, while each
+q keeps its own ``expm1`` cells (the platform libm, fed straight from an
+array buffer: one libm call a term), its own stops and its own tail
+bounds, the line read at each stop.  Where S is exactly 1.0 the
 stored logarithm is -inf and the term expm1's limit, 1.0; the constant
 tail's terms are 0.0 and take none.  Each moment reads its sum from the
 replay at its own stop, since the replay adds strictly left to right, so
@@ -57,13 +61,17 @@ tables and the quick checks ask it for the means of all the q of a bank
 size.
 
 Every compensated sum of the main path, the closed form of each block row
-and the series rows of every q at one a, is one replay of Neumaier's loop:
-two strictly ordered running-sum passes, one for the running sum and one
-for the exact rounding errors of its additions.  Each column gives, bit for
+and the series rows of every q at one a, replays Neumaier's loop in two
+strictly ordered running-sum passes, one for the running sum and one for
+the exact rounding errors of its additions.  Each column gives, bit for
 bit, what a term-by-term loop stopped there gives: a block row is read at
-its last column, a series at its stop.  The oracles share no code with the
-main path: :func:`cdf_oracle` counts surjections in integers and
-:func:`expected_tests_multisum` sums with ``math.fsum``.
+its last column, a series at its stop.  The block rows alternate in sign,
+so their errors come from Knuth's TwoSum (:func:`_compensated_running`);
+the series rows are nonnegative and each term is dominated by the running
+sum before it, so Dekker's Fast2Sum gives the same errors in two operations
+a step in place of five (:func:`_fast2sum_running`).  The oracles share no
+code with the main path: :func:`cdf_oracle` counts surjections in integers
+and :func:`expected_tests_multisum` sums with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -236,6 +244,19 @@ class SeriesEstimate:
         return self.value
 
 
+_set_value, _set_tail_bound, _set_terms = (
+    SeriesEstimate.value.__set__, SeriesEstimate.tail_bound.__set__, SeriesEstimate.terms.__set__)
+
+
+def _estimate(value: float, tail_bound: float, terms: int) -> SeriesEstimate:
+    """A SeriesEstimate filled slot by slot, as :func:`_value` fills a ProbValue."""
+    estimate = _new(SeriesEstimate)
+    _set_value(estimate, value)
+    _set_tail_bound(estimate, tail_bound)
+    _set_terms(estimate, terms)
+    return estimate
+
+
 def _shown(value, text=repr) -> str:
     """``text(value)``, or for an int too long to print in decimal, its size."""
     try:
@@ -316,10 +337,10 @@ def _survival_block(a: int, j: int) -> memoryview:
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
     alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y is
-    laid out as one row of signed terms per y, in k order, and summed by the
-    same compensated replay as the series (:func:`_compensated_running`,
-    read at its last column), so every value and bound is a lone per-y
-    Neumaier sum's, bit for bit.
+    laid out as one row of signed terms per y, in k order, and summed by a
+    compensated replay (:func:`_compensated_running`, read at its last
+    column), so every value and bound is a lone per-y Neumaier sum's, bit
+    for bit.
     The powers come from Python's ``float.__pow__`` (the platform libm);
     ``np.power`` may round differently.  Each term carries about y ulps of
     relative error through the power, so the bound is
@@ -439,6 +460,20 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
     return _ONE_BANK_F[min(y, 1)] if a == 1 else _TAIL_F
 
 
+def _cdf_cells(a: int, stop: int) -> np.ndarray:
+    """F(y) for y in [0, stop) at a bank size 1 <= a <= MAX_ALTERNATIVES,
+    each the ``.p`` of :func:`single_bank_cdf`, bit for bit: the cells of
+    the blocks' F rows, for a caller that wants the probabilities alone, so
+    no row of values is built or cached."""
+    cells = np.ones(stop)  # the constant tail's F, and a = 1's from y = 1 on
+    cells[:a] = 0.0  # fewer tests than alternatives cannot cover the bank
+    tail = min(stop, _TAIL_STARTS[a])
+    for lo in range(0, tail, _BLOCK):
+        width = min(_BLOCK, tail - lo)
+        cells[lo:lo + width] = _survival_block(a, lo // _BLOCK).obj[2 * _BLOCK:2 * _BLOCK + width]
+    return cells
+
+
 def cdf_oracle(a: int, y: int) -> Fraction:
     """Exact coverage probability a! S2(y, a) / a**y from surjection counts.
 
@@ -527,19 +562,9 @@ test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
 
 
-# (c, r, offset) of a tail line; see _tail_line
+# (c, r, offset) of a tail line: in logarithms its bound is c - r*n, plus
+# log(2n + offset) when an offset is given; see _windows
 _Line = tuple[float, float, int | None]
-
-
-def _tail_line(a: int, q: float, scale: float, offset: int | None) -> _Line:
-    """The bound scale * q * decay**n, decay = (a-1)/a, times 2n + offset
-    when an offset is given, as (c, r, offset): in logarithms it is the line
-    c - r*n, plus log(2n + offset).
-
-    c is raised by 1e-9, far above the rounding of the logarithms and of
-    r*n for any n a series reaches, so the line stays a bound.
-    """
-    return math.log(scale) + math.log(q) + 1e-9, -math.log((a - 1) / a), offset
 
 
 def _tail_bound(line: _Line, n: int) -> float:
@@ -550,15 +575,15 @@ def _tail_bound(line: _Line, n: int) -> float:
     return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
 
-def _crossing(line: _Line, limit: float) -> float:
-    """The real n past the peak of ``line`` at which it falls to ``limit``.
+def _crossing(excess: float, r: float, offset: int | None) -> float:
+    """The real n past the peak of a line c - r*n, plus log(2n + offset)
+    when an offset is given, at which it falls to a limit; ``excess`` is
+    c - log(limit).
 
     Solved in logarithms, with three fixed-point steps for the weight; they
     start below that root and climb towards it, so the result lies at or
     below it, up to rounding.
     """
-    c, r, offset = line
-    excess = c - math.log(limit)
     n = excess / r
     if offset is not None:
         for _ in range(3):
@@ -566,8 +591,9 @@ def _crossing(line: _Line, limit: float) -> float:
     return n
 
 
-def _least_certified(line: _Line, limit: float) -> int:
-    """The least n >= 0 whose bound on a series' ``line`` is at most ``limit``.
+def _least_certified(line: _Line, limit: float, root: float) -> int:
+    """The least n >= 0 whose bound on a series' ``line`` is at most
+    ``limit``, walked from ``root``, the line's :func:`_crossing` of it.
 
     The series' exact bound strictly decreases in n, by a factor of at most
     (2a^2 - a - 1) / (2a^2 - a) per step with the variance's weight
@@ -579,7 +605,7 @@ def _least_certified(line: _Line, limit: float) -> int:
     and then by one step.  So the walk starts one step short of ceil(root)
     and climbs to the least n.
     """
-    n = max(math.ceil(_crossing(line, limit)) - 1, 0)
+    n = max(math.ceil(root) - 1, 0)
     while _tail_bound(line, n) > limit:
         n += 1
     return n
@@ -619,7 +645,8 @@ def _compensated_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Neumaier's correction for s + x is the exact rounding error of that
     addition, and so is Knuth's branch-free TwoSum for any two floats, so
-    one pass serves signed and unsigned rows alike.  ``np.add.accumulate``
+    it serves the signed rows of the curve blocks, whose running sum need
+    not dominate the next term.  ``np.add.accumulate``
     (what ``cumsum`` calls, at half its fixed cost) adds strictly left to
     right, so it replays the running sum and then the sum of the per-step
     errors exactly (``np.sum`` adds pairwise and would not); column k of
@@ -639,39 +666,83 @@ def _compensated_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return after, np.add.accumulate(low, axis=1, out=low)
 
 
+def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_compensated_running` gives, bit for bit, for rows whose
+    running sum dominates each term: Dekker's Fast2Sum in place of TwoSum,
+    two operations a step in place of five.
+
+    After s = s_prev + x, Fast2Sum's z = s - s_prev and e = x - z give the
+    exact rounding error of the addition wherever the exponent of s_prev is
+    at least that of x (Dekker, Numer. Math. 18, 1971), and wherever the
+    addition is exact, for then z = x and e = +0.0, as TwoSum gives.  So e is
+    TwoSum's double, and the running sums of e are the same.  The series
+    rows meet that: every term of a mean row lies in [0, 1] and the first,
+    at n = 0, is 1.0, so the running sum is at least 1 from column 1 on, and
+    column 0 adds to 0.0, exactly.  A variance row weights P(N > n), which
+    is 1.0 below n = a >= 2, by 2n + 1: its first three terms are 1, 3 and
+    at most 5, whose additions are exact or dominated, and from n = 3 on the
+    sum before n, at least n^2 P(N > n), dominates (2n + 1) P(N > n).  The
+    zeros past a row's window add exactly.  The signed rows of a curve block
+    keep TwoSum.
+    """
+    running = np.zeros((len(rows), rows.shape[1] + 1))
+    before, after = running[:, :-1], running[:, 1:]
+    np.add.accumulate(rows, axis=1, out=after)
+    low = after - before
+    np.subtract(rows, low, out=low)
+    return after, np.add.accumulate(low, axis=1, out=low)
+
+
 def _uncertified(series: str, a: int, q: int, n_cap: int) -> str:
     return f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}"
 
 
-def _window(a: int, q: int, count: float, second_moment: bool, eps: float,
-            n_cap: int) -> tuple[_Line, int, int] | str:
-    """The tail line of q's mean or variance series, the least n that line
-    certifies and the end of the term window, for q saturated to the float
-    ``count``; or, where no term can help, the message of the series'
-    failure."""
-    series = "variance" if second_moment else "mean"
+def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
+             second_moment: bool) -> list[tuple[_Line, int, int] | str]:
+    """For q's mean and, with ``second_moment``, its variance, the tail line,
+    the least n that line certifies and the end of the term window, for q
+    saturated to the float ``count``; or, where no term can help, the
+    message of the series' failure.
+
+    The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
+    2n + 2a - 1 for the variance: in logarithms the line c - r*n, plus
+    log(2n + 2a - 1), one c and one r for both moments.  c is raised by
+    1e-9, far above the rounding of the logarithms and of r*n for any n a
+    series reaches, so the line stays a bound.  P(N > n) <= q * S(n) <=
+    q * a * decay**n, times 2n+1 for the variance, is a line with the same
+    r and its own constant, raised alike; it starts above eps and has one
+    peak, so it stays below eps / 2 past its crossing, and every series
+    stops by it.  The factor 2 covers the terms' rounding and a fixed point
+    one step short.  The end is not first + 1: a few steps short of
+    _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by as
+    much as 2x, and the first small term can lie three steps past first.
+    Each logarithm is formed once and serves both moments.
+    """
+    names = ("mean", "variance")[:1 + second_moment]
     limit = 10.0 * eps
     if count == math.inf:  # the mean lies beyond the last representable survival
-        return f"{series} series for a={a} not certified: q is beyond the float range"
+        return [f"{series} series for a={a} not certified: q is beyond the float range"
+                for series in names]
     if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
-        return (f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
+        return [f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
                 f"bound of at most 10 * eps_term, below the smallest normal float "
-                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it")
-    # the tail bound is 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance
-    line = _tail_line(a, count, 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second_moment else None)
-    first = _least_certified(line, limit)
-    if first > n_cap:
-        return _uncertified(series, a, q, n_cap)
-    # P(N > n) <= q * S(n) <= q * a * decay**n.  That bound, times 2n+1 for
-    # the variance, starts above eps and has one peak, so it stays below
-    # eps / 2 past this crossing, and every series stops by it; the factor 2
-    # covers the terms' rounding and a fixed point one step short.  The end
-    # is not first + 1: a few steps short of _TAIL_STARTS[a], S(n) is a
-    # subnormal of a few ulps that rounds up by as much as 2x, and the first
-    # small term can lie three steps past first.
-    reach = _tail_line(a, count, a, 1 if second_moment else None)
-    end = math.ceil(_crossing(reach, 0.5 * eps))
-    return line, first, min(max(first, end), n_cap) + 1
+                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it"
+                for series in names]
+    log_q = math.log(count)
+    r = -math.log((a - 1) / a)
+    c = math.log(2.0 * a ** 3 / (a - 1)) + log_q + 1e-9
+    excess = c - math.log(limit)
+    reach = math.log(a) + log_q + 1e-9 - math.log(0.5 * eps)  # the union bound's, at eps / 2
+    windows = []
+    for series, offset, reach_offset in zip(names, (None, 2 * a - 1), (None, 1)):
+        line = c, r, offset
+        first = _least_certified(line, limit, _crossing(excess, r, offset))
+        if first > n_cap:
+            windows.append(_uncertified(series, a, q, n_cap))
+        else:
+            end = math.ceil(_crossing(reach, r, reach_offset))
+            windows.append((line, first, min(max(first, end), n_cap) + 1))
+    return windows
 
 
 def _first_small(rows: np.ndarray, row: int, n: int, end: int, eps: float) -> int:
@@ -695,47 +766,49 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
     ``eps`` and whose tail bound is at most ``10 * eps``; as the bound never
     increases, that is the first small term at or after the least n the
     bound certifies.  That n and the end of the term window are found before
-    any term is formed (:func:`_window`), and a series whose window fails is
-    its message.  Each q's row of terms is formed once, out to the farthest
-    of its windows that passed, by one :func:`_coverage_terms` call for
-    every q, and the weighted rows follow.  One :func:`_compensated_running`
-    call replays every row strictly left to right, so column stop - 1 of its
-    running sums and corrections is, bit for bit, the loop stopped there:
-    each moment reads its totals at its own stop, no row is padded past it,
-    and each q gets what a call for it alone gives.
+    any term is formed, for both moments of a q from one set of logarithms
+    (:func:`_windows`), and a series whose window fails is its message.
+    Each q's row of terms is formed once, out to the farthest of its windows
+    that passed, by one :func:`_coverage_terms` call for every q, and the
+    weighted rows follow.  Every row is nonnegative and dominated by its
+    running sum, so one :func:`_fast2sum_running` call replays them all
+    strictly left to right, and column stop - 1 of its running sums and
+    corrections is, bit for bit, Neumaier's loop stopped there: each moment
+    reads its totals at its own stop, no row is padded past it, and each q
+    gets what a call for it alone gives.
     """
     if a == 1:
         exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
         return [exact[:1 + second_moment]] * len(qs)
-    m = len(qs)
+    k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = [_saturating_float(q) for q in qs]
-    # window and row k * m + i are q_i's mean (k = 0) and variance (k = 1)
-    windows = [_window(a, q, count, second, eps, n_cap)
-               for second in (False, True)[:1 + second_moment] for q, count in zip(qs, counts)]
+    windows = [window for q, count in zip(qs, counts)
+               for window in _windows(a, q, count, eps, n_cap, second_moment)]
     reach = [w[2] if type(w) is tuple else 0 for w in windows]  # 0 where a window failed
-    ends = list(map(max, reach[:m], reach[m:])) if second_moment else reach
+    ends = list(map(max, reach[::2], reach[1::2])) if second_moment else reach
     width = max(ends)
     rows = np.zeros((len(windows), width))
     if width:
-        _coverage_terms(a, counts, ends, rows[:m])
+        _coverage_terms(a, counts, ends, rows[::k])
         if second_moment:
-            np.multiply(rows[:m], np.arange(1.0, 2 * width, 2.0), out=rows[m:])
-    sums, lows = _compensated_running(rows)
+            np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
+    sums, lows = _fast2sum_running(rows)
     outcomes = []  # each moment's estimate, or the message of its failure
     for row, outcome in enumerate(windows):
         if type(outcome) is tuple:
             line, first, end = outcome
             stop = _first_small(rows, row, first, end, eps)
+            variance = row % k
             if stop == end:
-                outcome = _uncertified("variance" if row >= m else "mean", a, qs[row % m], n_cap)
+                outcome = _uncertified("variance" if variance else "mean", a, qs[row // k], n_cap)
             else:
                 value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
-                if row >= m:  # E N^2 less the square of the unweighted sum at this stop
-                    t = sums.item(row - m, stop - 1) + lows.item(row - m, stop - 1)
+                if variance:  # E N^2 less the square of the unweighted sum at this stop
+                    t = sums.item(row - 1, stop - 1) + lows.item(row - 1, stop - 1)
                     value -= t * t
-                outcome = SeriesEstimate(value, _tail_bound(line, stop), stop)
+                outcome = _estimate(value, _tail_bound(line, stop), stop)
         outcomes.append(outcome)
-    return [tuple(outcomes[i::m]) for i in range(m)]
+    return [tuple(outcomes[i:i + k]) for i in range(0, len(outcomes), k)]
 
 
 @functools.lru_cache(maxsize=1, typed=True)

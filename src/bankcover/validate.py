@@ -44,13 +44,13 @@ from .asymptotics import (
 from .coupon import (
     DEFAULT_POLICY,
     BankSpec,
+    _cdf_cells,
     _certified,
     _onto_row,
     _series,
     expected_single_bank,
     expected_tests,
     expected_tests_multisum,
-    single_bank_cdf,
     test_count_cdf,
     variance_tests,
 )
@@ -174,11 +174,12 @@ def oracle_deviation() -> float:
 
     One oracle row per y holds every a <= 8; the int true division is
     correctly rounded, the same double as ``float(cdf_oracle(a, y))``."""
+    cdf = {a: _cdf_cells(a, 61).tolist() for a in range(1, 9)}
     worst = 0.0
     for y in range(1, 61):
         row = _onto_row(8, y)
         for a in range(1, min(8, y) + 1):
-            worst = max(worst, abs(single_bank_cdf(a, y).p - row[a] / a ** y))
+            worst = max(worst, abs(cdf[a][y] - row[a] / a ** y))
     return worst
 
 
@@ -207,17 +208,13 @@ def figure_deviation(rows: tuple[tuple, ...]) -> tuple[float, bool]:
     return worst, rounding_ok
 
 
-def _cdf_values(a: int, n_max: int) -> np.ndarray:
-    return np.array([single_bank_cdf(a, n).p for n in range(n_max + 1)])
-
-
 def sandwich_excursion(qs: tuple[int, ...]) -> float:
     """Worst one-sided excursion of the exact cdf outside the Gumbel envelope, a in
     TABLE_A, q in ``qs``, lags x in [-3, 10] by 0.25; negative means strictly inside."""
     xs = np.arange(-3.0, 10.0 + 1e-9, 0.25)
     worst = -math.inf
     for a in TABLE_A:
-        cdf = _cdf_values(a, int(centring(a, max(qs)).centre + xs[-1]) + 2)
+        cdf = _cdf_cells(a, int(centring(a, max(qs)).centre + xs[-1]) + 3)
         for q in qs:
             centre = centring(a, q).centre
             for x in xs:
@@ -235,7 +232,7 @@ def envelope_witness() -> tuple[float, float]:
     rate = decay_rate(a)
     qs = np.arange(2, 10 ** 6 + 1, dtype=np.float64)
     idx = np.floor(np.log(a * qs) / rate).astype(np.int64)
-    probs = _cdf_values(a, int(idx.max()) + 1)[idx] ** qs
+    probs = _cdf_cells(a, int(idx.max()) + 2)[idx] ** qs
     lower, upper = sandwich_bounds(a, 0.0)
     return float(np.abs(probs - lower).min()), float(np.abs(probs - upper).min())
 

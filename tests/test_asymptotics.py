@@ -199,19 +199,46 @@ class TestLocalPmfApprox:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        a=st.integers(2, MAX_ALTERNATIVES),
-        q=st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 400)),
+        pairs=st.lists(st.tuples(
+            st.integers(2, MAX_ALTERNATIVES),
+            st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 400)),
+        ), min_size=1, max_size=3),
         n=st.one_of(st.integers(-40, 40), st.sampled_from([-10 ** 400, 10 ** 400])),
     )
-    def test_is_the_gumbel_increment_at_the_centring(self, a, q, n):
+    def test_is_the_gumbel_increment_at_the_centring(self, pairs, n):
         # the increment formed from centring()'s fields, bit for bit; a lag
-        # beyond the float range counts as an infinity of its sign
-        c = centring(a, q)
+        # beyond the float range counts as an infinity of its sign.  The
+        # pairs are asked in turn, twice over, so the one-entry memo of the
+        # rate and centre switches between them, and each pair's second
+        # answer must be its first
         x = float(n) if abs(n) < 10 ** 300 else math.inf if n > 0 else -math.inf
-        want = (gumbel_cdf(c.decay_rate * (x + 1 - c.centre_frac))
-                - gumbel_cdf(c.decay_rate * (x - c.centre_frac)))
-        got = local_pmf_approx(a, q, n)
-        assert struct.pack("<d", got) == struct.pack("<d", want), (a, q, n)
+        answers = {}
+        for a, q in pairs * 2:
+            c = centring(a, q)
+            want = (gumbel_cdf(c.decay_rate * (x + 1 - c.centre_frac))
+                    - gumbel_cdf(c.decay_rate * (x - c.centre_frac)))
+            got = struct.pack("<d", local_pmf_approx(a, q, n))
+            assert got == struct.pack("<d", want), (a, q, n)
+            assert answers.setdefault((a, q), got) == got, (a, q, n)
+
+    def test_memo_keeps_a_bool_apart_and_keeps_no_failure(self):
+        memo = asymptotics._centre_memo
+        assert memo.cache_info().maxsize == 1
+        want = [local_pmf_approx(10, 1, n) for n in range(-3, 4)]
+        held = memo.cache_info()
+        # True hashes and compares like 1: it takes the checked path, not the entry of 1
+        assert [local_pmf_approx(10, True, n) for n in range(-3, 4)] == want
+        assert centring(10, True) == centring(10, 1)
+        assert memo.cache_info().hits == held.hits + 1  # the second centring(10, 1)
+        assert memo.cache_info().misses == held.misses
+        # an invalid pair raises on every call, whatever the memo holds
+        calls = (centring, centred_mean_prediction, lambda a, q: local_pmf_approx(a, q, 0))
+        bad = ((10, 0), (10, False), (10, 2.0), (1, 5), (True, 5), (10, [1]), (2 ** 53 + 1, 1))
+        for a, q in bad:
+            for fn in calls * 2:
+                with pytest.raises(InvalidSpecError):
+                    fn(a, q)
+        assert [local_pmf_approx(10, 1, n) for n in range(-3, 4)] == want
 
 
 class TestMeanBounds:

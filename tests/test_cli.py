@@ -215,6 +215,23 @@ class TestValidate:
         assert done.returncode == EXIT_OK, done.stderr
         assert "checks passed" in done.stdout
 
+    def test_quick_builds_no_row_of_values(self):
+        # the checks want curve probabilities alone: they read the blocks'
+        # cells, and no row of ProbValues is built or cached for them
+        script = textwrap.dedent("""
+            from bankcover.coupon import _point_row, _survival_block
+            from bankcover.validate import run_checks
+
+            assert all(result.passed for result in run_checks("quick"))
+            assert _survival_block.cache_info().currsize > 0
+            assert _point_row.cache_info().currsize == 0, _point_row.cache_info()
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(bankcover.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_unknown_level_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--level", "paranoid")
         assert code == EXIT_USAGE

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import importlib.util
 import itertools
 import math
 import pickle
@@ -15,6 +16,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, astuple, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -44,7 +46,7 @@ from bankcover.coupon import (
     variance_tests,
 )
 from bankcover import coupon, validate
-from bankcover.tables import FIG_HIGH_Q, TABLE_A, TABLE_Q
+from bankcover.tables import FIG_HIGH_Q, FIG_LOW_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
 
@@ -413,7 +415,8 @@ class TestOracleIndependence:
 
         # a point read looks its row up through _TAIL_STARTS, then _point_row,
         # which reads _survival_block
-        for name in ("_survival_block", "_point_row", "_compensated_running", "_series"):
+        for name in ("_survival_block", "_point_row", "_compensated_running",
+                     "_fast2sum_running", "_series"):
             monkeypatch.setattr(coupon, name, disabled)
         monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
@@ -848,11 +851,16 @@ def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
     return max(math.exp(log_tail), sys.float_info.min)
 
 
+def library_line(a: int, q: float, second_moment: bool) -> tuple:
+    """The tail line of the mean or the variance series of (a, q), as the
+    library's window solve forms it; no n_cap stops it."""
+    window = coupon._windows(a, q, float(q), DEFAULT_POLICY.eps_term, sys.maxsize, True)
+    return window[second_moment][0]
+
+
 def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
     """The library's series tail bound from test count ``n`` on."""
-    line = coupon._tail_line(
-        a, float(q), 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second_moment else None)
-    return coupon._tail_bound(line, n)
+    return coupon._tail_bound(library_line(a, q, second_moment), n)
 
 
 def reference_series(
@@ -932,7 +940,8 @@ class TestCompensatedReplay:
     @settings(max_examples=100, deadline=None)
     @given(rows=replay_rows())
     def test_signed_rows_match_scalar_neumaier(self, rows):
-        # the series kernel reads each moment at its own stop, so every
+        # a block row is read at its last column, and the series replay is
+        # held to this one at every column (TestFast2SumReplay), so every
         # column must be the loop stopped there
         sums, lows = coupon._compensated_running(np.array(rows))
         for row, row_sums, row_lows in zip(rows, sums.tolist(), lows.tolist()):
@@ -945,6 +954,72 @@ class TestCompensatedReplay:
         row = [1.0, -1e16, 1e16, 3.0]
         sums, lows = coupon._compensated_running(np.array([row]))
         assert sums.item(0, -1) + lows.item(0, -1) == 4.0 == neumaier(row)
+
+
+def benchmark_requests(seeds) -> set[tuple[int, int]]:
+    """The (a, q) of the exact_queries benchmark's request streams at
+    ``seeds``, drawn by ``perfbench/jobs.py`` (stdlib and numpy at import)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = jobs  # its dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        del sys.modules[spec.name]
+    return {request for seed in seeds for request in jobs.exact_stream(seed)}
+
+
+@pytest.fixture(scope="class")
+def series_replays():
+    """For every row matrix the series kernel replays, over the benchmark's
+    streams at seeds 1-3, a = 2..64 at q from 1 to 1e306 (both moments) and
+    the three mean table grids: the terms whose exponent exceeds that of the
+    running sum before them (np.frexp's) and whose addition is inexact, and
+    whether the Fast2Sum replay's running sums and corrections are
+    ``_compensated_running``'s, bit for bit.  Checked as each matrix is
+    replayed, so none is kept."""
+    real = coupon._fast2sum_running
+    checked = []
+
+    def replay(rows):
+        sums, lows = coupon._compensated_running(rows)
+        fast_sums, fast_lows = real(rows)
+        before = np.zeros_like(rows)  # the running sum before each term
+        before[:, 1:] = sums[:, :-1]
+        larger = np.nonzero(np.frexp(rows)[1] > np.frexp(before)[1])
+        inexact = [(i, k) for i, k in zip(*larger) if Fraction(before[i, k])
+                   + Fraction(rows[i, k]) != Fraction(sums[i, k])]
+        same = fast_sums.tobytes() == sums.tobytes() and fast_lows.tobytes() == lows.tobytes()
+        checked.append((rows.shape, len(larger[0]), inexact, same))
+        return fast_sums, fast_lows
+
+    eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
+    specs = benchmark_requests((1, 2, 3)) | {
+        (a, q) for a in range(2, MAX_ALTERNATIVES + 1)
+        for q in (1, 2, 10, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupon, "_fast2sum_running", replay)
+        for a, q in sorted(specs):
+            coupon._series(a, (q,), eps, n_cap, True)
+        for a in TABLE_A:
+            for qs in (TABLE_Q, FIG_LOW_Q, FIG_HIGH_Q):
+                coupon._series(a, qs, eps, n_cap, False)
+    assert len(checked) == len(specs) + 9
+    return checked
+
+
+class TestFast2SumReplay:
+    """The series rows' replay: its precondition, and TwoSum's bits."""
+
+    def test_every_term_is_dominated_or_added_exactly(self, series_replays):
+        assert [(shape, inexact) for shape, _, inexact, _ in series_replays if inexact] == []
+        # the exact additions that are not dominated: 0 + 1 at column 0 of
+        # every row, and 1 + 3 at column 1 of a variance row
+        assert sum(larger for _, larger, _, _ in series_replays) > len(series_replays)
+
+    def test_matches_twosum_bit_for_bit(self, series_replays):
+        assert [shape for shape, _, _, same in series_replays if not same] == []
 
 
 class TestSeriesSweep:
@@ -1239,8 +1314,7 @@ class TestTailLine:
             power_end = 1 + math.ceil(math.log(cls.LEAST) / math.log((a - 1) / a))
             for second in (False, True):
                 for q in qs:
-                    line = coupon._tail_line(
-                        a, q, 2.0 * a ** 3 / (a - 1), 2 * a - 1 if second else None)
+                    line = library_line(a, q, second)
                     span = range(400_000)
                     finite = bisect.bisect_left(
                         span, True, key=lambda n: coupon._tail_bound(line, n) < math.inf)
@@ -1279,7 +1353,9 @@ class TestTailLine:
                 # smallest normal float, with eps_term < 1
                 if not self.LEAST <= limit < 10.0:
                     continue
-                first = coupon._least_certified(line, limit)
+                c, r, offset = line
+                root = coupon._crossing(c - math.log(limit), r, offset)
+                first = coupon._least_certified(line, limit, root)
                 assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
                 assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
                     a, q, second, limit)
