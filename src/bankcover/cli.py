@@ -6,7 +6,9 @@ one ``error: internal:`` line on stderr).  The BANKCOVER_OUT_DIR environment
 variable sets the default output directory for table and figure files; --out
 wins over it.  An --out that is a directory, or ends in a path separator (the
 directory is then made if missing), gets the file ``<name>.csv`` or
-``<name>.svg`` inside it.
+``<name>.svg`` inside it.  A file that already holds exactly the bytes keeps
+its data and gets a new modification time; any other is truncated and
+written, and a read-only file exits 4 either way.
 """
 
 from __future__ import annotations

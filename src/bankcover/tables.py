@@ -8,6 +8,9 @@ meaningful.
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -69,12 +72,44 @@ class TableArtifact:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
+        """Write :meth:`to_csv` to ``path`` and return it as a ``Path``.
+
+        A file that already holds exactly these bytes keeps its data and
+        gets a new modification time (see :func:`_write_text`).
+        """
         return _write_text(path, self.to_csv())
 
 
 def _write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 with LF endings, and return the path.
+
+    A regular file that already holds exactly these bytes keeps its data,
+    inode, mode and owner, and gets a new modification time, as a rewrite
+    would give it: truncating and rewriting it would change nothing but
+    cost a flush on close on filesystems that guard replace-via-truncate
+    (ext4's ``auto_da_alloc``).  Only a regular file of the same size is
+    opened, to read and write, before the write: any other target (a
+    device, a FIFO) is only written, and a file that cannot be read or
+    written is truncated and written as by the plain write, which raises
+    each error (a missing directory, a directory at the path, a read-only
+    file).
+    """
     path = Path(path)
-    path.write_text(text, encoding="utf-8", newline="")  # newline="": LF on every platform
+    data = text.encode("utf-8")
+    try:
+        info = os.stat(path)
+        if stat.S_ISREG(info.st_mode) and info.st_size == len(data):
+            fd = os.open(path, os.O_RDWR)  # neither creates nor truncates
+            try:
+                same = os.read(fd, len(data) + 1) == data
+            finally:
+                os.close(fd)
+            if same:
+                os.utime(path)
+                return path
+    except OSError:
+        pass  # the write below creates the file, rewrites it or raises
+    path.write_bytes(data)
     return path
 
 
@@ -131,7 +166,8 @@ def render_figure_svg(artifact: TableArtifact) -> str:
 
     Deterministic output: same artifact, same bytes.  Axes are labelled with
     the question count ``q`` and the mean coverage time ``E N_q``.  A table
-    without the value header, or without rows, raises ``InvalidSpecError``.
+    without the value header, or without rows, or whose values are not all
+    finite with the largest above 0, raises ``InvalidSpecError``.
     """
     if artifact.header != _VALUE_HEADER or not artifact.rows:
         raise InvalidSpecError(
@@ -145,6 +181,10 @@ def render_figure_svg(artifact: TableArtifact) -> str:
     ys = [v for pts in series.values() for _, v in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(ys) * 1.05
+    if not (all(map(math.isfinite, ys)) and 0.0 < y_hi < math.inf):  # the y axis must scale
+        raise InvalidSpecError(
+            f"cannot draw table {artifact.name!r}: a figure needs finite values "
+            "with the largest above 0")
     if x_hi == x_lo:
         x_hi = x_lo + 1
 

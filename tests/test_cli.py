@@ -147,6 +147,27 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "en_q", "--out", str(target))
         assert code == EXIT_IO and "error" in err
 
+    def test_unchanged_output_keeps_its_file_and_gets_a_new_mtime(self, capsys, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run_cli(capsys, "table", "en_q", "--out", str(out))[0] == EXIT_OK
+        written = out.read_bytes()
+        os.utime(out, (0, 0))
+        inode = out.stat().st_ino
+        code, printed, _ = run_cli(capsys, "table", "en_q", "--out", str(out))
+        assert code == EXIT_OK and printed == f"{out}\n"
+        assert out.read_bytes() == written
+        assert out.stat().st_ino == inode and out.stat().st_mtime_ns > 0
+
+    def test_read_only_output_with_the_bytes_exits_4(self, capsys, tmp_path, unprivileged):
+        out = tmp_path / "m.csv"
+        assert run_cli(capsys, "table", "en_q", "--out", str(out))[0] == EXIT_OK
+        out.chmod(0o444)
+        done = unprivileged(tmp_path, """
+            import sys
+            sys.exit(bankcover.cli.main(["table", "en_q", "--out", "m.csv"]))
+        """)
+        assert done.returncode == EXIT_IO and done.stderr.startswith("error: [Errno 13]")
+
 
 class TestSimulate:
     def test_repeat_runs_are_byte_identical(self, capsys):

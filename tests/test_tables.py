@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from bankcover import validate
+from bankcover import tables, validate
 from bankcover.asymptotics import centred_mean_prediction
 from bankcover.coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series
 from bankcover.tables import (
@@ -18,6 +22,7 @@ from bankcover.tables import (
     TABLE_A,
     TABLE_Q,
     TableArtifact,
+    _write_text,
     build_table,
     render_figure_svg,
     round_half_away,
@@ -152,6 +157,141 @@ class TestCsvRoundTrip:
         assert raw.decode("utf-8") == build_table("sd_bounds").to_csv()
 
 
+class TestWriteText:
+    """A file that already holds the bytes keeps its data and gets a new
+    mtime; every other target is truncated and written as by a plain write,
+    which raises what a plain write raises."""
+
+    TEXT = build_table("sd_bounds").to_csv()
+
+    def test_identical_bytes_keep_the_file_and_get_a_new_mtime(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.TEXT.encode())
+        path.chmod(0o640)
+        os.utime(path, (0, 0))
+        before = path.stat()
+        marker = tmp_path / "marker"  # stamped by the kernel just before the call
+        marker.write_bytes(b"")
+
+        def refuse(target, data):
+            raise AssertionError(f"rewrote {target}")
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        assert _write_text(str(path), self.TEXT) == path
+        after = path.stat()
+        assert path.read_bytes() == self.TEXT.encode()
+        assert (after.st_ino, after.st_mode, after.st_uid) == (
+            before.st_ino, before.st_mode, before.st_uid)
+        assert after.st_mtime_ns > 0 and after.st_mtime_ns >= marker.stat().st_mtime_ns
+
+    @pytest.mark.parametrize("old", [
+        # the same size with one byte changed, a shorter file and a longer one
+        TEXT.replace("2,", "7,", 1), TEXT[:-9], TEXT + "64,0.5,0.6\n"],
+        ids=["same-size", "shorter", "longer"])
+    def test_changed_bytes_are_rewritten(self, tmp_path, old):
+        path = tmp_path / "t.csv"
+        path.write_bytes(old.encode())
+        path.chmod(0o640)
+        os.utime(path, (0, 0))
+        before = path.stat()
+        _write_text(path, self.TEXT)
+        after = path.stat()
+        assert path.read_bytes() == self.TEXT.encode()  # no stale tail
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert after.st_mtime_ns > 0
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_a_symlink_is_followed(self, tmp_path, same):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(self.TEXT.encode() if same else b"old\n")
+        link.symlink_to(target)
+        inode = target.stat().st_ino
+        os.utime(target, (0, 0))
+        _write_text(link, self.TEXT)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == self.TEXT.encode()
+        assert target.stat().st_ino == inode and target.stat().st_mtime_ns > 0
+
+    def test_a_read_only_file_with_the_bytes_raises(self, tmp_path, unprivileged):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.TEXT.encode())
+        path.chmod(0o444)
+        os.utime(path, (0, 0))
+        done = unprivileged(tmp_path, f"""
+            try:
+                bankcover.tables._write_text("t.csv", {self.TEXT!r})
+            except PermissionError:
+                print("PermissionError")
+        """)
+        assert done.stdout == "PermissionError\n", done.stderr
+        assert path.read_bytes() == self.TEXT.encode() and path.stat().st_mtime_ns == 0
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_a_write_only_file_is_written(self, tmp_path, unprivileged, same):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.TEXT.encode() if same else b"old\n")
+        path.chmod(0o222)
+        os.utime(path, (0, 0))
+        done = unprivileged(tmp_path, f"""
+            bankcover.tables._write_text("t.csv", {self.TEXT!r})
+        """)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == self.TEXT.encode() and path.stat().st_mtime_ns > 0
+
+    def test_a_directory_at_the_path_raises(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            _write_text(tmp_path, self.TEXT)
+        assert tmp_path.is_dir()
+
+    def test_a_missing_directory_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            _write_text(tmp_path / "missing" / "t.csv", self.TEXT)
+
+    @pytest.mark.parametrize("text", ["", TEXT], ids=["empty", "table"])
+    def test_a_device_is_written_unread(self, monkeypatch, text):
+        # /dev/null is empty, so the empty text has its size; it is still not read
+        def refuse(fd, n):
+            raise AssertionError("read a device")
+        written = []
+        monkeypatch.setattr(tables.os, "read", refuse)
+        monkeypatch.setattr(Path, "write_bytes",
+                            lambda path, data: written.append((str(path), data)))
+        _write_text(os.devnull, text)
+        assert written == [(os.devnull, text.encode())]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_is_written_to_its_reader(self, tmp_path, monkeypatch):
+        # an open of the FIFO before the write would wake the reader waiting
+        # in its open and, once closed, hand it EOF; the write would then
+        # wait for a reader that never comes
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        write_bytes = Path.write_bytes
+
+        def write_after_a_done_reader(target, data):  # a reader handed EOF ends first
+            reader.join(0.2)
+            return write_bytes(target, data)
+        monkeypatch.setattr(Path, "write_bytes", write_after_a_done_reader)
+        writer = threading.Thread(target=_write_text, args=(fifo, self.TEXT), daemon=True)
+        reader.start()
+        time.sleep(0.1)  # the reader waits in its open
+        writer.start()
+        reader.join(10)
+        if writer.is_alive():  # free a write left waiting for a reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+        assert received == [self.TEXT.encode()]
+
+    def test_a_new_file_is_created_with_the_plain_mode(self, tmp_path):
+        _write_text(tmp_path / "new.csv", self.TEXT)
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        assert (tmp_path / "new.csv").read_bytes() == self.TEXT.encode()
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+
 class TestFigureSvg:
     def test_axes_labelled(self):
         svg = render_figure_svg(build_table("fig_low"))
@@ -176,6 +316,17 @@ class TestFigureSvg:
                 render_figure_svg(table)
             assert str(got.value) == (f"cannot draw table {table.name!r}: a figure needs the "
                                       "header a,q,value,value_rounded and at least one row")
+        # values the y axis cannot scale to: none above 0, or one not finite
+        header = build_table("fig_low").header
+        for values in ((0.0, 0.0), (-1.0, 0.0), (1.0, math.nan), (math.nan, 1.0),
+                       (1.0, math.inf), (-math.inf, 1.0)):
+            table = TableArtifact("flat", header, tuple(
+                (5, q, value, round_half_away(value) if math.isfinite(value) else "nan")
+                for q, value in enumerate(values, 1)))
+            with pytest.raises(InvalidSpecError) as got:
+                render_figure_svg(table)
+            assert str(got.value) == ("cannot draw table 'flat': a figure needs finite "
+                                      "values with the largest above 0")
 
 
 class TestOutputBytes:
