@@ -65,13 +65,15 @@ and the series rows of every q at one a, replays Neumaier's loop in two
 strictly ordered running-sum passes, one for the running sum and one for
 the exact rounding errors of its additions.  Each column gives, bit for
 bit, what a term-by-term loop stopped there gives: a block row is read at
-its last column, a series at its stop.  The block rows alternate in sign,
-so their errors come from Knuth's TwoSum (:func:`_compensated_running`);
-the series rows are nonnegative and each term is dominated by the running
-sum before it, so Dekker's Fast2Sum gives the same errors in two operations
-a step in place of five (:func:`_fast2sum_running`).  The oracles share no
-code with the main path: :func:`cdf_oracle` counts surjections in integers
-and :func:`expected_tests_multisum` sums with ``math.fsum``.
+its last column, a series at its stop.  One replay serves both
+(:func:`_fast2sum_running`): its errors come from Dekker's Fast2Sum, two
+operations a step, which gives the exact error of an addition wherever the
+difference it forms, s - s_prev, is exact.  Dekker's exponent condition
+guarantees that for the series rows, whose running sum dominates each
+term; the signed block rows need not meet it, and the tests hold their
+bytes to TwoSum's on every block of a = 2..64.  The oracles share no code
+with the main path: :func:`cdf_oracle` counts surjections in integers and
+:func:`expected_tests_multisum` sums with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -337,10 +339,13 @@ def _survival_block(a: int, j: int) -> memoryview:
 
     The block is y in [_BLOCK * j, _BLOCK * (j + 1)) and a >= 2.  The
     alternating closed form S(y) = sum_k (-1)^(k+1) C(a, k) ((a-k)/a)^y is
-    laid out as one row of signed terms per y, in k order, and summed by a
-    compensated replay (:func:`_compensated_running`, read at its last
-    column), so every value and bound is a lone per-y Neumaier sum's, bit
-    for bit.
+    laid out as one row of signed terms per y, in k order, and summed by the
+    compensated replay (:func:`_fast2sum_running`, read at its last column),
+    so every value and bound is a lone per-y Neumaier sum's, bit for bit.
+    The rows alternate in sign, so a term may outweigh the running sum
+    before it, and Dekker's condition does not cover them; Fast2Sum's error
+    is still exact wherever its s - s_prev is, and the tests check that the
+    bytes are TwoSum's on every block of a = 2..64 below its tail start.
     The powers come from Python's ``float.__pow__`` (the platform libm);
     ``np.power`` may round differently.  Each term carries about y ulps of
     relative error through the power, so the bound is
@@ -372,7 +377,7 @@ def _survival_block(a: int, j: int) -> memoryview:
             np.multiply(powers, float(math.comb(a, k)), out=rows[:, k - 1])
     magnitude = rows.cumsum(axis=1)[:, -1]  # in k order; np.sum would add pairwise
     np.negative(rows[:, 1::2], out=rows[:, 1::2])  # the even k are subtracted
-    sums, lows = _compensated_running(rows)
+    sums, lows = _fast2sum_running(rows)
     p = sums[:, -1] + lows[:, -1]
     slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
     bound = slack * _ULP * magnitude
@@ -638,52 +643,36 @@ def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
                         out=row[:width])
 
 
-def _compensated_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The running sums and running corrections of a Neumaier loop started at
     s = c = 0.0 over each row: their sum at column k is what the loop
     returns after the terms up to k.
 
-    Neumaier's correction for s + x is the exact rounding error of that
-    addition, and so is Knuth's branch-free TwoSum for any two floats, so
-    it serves the signed rows of the curve blocks, whose running sum need
-    not dominate the next term.  ``np.add.accumulate``
-    (what ``cumsum`` calls, at half its fixed cost) adds strictly left to
-    right, so it replays the running sum and then the sum of the per-step
-    errors exactly (``np.sum`` adds pairwise and would not); column k of
-    both depends on the first k + 1 terms alone, so a loop stopped there
-    gives the same bits.  The running sum starts at 0.0, so the first step
-    is replayed too; a row must not start with -0.0, since the loop's
-    0.0 + -0.0 is +0.0.
-    """
-    running = np.zeros((len(rows), rows.shape[1] + 1))
-    before, after = running[:, :-1], running[:, 1:]
-    np.add.accumulate(rows, axis=1, out=after)
-    moved = after - before
-    low = after - moved
-    np.subtract(before, low, out=low)
-    np.subtract(rows, moved, out=moved)
-    low += moved
-    return after, np.add.accumulate(low, axis=1, out=low)
+    Each step is Dekker's Fast2Sum: after s = s_prev + x, z = s - s_prev and
+    e = x - z.  Wherever z is exact, s_prev + z is s exactly, so e is the
+    exact rounding error of the addition, which is Neumaier's correction
+    (and Knuth's TwoSum's, in five operations a step in place of two).  z is
+    exact wherever the exponent of s_prev is at least that of x (Dekker,
+    Numer. Math. 18, 1971), and wherever the addition is exact, for then
+    z = x.  The series rows meet the first: every term of a mean row lies in
+    [0, 1] and the first, at n = 0, is 1.0, so the running sum is at least 1
+    from column 1 on, and column 0 adds to 0.0, exactly.  A variance row
+    weights P(N > n), which is 1.0 below n = a >= 2, by 2n + 1: its first
+    three terms are 1, 3 and at most 5, whose additions are exact or
+    dominated, and from n = 3 on the sum before n, at least n^2 P(N > n),
+    dominates (2n + 1) P(N > n).  The zeros past a row's window add
+    exactly.  The signed rows of a curve block need not meet either
+    condition, but z is exact at every addition of each row whose cell the
+    block keeps (the rest are redone in exact integers), which the tests
+    check block by block for a = 2..64.
 
-
-def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What :func:`_compensated_running` gives, bit for bit, for rows whose
-    running sum dominates each term: Dekker's Fast2Sum in place of TwoSum,
-    two operations a step in place of five.
-
-    After s = s_prev + x, Fast2Sum's z = s - s_prev and e = x - z give the
-    exact rounding error of the addition wherever the exponent of s_prev is
-    at least that of x (Dekker, Numer. Math. 18, 1971), and wherever the
-    addition is exact, for then z = x and e = +0.0, as TwoSum gives.  So e is
-    TwoSum's double, and the running sums of e are the same.  The series
-    rows meet that: every term of a mean row lies in [0, 1] and the first,
-    at n = 0, is 1.0, so the running sum is at least 1 from column 1 on, and
-    column 0 adds to 0.0, exactly.  A variance row weights P(N > n), which
-    is 1.0 below n = a >= 2, by 2n + 1: its first three terms are 1, 3 and
-    at most 5, whose additions are exact or dominated, and from n = 3 on the
-    sum before n, at least n^2 P(N > n), dominates (2n + 1) P(N > n).  The
-    zeros past a row's window add exactly.  The signed rows of a curve block
-    keep TwoSum.
+    ``np.add.accumulate`` (what ``cumsum`` calls, at half its fixed cost)
+    adds strictly left to right, so it replays the running sum and then
+    the sum of the per-step errors exactly (``np.sum`` adds pairwise and
+    would not); column k of both depends on the first k + 1 terms alone, so
+    a loop stopped there gives the same bits.  The running sum starts at
+    0.0, so the first step is replayed too; a row must not start with -0.0,
+    since the loop's 0.0 + -0.0 is +0.0.
     """
     running = np.zeros((len(rows), rows.shape[1] + 1))
     before, after = running[:, :-1], running[:, 1:]

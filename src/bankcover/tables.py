@@ -12,7 +12,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
@@ -43,12 +43,22 @@ FIGURE_NAMES = ("fig_low", "fig_high")
 
 _VALUE_HEADER = ("a", "q", "value", "value_rounded")
 _SD_HEADER = ("a", "sd_min", "sd_max")
+# quantize raises where its result has more digits than its context keeps (28
+# by default, fewer than 1e27 has at one decimal); this one keeps as many as
+# decimal can
+_EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_UP)
 
 
 def round_half_away(value: float, decimals: int = 1) -> str:
-    """Decimal string rounded to ``decimals`` places, halves away from zero."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    """Decimal string rounded to ``decimals`` places, halves away from zero.
+
+    The value's shortest repr is rounded once, in a decimal context that
+    keeps every digit of the result, so the rounding is exact at any
+    magnitude.  A value that is not finite raises ``InvalidSpecError``.
+    """
+    if not math.isfinite(value):
+        raise InvalidSpecError(f"cannot round {value!r}: the value must be finite")
+    return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=_EXACT))
 
 
 def _render_cell(cell) -> str:
@@ -66,9 +76,7 @@ class TableArtifact:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_render_cell(cell) for cell in row))
+        lines = [",".join(self.header), *(",".join(map(_render_cell, row)) for row in self.rows)]
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:

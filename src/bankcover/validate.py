@@ -386,8 +386,9 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
 
 
 def format_report(results: list[CheckResult]) -> str:
-    """Human-readable one-line-per-check report with a final summary."""
-    width = max(len(r.name) for r in results)
+    """Human-readable one-line-per-check report with a final summary; for no
+    results, the summary alone."""
+    width = max((len(r.name) for r in results), default=0)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -415,8 +415,7 @@ class TestOracleIndependence:
 
         # a point read looks its row up through _TAIL_STARTS, then _point_row,
         # which reads _survival_block
-        for name in ("_survival_block", "_point_row", "_compensated_running",
-                     "_fast2sum_running", "_series"):
+        for name in ("_survival_block", "_point_row", "_fast2sum_running", "_series"):
             monkeypatch.setattr(coupon, name, disabled)
         monkeypatch.setattr(coupon, "_TAIL_STARTS", Disabled())
         assert run() == want
@@ -831,6 +830,22 @@ def neumaier_running(values) -> list[float]:
     return running
 
 
+def twosum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums and running corrections of a Neumaier loop over each
+    row, as the library's replay returns them, with each error from Knuth's
+    branch-free TwoSum, exact for any two floats: the tests' vectorised
+    reference for that replay, held to :func:`neumaier_running` itself."""
+    running = np.zeros((len(rows), rows.shape[1] + 1))
+    before, after = running[:, :-1], running[:, 1:]
+    np.add.accumulate(rows, axis=1, out=after)
+    moved = after - before
+    low = after - moved
+    np.subtract(before, low, out=low)
+    np.subtract(rows, moved, out=moved)
+    low += moved
+    return after, np.add.accumulate(low, axis=1, out=low)
+
+
 def neumaier(values) -> float:
     """Neumaier's compensated sum of ``values``: 0.0 for none."""
     return ([0.0] + neumaier_running(values))[-1]
@@ -935,15 +950,16 @@ def replay_rows(draw) -> list[list[float]]:
 
 
 class TestCompensatedReplay:
-    """The library's one compensated sum against the tests' scalar loop."""
+    """The tests' vectorised TwoSum replay against their scalar loop."""
 
     @settings(max_examples=100, deadline=None)
     @given(rows=replay_rows())
     def test_signed_rows_match_scalar_neumaier(self, rows):
-        # a block row is read at its last column, and the series replay is
-        # held to this one at every column (TestFast2SumReplay), so every
-        # column must be the loop stopped there
-        sums, lows = coupon._compensated_running(np.array(rows))
+        # the library's replay is held to this one at every column of the
+        # series rows (TestFast2SumReplay) and at the last column of every
+        # block row (TestSurvivalBlocks), so every column must be the loop
+        # stopped there
+        sums, lows = twosum_running(np.array(rows))
         for row, row_sums, row_lows in zip(rows, sums.tolist(), lows.tolist()):
             got = [s + c for s, c in zip(row_sums, row_lows)]
             assert bits(*got) == bits(*neumaier_running(row)), row
@@ -952,7 +968,7 @@ class TestCompensatedReplay:
         # 1 - 1e16 loses the 1 to rounding, which the correction keeps; the
         # big terms then cancel.  The larger magnitude here is the negative term
         row = [1.0, -1e16, 1e16, 3.0]
-        sums, lows = coupon._compensated_running(np.array([row]))
+        sums, lows = twosum_running(np.array([row]))
         assert sums.item(0, -1) + lows.item(0, -1) == 4.0 == neumaier(row)
 
 
@@ -977,13 +993,18 @@ def series_replays():
     the three mean table grids: the terms whose exponent exceeds that of the
     running sum before them (np.frexp's) and whose addition is inexact, and
     whether the Fast2Sum replay's running sums and corrections are
-    ``_compensated_running``'s, bit for bit.  Checked as each matrix is
-    replayed, so none is kept."""
+    :func:`twosum_running`'s, bit for bit.  Checked as each matrix is
+    replayed, so none is kept.  The curve blocks filled on the way share the
+    replay; their rows have a sign bit set (column k = 2 is negated, as a
+    negative number or as -0.0) and a series row never has one, so they
+    pass straight through (TestSurvivalBlocks checks them)."""
     real = coupon._fast2sum_running
     checked = []
 
     def replay(rows):
-        sums, lows = coupon._compensated_running(rows)
+        if np.signbit(rows).any():
+            return real(rows)
+        sums, lows = twosum_running(rows)
         fast_sums, fast_lows = real(rows)
         before = np.zeros_like(rows)  # the running sum before each term
         before[:, 1:] = sums[:, :-1]
@@ -1423,6 +1444,26 @@ class TestSurvivalBlocks:
             want = [math.log1p(-s).hex() for s in surv[~ones].tolist()]
             assert [x.hex() for x in logs[~ones].tolist()] == want, key
 
+    def test_every_block_replays_with_twosum_bits(self):
+        # a block row alternates in sign, so a term may outweigh the running
+        # sum before it, where Dekker's exponent condition does not make the
+        # Fast2Sum replay exact; its errors are exact wherever its
+        # s - s_prev is.  The domain is finite, so this checks it whole:
+        # every block below the tail start of every a = 2..64, filled afresh,
+        # has the bytes it has with TwoSum's replay
+        fill = coupon._survival_block.__wrapped__
+        keys = [(a, j) for a in range(2, MAX_ALTERNATIVES + 1)
+                for j in range(-(-coupon._TAIL_STARTS[a] // coupon._BLOCK))]
+        assert len(keys) == 5991
+        differ = []
+        for a, j in keys:
+            fast = fill(a, j).tobytes()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(coupon, "_fast2sum_running", twosum_running)
+                if fill(a, j).tobytes() != fast:
+                    differ.append((a, j))
+        assert differ == []
+
     def test_cached_blocks_are_read_only(self):
         # the cache hands every caller the same buffer: neither it nor an
         # array over it can be written, in any of the five rows; the
@@ -1617,7 +1658,7 @@ class TestPointReads:
 
     @pytest.mark.parametrize(
         "name,value,message",
-        [("_compensated_running", lambda rows: (np.full(rows.shape, math.nan),) * 2,
+        [("_fast2sum_running", lambda rows: (np.full(rows.shape, math.nan),) * 2,
           "probability out of range"),
          ("_ULP", -_ULP, "error bound must be nonnegative")],
         ids=["nan replay", "negative bound"],

@@ -72,6 +72,27 @@ class TestRounding:
         assert round_half_away(0.6405, 3) == "0.641"
         assert round_half_away(24.3615, 3) == "24.362"
 
+    @pytest.mark.parametrize(
+        "value,decimals,expected",
+        [
+            (1e27, 1, "1" + "0" * 27 + ".0"),
+            (1e30, 1, "1" + "0" * 30 + ".0"),
+            (-1e30, 1, "-1" + "0" * 30 + ".0"),
+            (12.345, 30, "12.345" + "0" * 27),
+            (9.96, 1, "10.0"),  # the carry adds a digit
+        ],
+        ids=["1e27", "1e30", "-1e30", "12.345 to 30 places", "carry"],
+    )
+    def test_exact_at_any_magnitude(self, value, decimals, expected):
+        # past the default 28-digit decimal context, quantize raised
+        # InvalidOperation
+        assert round_half_away(value, decimals) == expected
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_raises_typed_error(self, value):
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            round_half_away(value)
+
 
 class TestBuildTable:
     def test_mean_table_schema_and_values(self):
@@ -340,6 +361,9 @@ class TestOutputBytes:
 
     def test_quick_report_digest(self):
         assert sha256(format_report(run_checks("quick"))) == QUICK_REPORT_SHA256
+
+    def test_empty_report_is_the_summary_alone(self):
+        assert format_report([]) == "0/0 checks passed"
 
 
 class TestSharedMeanPass:
