@@ -84,26 +84,12 @@ class CentringData:
     centre_frac: float
 
 
-# One request asks for one (a, q)'s centring many times in turn (centring, the
-# centred mean, local_pmf_approx at each lag), so one entry serves it.  A
-# failed check caches nothing and raises again on the next call.
-@functools.lru_cache(maxsize=1)
-def _centre_memo(a: int, q: int) -> tuple[float, float]:
+def _rate_and_centre(a: int, q: int) -> tuple[float, float]:
     """The decay rate and the centre ``log(a * q) / rate``, inputs checked."""
     rate = decay_rate(a)
     if not isinstance(q, int) or q < 1:
         raise InvalidSpecError(f"need q >= 1, got {_shown(q)}")
     return rate, math.log(a * q) / rate
-
-
-def _rate_and_centre(a: int, q: int) -> tuple[float, float]:
-    """The decay rate and the centre, from the one-entry memo for a pair of
-    ints.  Any other pair (a bool, a float, an unhashable value) is checked
-    on every call, so it raises what it always did and never shares an
-    entry with the int it hashes like."""
-    if type(a) is int and type(q) is int:
-        return _centre_memo(a, q)
-    return _centre_memo.__wrapped__(a, q)
 
 
 def centring(a: int, q: int) -> CentringData:

@@ -16,7 +16,7 @@ from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series
+from .coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series, _shown
 
 __all__ = [
     "TABLE_A",
@@ -54,10 +54,15 @@ def round_half_away(value: float, decimals: int = 1) -> str:
 
     The value's shortest repr is rounded once, in a decimal context that
     keeps every digit of the result, so the rounding is exact at any
-    magnitude.  A value that is not finite raises ``InvalidSpecError``.
+    magnitude.  A value that is not finite, or a ``decimals`` that is not an
+    int whose quantum ``10**-decimals`` lies in the decimal exponent range
+    (at most 999999 places either way), raises ``InvalidSpecError``.
     """
     if not math.isfinite(value):
         raise InvalidSpecError(f"cannot round {value!r}: the value must be finite")
+    if not isinstance(decimals, int) or not _EXACT.Emin <= -decimals <= _EXACT.Emax:
+        raise InvalidSpecError(f"decimals must be an integer in [{_EXACT.Emin}, {_EXACT.Emax}],"
+                               f" got {_shown(decimals)}")
     return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=_EXACT))
 
 

@@ -20,6 +20,7 @@ from bankcover import (
     decay_rate,
     expected_single_bank,
     local_pmf_approx,
+    round_half_away,
     single_bank_cdf,
     single_bank_survival,
     test_count_cdf,
@@ -85,6 +86,7 @@ HUGE_SITES = {
     "SimulationConfig workers": lambda: SimulationConfig(SPEC, 1, 1, HUGE),
     "TruncationPolicy n_cap": lambda: TruncationPolicy(n_cap=HUGE),
     "TruncationPolicy eps_term": lambda: TruncationPolicy(eps_term=HUGE),
+    "round_half_away decimals": lambda: round_half_away(2.5, HUGE),
 }
 
 

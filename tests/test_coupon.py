@@ -84,10 +84,19 @@ class TestTruncationPolicy:
         assert DEFAULT_POLICY.eps_term == 1e-12
         assert DEFAULT_POLICY.n_cap == 100_000
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, 2.0])
+    # a Decimal passed the range check and the series raised a bare TypeError
+    # (float * Decimal); a str, None, complex or list raised it at construction
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, 2.0, True, False,
+                                     Decimal("1e-12"), "x", None, 1j, [1e-12]])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(InvalidSpecError):
             TruncationPolicy(eps_term=eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 12), np.float64(1e-12)],
+                             ids=["Fraction", "numpy"])
+    def test_accepts_any_real_eps(self, eps):
+        policy = TruncationPolicy(eps_term=eps)
+        assert expected_tests(BankSpec(3, 2), policy) == expected_tests(BankSpec(3, 2))
 
     def test_rejects_bad_cap(self):
         with pytest.raises(InvalidSpecError):

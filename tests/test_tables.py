@@ -93,6 +93,18 @@ class TestRounding:
         with pytest.raises(InvalidSpecError, match="must be finite"):
             round_half_away(value)
 
+    @pytest.mark.parametrize("decimals", [10 ** 7, -10 ** 7, 10 ** 6, -10 ** 6, 1.5, "1", None],
+                             ids=["1e7", "-1e7", "1e6", "-1e6", "float", "str", "None"])
+    def test_bad_decimals_raise_typed_error(self, decimals):
+        # a quantum outside the decimal exponent range raised InvalidOperation
+        # or Overflow, a float TypeError
+        with pytest.raises(InvalidSpecError, match="decimals must be an integer in"):
+            round_half_away(2.5, decimals)
+
+    def test_decimals_at_the_exponent_range_edges(self):
+        assert round_half_away(2.5, 999_999) == "2.5" + "0" * 999_998
+        assert round_half_away(2.5, -999_999) == "0E+999999"
+
 
 class TestBuildTable:
     def test_mean_table_schema_and_values(self):
