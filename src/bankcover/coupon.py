@@ -81,7 +81,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import itertools
 import math
 import numbers
 import sys
@@ -498,6 +497,19 @@ def _onto_row(a: int, y: int) -> list[int]:
     return onto
 
 
+def _onto_rows(a: int):
+    """``_onto_row(a, y)`` for y = 0, 1, 2, ... without end, each row from
+    the one before.  The last draw is one of the k values, and the draws
+    before it show either all k or exactly the k - 1 others, so
+    onto(y, k) = k * (onto(y - 1, k) + onto(y - 1, k - 1)): a integer steps
+    a row, where the triangle takes O(a**2) and a + 1 big powers.  For one
+    cell the triangle is cheaper, as it skips the rows before."""
+    onto = [1] + [0] * a
+    while True:
+        yield onto
+        onto = [0] + [k * (onto[k] + onto[k - 1]) for k in range(1, a + 1)]
+
+
 def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     """The q-bank cdf at a valid test count ``y`` and its error bound, for a
     bank count ``q`` already saturated to a float."""
@@ -845,23 +857,26 @@ def expected_tests_multisum(spec: BankSpec) -> float:
 
     Expands the expectation of a maximum by inclusion-exclusion over subsets
     of banks and over the per-bank alternating sums.  The term count grows
-    like a**q, so the trusted range is a <= 6 and q <= 4.  Summed by
-    ``math.fsum``, apart from the main path, as a check on :func:`expected_tests`.
+    like a**q, so the trusted range is a <= 6 and q <= 4.  Each tuple of
+    per-bank indices takes its products from its prefix, one multiply each,
+    so a term is the double a loop over the whole tuple forms, in the same
+    order of operations.  Summed by ``math.fsum``, which is exact whatever
+    the order, apart from the main path, as a check on :func:`expected_tests`.
     """
     a, q = spec.a, spec.q
     if a > _MULTISUM_MAX_A or q > _MULTISUM_MAX_Q:
         raise OracleRangeError(
             f"multi-sum trusted only for a <= {_MULTISUM_MAX_A} and q <= {_MULTISUM_MAX_Q}"
         )
+    # one level per m: each tuple (j1, ..., jm) extends its prefix's signed
+    # binomial product, -1 at the empty tuple and negated by each odd j, and
+    # its miss product ((1.0 * r1) * r2)..., with r = (a - j) / a
+    steps = [(-math.comb(a, j) if j % 2 else math.comb(a, j), (a - j) / a)
+             for j in range(1, a + 1)]
+    level = [(-1, 1.0)]
     terms = []
     for m in range(1, q + 1):
+        level = [(signed * c, miss * r) for signed, miss in level for c, r in steps]
         subsets = math.comb(q, m)
-        for js in itertools.product(range(1, a + 1), repeat=m):
-            binom = 1
-            miss = 1.0
-            for j in js:
-                binom *= math.comb(a, j)
-                miss *= (a - j) / a
-            signed = -binom if sum(js) % 2 == 0 else binom
-            terms.append(subsets * signed / (1.0 - miss))
+        terms.extend(subsets * signed / (1.0 - miss) for signed, miss in level)
     return math.fsum(terms)

@@ -54,7 +54,9 @@ def round_half_away(value: float, decimals: int = 1) -> str:
 
     The value's shortest repr is rounded once, in a decimal context that
     keeps every digit of the result, so the rounding is exact at any
-    magnitude.  A value that is not finite, or a ``decimals`` that is not an
+    magnitude, and written out in plain digits, never in exponent notation:
+    ``(1234.5, -2)`` gives ``'1200'`` and ``(1e-7, 7)`` ``'0.0000001'``.
+    A value that is not finite, or a ``decimals`` that is not an
     int whose quantum ``10**-decimals`` lies in the decimal exponent range
     (at most 999999 places either way), raises ``InvalidSpecError``.
     """
@@ -63,7 +65,7 @@ def round_half_away(value: float, decimals: int = 1) -> str:
     if not isinstance(decimals, int) or not _EXACT.Emin <= -decimals <= _EXACT.Emax:
         raise InvalidSpecError(f"decimals must be an integer in [{_EXACT.Emin}, {_EXACT.Emax}],"
                                f" got {_shown(decimals)}")
-    return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=_EXACT))
+    return format(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=_EXACT), "f")
 
 
 def _render_cell(cell) -> str:

@@ -6,13 +6,15 @@ per criterion returning its observed numbers.  ``run_checks`` wraps them in
 asserts on the same tables and functions, which stay outside ``__all__``.
 
 ``quick`` runs the exact-arithmetic and reference-table checks in about
-6-10 ms on a 2-core host once the curve blocks are filled (17-18 ms on the
-first call); ``full`` adds the envelope sweeps, the variance band, the local
-approximation decay and seeded simulation concordance.  ``quick`` does each
-exact computation once: the mean-table, centred-band and plot checks judge
-one ``fig_high`` table, which holds every q the other two read (a series
-pass gives each q what a pass for it alone gives), and the oracle check
-reads its 452 cells from one surjection row per test count.
+7-10 ms on a shared 2-core host once the curve blocks are filled (17-25 ms
+on the first call), three quarters of it the ``fig_high`` table; ``full``
+adds the envelope sweeps, the variance band, the local approximation decay
+and seeded simulation concordance.  ``quick`` does each exact computation
+once: the mean-table, centred-band and plot checks judge one ``fig_high``
+table, which holds every q the other two read (a series pass gives each q
+what a pass for it alone gives), and the oracle check reads its 452 cells
+from one surjection row per test count, each row formed from the one
+before by the recurrence in y (about 0.5-0.7 ms).
 
 Two bundled reference entries are internally inconsistent with their own
 defining formulas.  The single-bank mean at a=20 is printed 71.96, a double
@@ -46,7 +48,7 @@ from .coupon import (
     BankSpec,
     _cdf_cells,
     _certified,
-    _onto_row,
+    _onto_rows,
     _series,
     expected_single_bank,
     expected_tests,
@@ -172,14 +174,17 @@ def sd_table_deviation() -> float:
 def oracle_deviation() -> float:
     """Worst |closed form - surjection-count oracle| for a <= 8, y in a..60.
 
-    One oracle row per y holds every a <= 8; the int true division is
-    correctly rounded, the same double as ``float(cdf_oracle(a, y))``."""
+    One oracle row per y holds every a <= 8, each row formed from the one
+    before by the surjection recurrence in y, and each a**y from a**(y - 1);
+    the rows are ``cdf_oracle``'s, and the int true division is correctly
+    rounded, the same double as ``float(cdf_oracle(a, y))``."""
     cdf = {a: _cdf_cells(a, 61).tolist() for a in range(1, 9)}
+    powers = [1] * 9  # k ** y
     worst = 0.0
-    for y in range(1, 61):
-        row = _onto_row(8, y)
+    for y, row in zip(range(61), _onto_rows(8)):
         for a in range(1, min(8, y) + 1):
-            worst = max(worst, abs(cdf[a][y] - row[a] / a ** y))
+            worst = max(worst, abs(cdf[a][y] - row[a] / powers[a]))
+        powers = [k * power for k, power in enumerate(powers)]
     return worst
 
 

@@ -387,6 +387,12 @@ class TestCdfOracle:
             for k in range(1, 13):
                 assert Fraction(row[k], k ** y) == cdf_oracle(k, y), (k, y)
 
+    def test_recurrence_rows_match_the_triangle(self):
+        # the quick battery's oracle check walks the recurrence in y, while
+        # cdf_oracle builds each row as a triangle: the same surjection counts
+        for y, row in zip(range(201), coupon._onto_rows(12)):
+            assert row == coupon._onto_row(12, y), y
+
     def test_validate_reads_the_same_cells(self):
         # the quick battery's oracle check reads 452 cells from 60 rows; one
         # cell at a time through cdf_oracle it is the same number
@@ -583,7 +589,30 @@ class TestExpectedTests:
             assert est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
 
 
+def reference_multisum(a: int, q: int) -> float:
+    """The multi-sum formed one index tuple at a time, each term's products
+    from scratch."""
+    terms = []
+    for m in range(1, q + 1):
+        subsets = math.comb(q, m)
+        for js in itertools.product(range(1, a + 1), repeat=m):
+            binom = 1
+            miss = 1.0
+            for j in js:
+                binom *= math.comb(a, j)
+                miss *= (a - j) / a
+            signed = -binom if sum(js) % 2 == 0 else binom
+            terms.append(subsets * signed / (1.0 - miss))
+    return math.fsum(terms)
+
+
 class TestMultisum:
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_bits_match_the_per_tuple_loop(self, a):
+        for q in range(1, 5):
+            got = expected_tests_multisum(BankSpec(a, q))
+            assert bits(got) == bits(reference_multisum(a, q)), (a, q)
+
     def test_two_alternatives_matches_harmonic(self):
         assert expected_tests_multisum(BankSpec(2, 1)) == expected_single_bank(2) == 3.0
 

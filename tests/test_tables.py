@@ -103,7 +103,22 @@ class TestRounding:
 
     def test_decimals_at_the_exponent_range_edges(self):
         assert round_half_away(2.5, 999_999) == "2.5" + "0" * 999_998
-        assert round_half_away(2.5, -999_999) == "0E+999999"
+        assert round_half_away(2.5, -999_999) == "0"
+
+    @pytest.mark.parametrize(
+        "value,decimals,expected",
+        [
+            (1234.5, -2, "1200"),
+            (5.0, -1, "10"),
+            (0.0, 7, "0.0000000"),
+            (1e-7, 7, "0.0000001"),
+            (2.5e-8, 9, "0.000000025"),
+        ],
+    )
+    def test_never_in_exponent_notation(self, value, decimals, expected):
+        # str of a quantized Decimal switches to exponent notation for a
+        # positive exponent or a small result
+        assert round_half_away(value, decimals) == expected
 
 
 class TestBuildTable:
