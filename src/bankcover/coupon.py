@@ -26,11 +26,11 @@ shared frozen :class:`ProbValue` instances, filled slot by slot from cells
 whose range checks ran once for the whole block when it was filled (about
 26.8 KB and 80 us a row, on top of the block's fill; at most 256 rows, under
 7 MiB); the tail and a = 1 read constants.  A caller that wants the
-probabilities alone, as the self-checks do, copies the F cells of the
-blocks (:func:`_cdf_cells`) and builds no value.  The q-bank cdf and pmf
-depend on q, so they share one float kernel that reads one cdf cell from
-the block and build one value a call; a pmf reads its two cells, n and
-n - 1, with two calls.
+probabilities alone, as the oracle and envelope-witness checks do, copies
+the F cells of the blocks (:func:`_cdf_cells`) and builds no value.  The
+q-bank cdf and pmf depend on q, so they share one float kernel that reads
+one cdf cell from the block and build one value a call; a pmf reads its
+two cells, n and n - 1, with two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, until a term is small and a
@@ -43,13 +43,16 @@ term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
 below the smallest normal float, the least value a bound takes.  The same
 solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n, a line with its
 own constant, says how far the terms must reach, so they are formed in one
-pass.  Both moments of a q share each line's constant and rate, so the
-logarithms of both solves are formed once per q.  One kernel
+pass.  One function (:func:`_windows`) solves both lines of both moments
+of a q, root, walk and reach, and the logarithms they share are formed
+once per q; :func:`_tail_bound` is the one definition of the bound, read
+by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, while each
 q keeps its own ``expm1`` cells (the platform libm, fed straight from an
-array buffer: one libm call a term), its own stops and its own tail
-bounds, the line read at each stop.  Where S is exactly 1.0 the
+array buffer: one libm call a term), its own stops, each the first small
+term from the least certified n on, and its own tail bounds, the line
+read at each stop.  Where S is exactly 1.0 the
 stored logarithm is -inf and the term expm1's limit, 1.0; the constant
 tail's terms are 0.0 and take none.  Each moment reads its sum from the
 replay at its own stop, since the replay adds strictly left to right, so
@@ -585,42 +588,6 @@ def _tail_bound(line: _Line, n: int) -> float:
     return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
 
-def _crossing(excess: float, r: float, offset: int | None) -> float:
-    """The real n past the peak of a line c - r*n, plus log(2n + offset)
-    when an offset is given, at which it falls to a limit; ``excess`` is
-    c - log(limit).
-
-    Solved in logarithms, with three fixed-point steps for the weight; they
-    start below that root and climb towards it, so the result lies at or
-    below it, up to rounding.
-    """
-    n = excess / r
-    if offset is not None:
-        for _ in range(3):
-            n = (excess + math.log(2.0 * n + offset)) / r
-    return n
-
-
-def _least_certified(line: _Line, limit: float, root: float) -> int:
-    """The least n >= 0 whose bound on a series' ``line`` is at most
-    ``limit``, walked from ``root``, the line's :func:`_crossing` of it.
-
-    The series' exact bound strictly decreases in n, by a factor of at most
-    (2a^2 - a - 1) / (2a^2 - a) per step with the variance's weight
-    2n + 2a - 1, a relative step far above the rounding of the line, so the
-    computed bound never increases with n either.  The solve and the walk
-    read that one line, so the solved root and the first n where the bound
-    meets the limit differ only by rounding, about 1e-10 steps: ceil(root)
-    lies past that n only where the root is within rounding of an integer,
-    and then by one step.  So the walk starts one step short of ceil(root)
-    and climbs to the least n.
-    """
-    n = max(math.ceil(root) - 1, 0)
-    while _tail_bound(line, n) > limit:
-        n += 1
-    return n
-
-
 def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
                     rows: np.ndarray) -> None:
     """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
@@ -697,7 +664,9 @@ def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
     """For q's mean and, with ``second_moment``, its variance, the tail line,
     the least n that line certifies and the end of the term window, for q
     saturated to the float ``count``; or, where no term can help, the
-    message of the series' failure.
+    message of the series' failure.  This is the one solve of a tail line:
+    :func:`_tail_bound` reads the line, here in the walk and in
+    :func:`_series` at each stop.
 
     The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
     2n + 2a - 1 for the variance: in logarithms the line c - r*n, plus
@@ -708,10 +677,15 @@ def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
     r and its own constant, raised alike; it starts above eps and has one
     peak, so it stays below eps / 2 past its crossing, and every series
     stops by it.  The factor 2 covers the terms' rounding and a fixed point
-    one step short.  The end is not first + 1: a few steps short of
-    _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by as
-    much as 2x, and the first small term can lie three steps past first.
-    Each logarithm is formed once and serves both moments.
+    one step short.  Each line meets its limit at a root past its peak:
+    excess / r for the mean, excess = c - log(10 * eps), and reach / r for
+    the union bound at eps / 2, each refined for the variance's weight by
+    three fixed-point steps.  The least n the bound certifies is walked up
+    to from the root, and the window ends at the union bound's root.  The
+    end is not first + 1: a few steps short of _TAIL_STARTS[a], S(n) is a
+    subnormal of a few ulps that rounds up by as much as 2x, and the first
+    small term can lie three steps past first.  Each logarithm is formed
+    once and serves both moments.
     """
     names = ("mean", "variance")[:1 + second_moment]
     limit = 10.0 * eps
@@ -729,24 +703,32 @@ def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
     excess = c - math.log(limit)
     reach = math.log(a) + log_q + 1e-9 - math.log(0.5 * eps)  # the union bound's, at eps / 2
     windows = []
-    for series, offset, reach_offset in zip(names, (None, 2 * a - 1), (None, 1)):
+    for series, offset in zip(names, (None, 2 * a - 1)):
         line = c, r, offset
-        first = _least_certified(line, limit, _crossing(excess, r, offset))
+        root, end = excess / r, reach / r
+        if offset is not None:
+            # for the weights, 2n + offset on the line and 2n + 1 on the union
+            # bound: each fixed-point step starts below its root and climbs
+            # towards it, so the solved root lies at or below the true one,
+            # up to rounding
+            for _ in range(3):
+                root = (excess + math.log(2.0 * root + offset)) / r
+                end = (reach + math.log(2.0 * end + 1)) / r
+        # The exact bound strictly decreases in n, by a factor of at most
+        # (2a^2 - a - 1) / (2a^2 - a) a step with the variance's weight, far
+        # above the rounding of the line, so the computed bound never
+        # increases either, and the root and the least n where it meets the
+        # limit differ by rounding, about 1e-10 steps: ceil(root) lies past
+        # that n only where the root is within rounding of an integer, and
+        # then by one step.  So the walk starts one step short of ceil(root).
+        first = max(math.ceil(root) - 1, 0)
+        while _tail_bound(line, first) > limit:
+            first += 1
         if first > n_cap:
             windows.append(_uncertified(series, a, q, n_cap))
         else:
-            end = math.ceil(_crossing(reach, r, reach_offset))
-            windows.append((line, first, min(max(first, end), n_cap) + 1))
+            windows.append((line, first, min(max(first, math.ceil(end)), n_cap) + 1))
     return windows
-
-
-def _first_small(rows: np.ndarray, row: int, n: int, end: int, eps: float) -> int:
-    """The first test count from ``n`` on, below ``end``, whose term in
-    ``rows[row]`` is below ``eps``, else ``end``: almost always ``n``, the
-    least certified, else one step on."""
-    while n < end and not rows.item(row, n) < eps:
-        n += 1
-    return n
 
 
 def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
@@ -762,7 +744,9 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
     increases, that is the first small term at or after the least n the
     bound certifies.  That n and the end of the term window are found before
     any term is formed, for both moments of a q from one set of logarithms
-    (:func:`_windows`), and a series whose window fails is its message.
+    (:func:`_windows`), and a series whose window fails is its message; the
+    stop is found here, by a walk along the row from that n, almost always
+    no step at all, and a row with no small term before its end fails.
     Each q's row of terms is formed once, out to the farthest of its windows
     that passed, by one :func:`_coverage_terms` call for every q, and the
     weighted rows follow.  Every row is nonnegative and dominated by its
@@ -791,8 +775,9 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
     outcomes = []  # each moment's estimate, or the message of its failure
     for row, outcome in enumerate(windows):
         if type(outcome) is tuple:
-            line, first, end = outcome
-            stop = _first_small(rows, row, first, end, eps)
+            line, stop, end = outcome
+            while stop < end and not rows.item(row, stop) < eps:
+                stop += 1
             variance = row % k
             if stop == end:
                 outcome = _uncertified("variance" if variance else "mean", a, qs[row // k], n_cap)
@@ -823,6 +808,15 @@ def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
     if type(moment) is str:
         raise SeriesCapError(moment)  # a new instance on every call
     return moment
+
+
+def _default_means(a: int, qs: tuple[int, ...]) -> list[float]:
+    """The mean of every q in ``qs`` at bank size ``a`` under
+    ``DEFAULT_POLICY``, from one :func:`_series` pass, each certified or
+    raised as :class:`SeriesCapError`: what the tables and the multi-sum
+    check read."""
+    return [_certified(mean).value
+            for (mean,) in _series(a, qs, DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, False)]
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:

@@ -9,6 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import DEFAULT_POLICY, InvalidSpecError, _certified, _series, _shown
+from .coupon import InvalidSpecError, _default_means, _shown
 
 __all__ = [
     "TABLE_A",
@@ -52,14 +53,25 @@ _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_UP)
 def round_half_away(value: float, decimals: int = 1) -> str:
     """Decimal string rounded to ``decimals`` places, halves away from zero.
 
-    The value's shortest repr is rounded once, in a decimal context that
-    keeps every digit of the result, so the rounding is exact at any
-    magnitude, and written out in plain digits, never in exponent notation:
-    ``(1234.5, -2)`` gives ``'1200'`` and ``(1e-7, 7)`` ``'0.0000001'``.
-    A value that is not finite, or a ``decimals`` that is not an
-    int whose quantum ``10**-decimals`` lies in the decimal exponent range
-    (at most 999999 places either way), raises ``InvalidSpecError``.
+    ``value`` is a real number (``numbers.Real``: a float, a numpy float,
+    an int, a bool or a Fraction, not a Decimal), rounded as its float: a
+    Python float keeps its bits, an int above 2**53 rounds as the float
+    nearest to it.  That float's shortest repr is rounded once, in a
+    decimal context that keeps every digit of the result, so the rounding
+    is exact at any magnitude, and written out in plain digits, never in
+    exponent notation: ``(1234.5, -2)`` gives ``'1200'`` and ``(1e-7, 7)``
+    ``'0.0000001'``.  A value that is not a real number, lies beyond the
+    float range or is not finite, or a ``decimals`` that is not an int
+    whose quantum ``10**-decimals`` lies in the decimal exponent range (at
+    most 999999 places either way), raises ``InvalidSpecError``.
     """
+    if not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"cannot round {value!r}: the value must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvalidSpecError("cannot round a value beyond the float range: "
+                               "the value must be finite") from None
     if not math.isfinite(value):
         raise InvalidSpecError(f"cannot round {value!r}: the value must be finite")
     if not isinstance(decimals, int) or not _EXACT.Emin <= -decimals <= _EXACT.Emax:
@@ -147,15 +159,11 @@ def build_table(name: str) -> TableArtifact:
     ``fig_high``   exact means, wide q grid up to 200
     """
 
-    def mean(a: int, qs: tuple[int, ...]) -> list[float]:  # one series pass per bank size
-        outcomes = _series(a, qs, DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, False)
-        return [_certified(estimate).value for (estimate,) in outcomes]
-
     def centred(a: int, qs: tuple[int, ...]) -> list[float]:
         return [centred_mean_prediction(a, q) for q in qs]
 
     if name == "en_q":
-        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, mean))
+        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, _default_means))
     if name == "centred":
         return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, TABLE_Q, centred))
     if name == "sd_bounds":
@@ -165,9 +173,9 @@ def build_table(name: str) -> TableArtifact:
             rows.append((a, bounds.sd_lo, bounds.sd_hi))
         return TableArtifact(name, _SD_HEADER, tuple(rows))
     if name == "fig_low":
-        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_LOW_Q, mean))
+        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_LOW_Q, _default_means))
     if name == "fig_high":
-        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_HIGH_Q, mean))
+        return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_HIGH_Q, _default_means))
     raise KeyError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
 
 

@@ -46,6 +46,7 @@ from bankcover.coupon import (
     variance_tests,
 )
 from bankcover import coupon, validate
+from bankcover.asymptotics import centring, sandwich_bounds
 from bankcover.tables import FIG_HIGH_Q, FIG_LOW_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
@@ -466,6 +467,21 @@ class TestTestCountCdf:
     def test_error_bound_scales_with_q(self):
         v = test_count_cdf(BankSpec(10, 1000), 60)
         assert v.abs_err <= 1000 * single_bank_cdf(10, 60).abs_err + 1e-15
+
+    def test_envelope_check_reads_this_cdf(self):
+        # the full battery's envelope check judges the library's cdf, which
+        # takes exp(q * log1p(-S)) below S = 0.5, not a power of its own
+        qs = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
+        worst = -math.inf
+        for a in TABLE_A:
+            for q in qs:
+                centre = centring(a, q).centre
+                for x in np.arange(-3.0, 10.0 + 1e-9, 0.25):
+                    n = math.floor(centre + x)
+                    p = test_count_cdf(BankSpec(a, q), n).p if n >= 0 else 0.0
+                    lower, upper = sandwich_bounds(a, x)
+                    worst = max(worst, lower - p, p - upper)
+        assert bits(validate.sandwich_excursion(qs)) == bits(worst)
 
     @pytest.mark.xfail(strict=True, reason="abs_err is 1.0 at a = 10, q = 1e18, n = 600, where "
                        "p = 0.9999999965: q times the survival's absolute floor of 2**-53 "
@@ -1399,22 +1415,41 @@ class TestTailLine:
                 checked += 1
         assert checked > 30_000
 
+    @staticmethod
+    def _eps_for(limit: float) -> list[float]:
+        """The eps_term whose 10 * eps_term is ``limit``, stepping from
+        limit / 10, else the two neighbouring doubles whose products
+        bracket it."""
+        eps = limit / 10
+        below = 10.0 * eps < limit
+        while 10.0 * eps != limit:
+            step = math.nextafter(eps, math.inf if below else 0.0)
+            if 10.0 * step != limit and (10.0 * step < limit) != below:
+                return sorted([eps, step])
+            eps = step
+        return [eps]
+
     def test_walk_starts_at_the_least_certified_n(self):
         # limits from a few eps_term and at, just above and just below the
-        # bound itself, where the last bits of the line decide the least n
+        # bound itself, where the last bits of the line decide the least n;
+        # a series meets only limits 10 * eps_term, so the window solve is
+        # asked each limit through the eps_term that gives it, or the two
+        # whose limits bracket it
         for a, q, second, line, ns in self._cases():
             limits = [10 * eps for eps in (1e-15, 1e-12, 1e-6, 0.099)]
             for n in ns[::3]:
                 bound = coupon._tail_bound(line, n)
                 limits += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
-            for limit in limits:
+            epsilons = [eps for limit in limits if self.LEAST <= limit < 10.0
+                        for eps in self._eps_for(limit)]
+            for eps in epsilons:
+                limit = 10.0 * eps
                 # a series walks only to a limit 10 * eps_term of at least the
                 # smallest normal float, with eps_term < 1
-                if not self.LEAST <= limit < 10.0:
+                if not (self.LEAST <= limit and eps < 1.0):
                     continue
-                c, r, offset = line
-                root = coupon._crossing(c - math.log(limit), r, offset)
-                first = coupon._least_certified(line, limit, root)
+                solved, first, _ = coupon._windows(a, q, float(q), eps, sys.maxsize, True)[second]
+                assert solved == line, (a, q, second, eps)
                 assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
                 assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
                     a, q, second, limit)

@@ -8,8 +8,11 @@ import math
 import os
 import threading
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bankcover import tables, validate
@@ -63,6 +66,14 @@ class TestRounding:
             (-0.05, "-0.1"),
             (2.25, "2.3"),
             (14.0, "14.0"),
+            # any real number rounds as its float; numpy 2's repr of these is
+            # not a decimal literal, so rounding the repr raised
+            pytest.param(np.float64(2.25), "2.3", id="np.float64(2.25)"),
+            pytest.param(np.float32(0.1), "0.1", id="np.float32(0.1)"),
+            pytest.param(True, "1.0", id="True"),
+            pytest.param(Fraction(1, 3), "0.3", id="Fraction(1, 3)"),
+            # an int above 2**53 rounds as its float
+            pytest.param(2 ** 53 + 1, "9007199254740992.0", id="2**53 + 1"),
         ],
     )
     def test_one_decimal(self, value, expected):
@@ -88,9 +99,17 @@ class TestRounding:
         # InvalidOperation
         assert round_half_away(value, decimals) == expected
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400,
+                                       Fraction(10 ** 400, 3)],
+                             ids=["inf", "-inf", "nan", "1e400", "-1e400", "Fraction 1e400/3"])
     def test_non_finite_raises_typed_error(self, value):
+        # a value beyond the float range raised a bare OverflowError
         with pytest.raises(InvalidSpecError, match="must be finite"):
+            round_half_away(value)
+
+    @pytest.mark.parametrize("value", [Decimal("2.5"), "2.5", None], ids=["Decimal", "str", "None"])
+    def test_not_a_real_number_raises_typed_error(self, value):
+        with pytest.raises(InvalidSpecError, match="must be a real number"):
             round_half_away(value)
 
     @pytest.mark.parametrize("decimals", [10 ** 7, -10 ** 7, 10 ** 6, -10 ** 6, 1.5, "1", None],
