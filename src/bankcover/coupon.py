@@ -15,7 +15,7 @@ compensated sum would give them, and kept as one flat read-only buffer per
 block, five rows end to end: S, its bound, F, its bound and log1p(-S), that
 log1p formed once per block (about 10.7 KiB a block; at most 512 blocks,
 under 5.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads
-475).  The first touch of a block costs 1.5 to 3 ms at a = 64 (about 6 ms
+475).  The first touch of a block costs 0.8 to 1.5 ms at a = 64 (about 6 ms
 for block 0, which holds the exact-integer cells) against about 0.06 ms for
 one lone point.  Past the first y where every term of the closed form
 underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
@@ -48,15 +48,16 @@ of a q, root, walk and reach, and the logarithms they share are formed
 once per q; :func:`_tail_bound` is the one definition of the bound, read
 by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
-log1p(-S(n)) is read from the blocks once per call and shared, while each
-q keeps its own ``expm1`` cells (the platform libm, fed straight from an
-array buffer: one libm call a term), its own stops, each the first small
-term from the least certified n on, and its own tail bounds, the line
-read at each stop.  Where S is exactly 1.0 the
-stored logarithm is -inf and the term expm1's limit, 1.0; the constant
-tail's terms are 0.0 and take none.  Each moment reads its sum from the
-replay at its own stop, since the replay adds strictly left to right, so
-the mean comes from the pass that forms the variance's unweighted row.
+log1p(-S(n)) is read from the blocks once per call and shared, the
+products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
+platform libm's, through numpy's scalar loop: :func:`_libm`), and each q
+keeps its own stops, each the first small term from the least certified
+n on, and its own tail bounds, the line read at each stop.  Where S is
+exactly 1.0 the stored logarithm is -inf and the term expm1's limit, 1.0;
+the constant tail's terms are 0.0 and take none.  Each moment reads its
+sum from the replay at its own stop, since the replay adds strictly left
+to right, so the mean comes from the pass that forms the variance's
+unweighted row.
 :func:`expected_tests` and :func:`variance_tests` ask it for both moments
 of one spec, kept in a one-entry memo, so the second of the two calls for
 one spec and policy is a lookup and a lone mean costs a variance pass; the
@@ -254,11 +255,17 @@ class SeriesEstimate:
 
 
 def _shown(value, text=repr) -> str:
-    """``text(value)``, or for an int too long to print in decimal, its size."""
+    """``text(value)``, or for an int or a Fraction too long to print in
+    decimal, its size: the bits of its numerator, and of its denominator
+    where that is not 1."""
     try:
         return text(value)
     except ValueError:  # past sys.get_int_max_str_digits()
-        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        numerator, denominator = value.as_integer_ratio()
+        size = f"{numerator.bit_length()} bits"
+        if denominator != 1:
+            size += f" over {denominator.bit_length()} bits"
+        return f"{'-' if value < 0 else ''}<{type(value).__name__} of {size}>"
 
 
 def _check_bank_size(a: int) -> None:
@@ -326,6 +333,24 @@ def _frozen(values: np.ndarray) -> memoryview:
     return memoryview(values)
 
 
+def _libm(ufunc: np.ufunc, *operands: np.ndarray) -> np.ndarray:
+    """``ufunc`` over contiguous 1-D float arrays of one length, each element
+    bit for bit what the platform libm gives it: ``math.expm1``,
+    ``math.log1p`` and ``float.__pow__`` call the same functions.
+
+    numpy's contiguous loops for these ufuncs are its own SIMD code, which
+    rounds differently; given reversed views and no ``out``, it runs its
+    strided scalar loop, which calls libm, into a fresh array, here reversed
+    back.  An ``out`` that is reversed too, or a 2-D operand reversed along
+    its last axis, lets numpy flip every operand back to its SIMD loop, so
+    operands are flattened first and no ``out`` is passed.  The tests hold
+    the bits to ``math``'s on samples of what the library feeds each
+    function; a numpy release that sends reversed views to SIMD code fails
+    them.
+    """
+    return ufunc(*(x[::-1] for x in operands))[::-1]
+
+
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _survival_block(a: int, j: int) -> memoryview:
     """S(y), its error bound, F(y), its error bound and log1p(-S(y)) for y in
@@ -340,14 +365,16 @@ def _survival_block(a: int, j: int) -> memoryview:
     before it, and Dekker's condition does not cover them; Fast2Sum's error
     is still exact wherever its s - s_prev is, and the tests check that the
     bytes are TwoSum's on every block of a = 2..64 below its tail start.
-    The powers come from Python's ``float.__pow__`` (the platform libm);
-    ``np.power`` may round differently.  Each term carries about y ulps of
+    The powers are the platform libm's ``pow``, the bits of Python's
+    ``float.__pow__``, formed by one :func:`_libm` call over every column
+    whose first power does not underflow.  Each term carries about y ulps of
     relative error through the power, so the bound is
     (y + 2a + 10) ulp times the sum of the term magnitudes.  Where that bound
     exceeds ``_EXACT_SWITCH`` the cell is redone in exact integers; the int
     true division rounds correctly, as ``float(Fraction)`` does.  Then
-    log1p(-S(y)) is formed once per block, from the final S, with ``math.log1p``
-    (numpy's may round differently), and is -inf where S is exactly 1.0.
+    log1p(-S(y)) is formed once per block, from the final S, with the
+    platform libm's ``log1p`` (:func:`_libm`, the bits of ``math.log1p``),
+    and is -inf where S is exactly 1.0.
     Before that, every S and F must lie in [0, 1] and every bound be >= 0,
     the checks of ``ProbValue.__post_init__``, or the fill raises and caches
     nothing, and no row of values is built from it; the point reads rely on
@@ -360,21 +387,21 @@ def _survival_block(a: int, j: int) -> memoryview:
     """
     lo = _BLOCK * j
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
-    ys = list(range(start, lo + _BLOCK))
+    ys = np.arange(start, lo + _BLOCK, dtype=float)
     m = len(ys)
+    # r**y only falls with y, and r with k, so the columns whose first power
+    # underflows stay zero, and they are the last
+    ratios = [r for r in ((a - k) / a for k in range(1, a + 1)) if r ** start]
+    live = len(ratios)
+    powers = _libm(np.power, np.repeat(ratios, m), np.tile(ys, live)).reshape(live, m)
     rows = np.zeros((m, a))  # row y holds C(a, k) ((a-k)/a)^y for k = 1..a
-    for k in range(1, a + 1):
-        r = (a - k) / a
-        # r**y only falls with y, so a column whose first power underflows stays zero
-        if r ** start:
-            powers = np.fromiter(map(r.__pow__, ys), float, m)
-            np.multiply(powers, float(math.comb(a, k)), out=rows[:, k - 1])
+    np.multiply(powers.T, [float(math.comb(a, k)) for k in range(1, live + 1)],
+                out=rows[:, :live])
     magnitude = rows.cumsum(axis=1)[:, -1]  # in k order; np.sum would add pairwise
     np.negative(rows[:, 1::2], out=rows[:, 1::2])  # the even k are subtracted
     sums, lows = _fast2sum_running(rows)
     p = sums[:, -1] + lows[:, -1]
-    slack = np.arange(start + 2 * a + 10, lo + _BLOCK + 2 * a + 10, dtype=float)  # y + 2a + 10
-    bound = slack * _ULP * magnitude
+    bound = (ys + (2 * a + 10)) * _ULP * magnitude
     block = np.zeros(5 * _BLOCK)
     curves = block.reshape(5, _BLOCK)
     curves[0, :start - lo] = 1.0  # S = 1, F = 0 exactly below y = a
@@ -387,7 +414,7 @@ def _survival_block(a: int, j: int) -> memoryview:
     terms = [math.comb(a, k) if k % 2 else -math.comb(a, k) for k in range(1, a + 1)]
     denom, last = 1, 0
     for i in np.flatnonzero(bound > _EXACT_SWITCH).tolist():
-        y = ys[i]
+        y = start + i
         terms = [t * b ** (y - last) for t, b in zip(terms, bases)]
         denom *= a ** (y - last)
         last = y
@@ -405,7 +432,7 @@ def _survival_block(a: int, j: int) -> memoryview:
     # log1p(-1) is a domain error; its limit -inf gives those terms exactly 1.0
     below = curves[0] < 1.0
     curves[4] = -math.inf
-    curves[4, below] = np.fromiter(map(math.log1p, (-curves[0, below]).data), float)
+    curves[4, below] = _libm(np.log1p, -curves[0, below])
     return _frozen(block)
 
 
@@ -591,15 +618,19 @@ def _tail_bound(line: _Line, n: int) -> float:
 def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
                     rows: np.ndarray) -> None:
     """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
-    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, ends[i]).
+    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, max(ends)).
 
     log1p(-S(n)) does not depend on q, so it is formed once per block, when
-    the block is filled, and read here from the blocks' last rows; each term
-    costs one ``expm1`` (``math``, the platform libm; numpy's own may round
-    differently), reading its arguments straight from an array buffer.  Where
-    S(n) is 1.0 that row holds -inf, and the term is expm1's limit, exactly
-    1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0, so those
-    cells are left as they are.  Every term lies in [0, 1] and none is -0.0.
+    the block is filled, and read here from the blocks' last rows.  The
+    products of every q lie end to end in one flat array, and one ``expm1``
+    call forms every term (:func:`_libm`: the platform libm's, the bits of
+    ``math.expm1``).  A row's terms past its own end, or in a row whose
+    window failed, are formed and never read: a stop lies before its end,
+    and the replay's column stop - 1 reads only the columns before it.
+    Where S(n) is 1.0 that row holds -inf, and the term is expm1's limit,
+    exactly 1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0,
+    so those cells are left as they are.  Every term lies in [0, 1] and none
+    is -0.0.
     """
     cut = min(max(ends), _TAIL_STARTS[a])
     # the log row is the last _BLOCK doubles of each block's array, the
@@ -610,10 +641,8 @@ def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
     # a product overflows only for q past _OVERFLOW_COUNT, to -inf as a float
     # product does, and the term is then 1.0
     with np.errstate(over="ignore") if max(counts) > _OVERFLOW_COUNT else _UNGUARDED:
-        for row, count, end in zip(rows, counts, ends):
-            width = min(cut, end)
-            np.negative(np.fromiter(map(math.expm1, (count * logs[:width]).data), float, width),
-                        out=row[:width])
+        products = np.multiply.outer(counts, logs[:cut]).ravel()
+    np.negative(_libm(np.expm1, products).reshape(len(counts), cut), out=rows[:, :cut])
 
 
 def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -633,8 +662,9 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights P(N > n), which is 1.0 below n = a >= 2, by 2n + 1: its first
     three terms are 1, 3 and at most 5, whose additions are exact or
     dominated, and from n = 3 on the sum before n, at least n^2 P(N > n),
-    dominates (2n + 1) P(N > n).  The zeros past a row's window add
-    exactly.  The signed rows of a curve block need not meet either
+    dominates (2n + 1) P(N > n).  Past a row's own window its terms are
+    still those, out to the farthest window of the pass, and then zeros,
+    which add exactly.  The signed rows of a curve block need not meet either
     condition, but z is exact at every addition of each row whose cell the
     block keeps (the rest are redone in exact integers), which the tests
     check block by block for a = 2..64.
@@ -747,9 +777,9 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
     (:func:`_windows`), and a series whose window fails is its message; the
     stop is found here, by a walk along the row from that n, almost always
     no step at all, and a row with no small term before its end fails.
-    Each q's row of terms is formed once, out to the farthest of its windows
-    that passed, by one :func:`_coverage_terms` call for every q, and the
-    weighted rows follow.  Every row is nonnegative and dominated by its
+    Each q's row of terms is formed once, out to the farthest window of the
+    pass that passed, by one :func:`_coverage_terms` call for every q, and
+    the weighted rows follow.  Every row is nonnegative and dominated by its
     running sum, so one :func:`_fast2sum_running` call replays them all
     strictly left to right, and column stop - 1 of its running sums and
     corrections is, bit for bit, Neumaier's loop stopped there: each moment

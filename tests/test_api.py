@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -95,3 +96,11 @@ def test_an_integer_too_long_to_print_is_a_typed_error(site):
     # the message gives the value's size, not its 5001 digits
     with pytest.raises(InvalidSpecError, match=r"<int of 16610 bits>"):
         HUGE_SITES[site]()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_fraction_too_long_to_print_is_a_typed_error(sign):
+    # out of (0, 1) either way; the message gives the sizes of both parts
+    with pytest.raises(InvalidSpecError,
+                       match="got " + "-" * (sign < 0) + "<Fraction of 16610 bits over 2 bits>"):
+        TruncationPolicy(eps_term=Fraction(sign * 10 ** 5000, 3))

@@ -1461,6 +1461,89 @@ class TestTailLine:
                     a, q, second, n)
 
 
+# The calls of one helper's check: single elements, pairs, either side of a
+# curve block's 256, and the whole sample at once.
+LIBM_LENGTHS = (1, 2, 255, 256, 257)
+
+
+def assert_libm_bits(ufunc, want: np.ndarray, *operands: np.ndarray) -> None:
+    """``coupon._libm(ufunc, ...)`` gives ``want`` bit for bit, called on
+    consecutive slices of the operands of each length in LIBM_LENGTHS and
+    on the whole of them."""
+    n = len(want)
+    for length in LIBM_LENGTHS + (n,):
+        got = np.concatenate([coupon._libm(ufunc, *(x[i:i + length] for x in operands))
+                              for i in range(0, n, length)])
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"numpy {np.__version__}: {ufunc.__name__} on reversed views differs from libm "
+            f"at {differ.size} of {n} arguments in calls of length {length}, first at "
+            f"{[x[differ[0]].item() for x in operands]}")
+
+
+class TestLibmLoop:
+    """The helper that sends the series terms, the block powers and the log
+    rows through numpy's scalar loop gives libm's bits on what the library
+    feeds it.  Nothing is assumed of numpy's contiguous loops, which differ
+    by platform."""
+
+    @staticmethod
+    def _library_cells(rng, row: int, count: int) -> np.ndarray:
+        """Row ``row`` of ``count`` random curve blocks below their tail
+        start, end to end."""
+        cells = []
+        for _ in range(count):
+            a = int(rng.integers(2, MAX_ALTERNATIVES + 1))
+            j = int(rng.integers(0, -(-coupon._TAIL_STARTS[a] // coupon._BLOCK)))
+            width = min(coupon._BLOCK, coupon._TAIL_STARTS[a] - j * coupon._BLOCK)
+            block = coupon._survival_block(a, j).obj
+            cells.append(block[row * coupon._BLOCK:row * coupon._BLOCK + width])
+        return np.concatenate(cells)
+
+    def test_expm1_is_math_expm1(self):
+        # q * log1p(-S): from -inf to -0.0, through the subnormals, past
+        # -37.43 (where expm1 reaches -1.0) and -745.2 (where exp underflows)
+        rng = np.random.default_rng(3601)
+        logs = self._library_cells(rng, 4, 60)
+        logs = logs[np.isfinite(logs)]
+        x = np.concatenate([
+            [-math.inf, -0.0, -5e-324, -sys.float_info.min, -37.43, -745.2, -sys.float_info.max],
+            -(10.0 ** rng.uniform(-323.3, 3.5, 45_000)),
+            -(2.0 ** -rng.uniform(0.0, 1074.0, 20_000)),
+            rng.uniform(-800.0, -30.0, 25_000),
+            (10.0 ** rng.uniform(0.0, 12.0, len(logs))).round() * logs,
+            1e306 * logs[:2_000],
+        ])
+        assert len(x) >= 100_000
+        assert_libm_bits(np.expm1, np.array([math.expm1(t) for t in x.tolist()]), x)
+
+    def test_log1p_is_math_log1p(self):
+        # -S for S in (0, 1): the block rows' own cells and samples down to
+        # the least subnormal and up to 1 - 2**-53
+        rng = np.random.default_rng(3602)
+        cells = self._library_cells(rng, 0, 60)
+        x = -np.concatenate([
+            [5e-324, sys.float_info.min, 0.5, 1.0 - 2.0 ** -53],
+            rng.uniform(0.0, 1.0, 30_000),
+            2.0 ** -rng.uniform(0.0, 1074.0, 40_000),
+            1.0 - 2.0 ** -rng.uniform(1.0, 53.0, 20_000),
+            cells[cells < 1.0],
+        ])
+        assert len(x) >= 100_000
+        assert_libm_bits(np.log1p, np.array([math.log1p(t) for t in x.tolist()]), x)
+
+    def test_power_is_float_pow(self):
+        # ((a - k) / a) ** y, as the block fill forms it, for y from a up to
+        # the tail start, where the largest power underflows
+        rng = np.random.default_rng(3603)
+        a = rng.integers(2, MAX_ALTERNATIVES + 1, 100_000)
+        k = rng.integers(1, a)
+        y = rng.integers(a, np.array(coupon._TAIL_STARTS)[a])
+        bases = (a - k) / a
+        want = np.array([r ** n for r, n in zip(bases.tolist(), y.tolist())])
+        assert_libm_bits(np.power, want, bases, y.astype(float))
+
+
 class TestSurvivalBlocks:
     """The cached block route against the per-y reference, bit for bit."""
 
