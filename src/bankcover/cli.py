@@ -1,7 +1,7 @@
 """Command line surface: expectation queries, tables, simulation, self-checks.
 
-Exit codes: 0 success, 1 validation failure, 2 bad usage, 3 series cap
-exceeded, 4 I/O failure, 5 internal error (any other exception, reported as
+Exit codes: 0 success, 1 validation failure, 2 bad usage, 3 series not
+certified, 4 I/O failure, 5 internal error (any other exception, reported as
 one ``error: internal:`` line on stderr).  The BANKCOVER_OUT_DIR environment
 variable sets the default output directory for table and figure files; --out
 wins over it.  An --out that is a directory, or ends in a path separator (the

@@ -38,15 +38,18 @@ geometric bound on the rest is certified.  That bound is one line per q in
 logarithms, c - r*n (plus log(2n + 2a - 1) for the variance), raised by
 1e-9 to stay a bound.  It never increases with n, so where it first meets
 the limit is found before any term, by one root solve on the line and a
-walk up of a step or two along it, and a bound that still fails at the
-term cap raises there; so does an ``eps_term`` whose 10 * eps_term lies
-below the smallest normal float, the least value a bound takes.  The same
-solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n, a line with its
-own constant, says how far the terms must reach, so they are formed in one
-pass.  One function (:func:`_windows`) solves both lines of both moments
-of a q, root, walk and reach, and the logarithms they share are formed
-once per q; :func:`_tail_bound` is the one definition of the bound, read
-by the walk and at each stop.  One kernel
+walk up of a step or two along it.  No term count is capped: over the
+whole domain (a <= 64, q below the float maximum, 10 * eps_term at least
+the smallest normal float) the widest window, at a = 64, q at the float
+maximum and the least such eps_term, ends at 91,397 terms.  A q beyond the
+float range raises before any term, and so does an ``eps_term`` whose
+10 * eps_term lies below the smallest normal float, the least value a bound
+takes.  The same solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n,
+a line with its own constant, says how far the terms must reach, so they
+are formed in one pass.  One function (:func:`_windows`) solves both lines
+of both moments of a q, root, walk and reach, and the logarithms they
+share are formed once per q; :func:`_tail_bound` is the one definition of
+the bound, read by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
 products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
@@ -126,6 +129,7 @@ _MULTISUM_MAX_Q = 4
 
 _ULP = 2.0 ** -53
 _MIN_NORMAL = sys.float_info.min
+_TINY = 2.0 ** -1074  # the least subnormal float
 _LOG_MAX = math.log(sys.float_info.max)
 # Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
 _OVERFLOW_COUNT = sys.float_info.max / 37.0
@@ -152,7 +156,10 @@ class OracleRangeError(ValueError):
 
 
 class SeriesCapError(RuntimeError):
-    """A series hit its term cap before its tail certificate was met."""
+    """A series cannot be certified: its bank count lies beyond the float
+    range, its ``eps_term`` asks for a tail bound below the smallest normal
+    float, or (a fault of the window solve) no small term lies in its term
+    window."""
 
 
 @dataclass(frozen=True)
@@ -178,11 +185,13 @@ class TruncationPolicy:
     A series terminates once its current term drops below ``eps_term`` and a
     certified geometric bound on the discarded tail is at most
     ``10 * eps_term``.  ``eps_term`` is a real number (``numbers.Real``: a
-    float, int or Fraction, not a Decimal) in (0, 1).
+    float, int or Fraction, not a Decimal) in (0, 1).  No term count is
+    capped: the stop is solved for before any term is formed, and with q
+    below the float maximum and 10 * eps_term at least the smallest normal
+    float every series stops within 91,397 terms.
     """
 
     eps_term: float = 1e-12
-    n_cap: int = 100_000
 
     def __post_init__(self) -> None:
         # a Decimal would pass the range check, then fail in the series
@@ -191,8 +200,6 @@ class TruncationPolicy:
         if not 0.0 < self.eps_term < 1.0:
             raise InvalidSpecError(
                 f"eps_term must lie in (0, 1), got {_shown(self.eps_term, str)}")
-        if not isinstance(self.n_cap, int) or self.n_cap < 1:
-            raise InvalidSpecError(f"n_cap must be an integer >= 1, got {_shown(self.n_cap, str)}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -369,9 +376,15 @@ def _survival_block(a: int, j: int) -> memoryview:
     ``float.__pow__``, formed by one :func:`_libm` call over every column
     whose first power does not underflow.  Each term carries about y ulps of
     relative error through the power, so the bound is
-    (y + 2a + 10) ulp times the sum of the term magnitudes.  Where that bound
-    exceeds ``_EXACT_SWITCH`` the cell is redone in exact integers; the int
-    true division rounds correctly, as ``float(Fraction)`` does.  Then
+    (y + 2a + 10) ulp times the sum of the term magnitudes, plus a floor for
+    the final rounding, relative where S is normal and a multiple of the
+    least subnormal where it is not: max(ulp * S, a * 2**-1074), since each
+    of the terms that add to a subnormal S rounds by up to half a unit of
+    2**-1074 (the tests hold it to exact integers on every subnormal cell of
+    a = 2..64).  Where the first part exceeds ``_EXACT_SWITCH`` the cell is
+    redone in exact integers, with the floor as its S bound and an ulp as
+    its F bound; the int true division rounds correctly, as
+    ``float(Fraction)`` does.  Then
     log1p(-S(y)) is formed once per block, from the final S, with the
     platform libm's ``log1p`` (:func:`_libm`, the bits of ``math.log1p``),
     and is -inf where S is exactly 1.0.
@@ -405,9 +418,10 @@ def _survival_block(a: int, j: int) -> memoryview:
     block = np.zeros(5 * _BLOCK)
     curves = block.reshape(5, _BLOCK)
     curves[0, :start - lo] = 1.0  # S = 1, F = 0 exactly below y = a
-    err = bound + _ULP
-    curves[:4, start - lo:] = np.clip(p, 0.0, 1.0), err, np.clip(1.0 - p, 0.0, 1.0), err + _ULP
     surv, surv_err, cdf, cdf_err = curves[:4, start - lo:]
+    np.clip(p, 0.0, 1.0, out=surv)
+    np.add(bound, np.maximum(_ULP * surv, a * _TINY), out=surv_err)
+    cdf[:], cdf_err[:] = np.clip(1.0 - p, 0.0, 1.0), surv_err + _ULP
     # exact cells: terms[k-1] = (-1)^(k+1) C(a, k) (a-k)^y and denom = a^y,
     # carried from one cell to the next
     bases = range(a - 1, -1, -1)
@@ -420,7 +434,7 @@ def _survival_block(a: int, j: int) -> memoryview:
         last = y
         total = sum(terms)
         surv[i], cdf[i] = total / denom, (denom - total) / denom
-        surv_err[i] = cdf_err[i] = _ULP
+        surv_err[i], cdf_err[i] = max(_ULP * surv[i], a * _TINY), _ULP
     # the rows of ready values (_point_row) are filled from these cells
     # unchecked, so the checks of ProbValue.__post_init__ run here, once for
     # the whole block
@@ -436,12 +450,14 @@ def _survival_block(a: int, j: int) -> memoryview:
     return _frozen(block)
 
 
-# Laid out as a block: from _TAIL_STARTS[a] on, S = 0 and F = 1 with bounds ulp
-# and 2 ulp, and log1p(-S) is -0.0
-_TAIL_BLOCK = _frozen(np.repeat((0.0, _ULP, 1.0, 2 * _ULP, -0.0), _BLOCK))
+# Laid out as a block: from _TAIL_STARTS[a] on, S = 0 and F = 1, and log1p(-S)
+# is -0.0.  There every power underflows, so S < a * 2**-1075; the bound is the
+# blocks' floor at a = 64, which holds for every a, and F's adds an ulp
+_TAIL_ERR = MAX_ALTERNATIVES * _TINY
+_TAIL_BLOCK = _frozen(np.repeat((0.0, _TAIL_ERR, 1.0, _TAIL_ERR + _ULP, -0.0), _BLOCK))
 # what the point reads return there, and at a = 1, whose S is 1 at y = 0 and 0
 # from y = 1 on, exactly
-_TAIL_S, _TAIL_F = ProbValue(0.0, _ULP), ProbValue(1.0, 2 * _ULP)
+_TAIL_S, _TAIL_F = ProbValue(0.0, _TAIL_ERR), ProbValue(1.0, _TAIL_ERR + _ULP)
 _ONE_BANK_S = ProbValue(1.0, 0.0), ProbValue(0.0, 0.0)
 _ONE_BANK_F = _ONE_BANK_S[::-1]
 # The point reads index ready rows of values, each the S or the F of one block
@@ -542,7 +558,17 @@ def _onto_rows(a: int):
 
 def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     """The q-bank cdf at a valid test count ``y`` and its error bound, for a
-    bank count ``q`` already saturated to a float."""
+    bank count ``q`` already saturated to a float.
+
+    The bound is q (1 - S-)**(q-1) * s_err + ulp, S- = max(S - s_err, 0):
+    what the survival's bound s_err carries through (1 - S)**q, plus the
+    rounding of the power.  Near 1, where S is tiny, it is about an ulp
+    however large q is.  The power's own rounding, a few ulps of q * S
+    relative to p, lies under the first part, since s_err is at least 16
+    ulps of S on the float route; the exact cells all have S above 0.7,
+    where F = 1 - S is read rounded once and p is its power.  A q beyond the
+    float range gives 1.
+    """
     if y < a:
         return 0.0, 0.0
     if a == 1:
@@ -558,8 +584,12 @@ def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
         p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
     else:
         p = b[i + 2 * _BLOCK] ** q
-    err = q * b[i + 3 * _BLOCK] + _ULP
-    return p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call
+    # |d(1 - S)**q / dS| = q (1 - S)**(q-1) is largest over [S - s_err, S + s_err]
+    # at its low end, clamped at 0; at q = inf the product is inf or nan
+    s_err = b[i + _BLOCK]
+    low = s - s_err
+    err = q * (math.exp((q - 1.0) * math.log1p(-low)) if low > 0.0 else 1.0) * s_err + _ULP
+    return p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call; nan gives 1.0
 
 
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
@@ -615,10 +645,9 @@ def _tail_bound(line: _Line, n: int) -> float:
     return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
 
-def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
-                    rows: np.ndarray) -> None:
+def _coverage_terms(a: int, counts: tuple[float, ...], width: int, rows: np.ndarray) -> None:
     """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
-    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, max(ends)).
+    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, width).
 
     log1p(-S(n)) does not depend on q, so it is formed once per block, when
     the block is filled, and read here from the blocks' last rows.  The
@@ -632,7 +661,7 @@ def _coverage_terms(a: int, counts: tuple[float, ...], ends: tuple[int, ...],
     so those cells are left as they are.  Every term lies in [0, 1] and none
     is -0.0.
     """
-    cut = min(max(ends), _TAIL_STARTS[a])
+    cut = min(width, _TAIL_STARTS[a])
     # the log row is the last _BLOCK doubles of each block's array, the
     # memoryview's .obj (a third of the cost of np.frombuffer on the view)
     views = [_survival_block(a, j).obj[4 * _BLOCK:] for j in range(-(-cut // _BLOCK))]
@@ -685,17 +714,13 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return after, np.add.accumulate(low, axis=1, out=low)
 
 
-def _uncertified(series: str, a: int, q: int, n_cap: int) -> str:
-    return f"{series} series for a={a}, q={q} not certified within n_cap={n_cap}"
-
-
-def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
+def _windows(a: int, count: float, eps: float,
              second_moment: bool) -> list[tuple[_Line, int, int] | str]:
-    """For q's mean and, with ``second_moment``, its variance, the tail line,
-    the least n that line certifies and the end of the term window, for q
-    saturated to the float ``count``; or, where no term can help, the
-    message of the series' failure.  This is the one solve of a tail line:
-    :func:`_tail_bound` reads the line, here in the walk and in
+    """For the mean and, with ``second_moment``, the variance of a bank count
+    q saturated to the float ``count``, the tail line, the least n that line
+    certifies and the end of the term window; or, where no term can help,
+    the message of the series' failure.  This is the one solve of a tail
+    line: :func:`_tail_bound` reads the line, here in the walk and in
     :func:`_series` at each stop.
 
     The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
@@ -725,7 +750,7 @@ def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
     if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
         return [f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
                 f"bound of at most 10 * eps_term, below the smallest normal float "
-                f"{_MIN_NORMAL!r}, and no tail bound is that small, so no n_cap can certify it"
+                f"{_MIN_NORMAL!r}, and no tail bound is that small"
                 for series in names]
     log_q = math.log(count)
     r = -math.log((a - 1) / a)
@@ -754,14 +779,11 @@ def _windows(a: int, q: int, count: float, eps: float, n_cap: int,
         first = max(math.ceil(root) - 1, 0)
         while _tail_bound(line, first) > limit:
             first += 1
-        if first > n_cap:
-            windows.append(_uncertified(series, a, q, n_cap))
-        else:
-            windows.append((line, first, min(max(first, math.ceil(end)), n_cap) + 1))
+        windows.append((line, first, max(first, math.ceil(end)) + 1))
     return windows
 
 
-def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
+def _series(a: int, qs: tuple[int, ...], eps: float,
             second_moment: bool) -> list[tuple[SeriesEstimate | str, ...]]:
     """For each q in ``qs`` at bank size ``a``, its mean and, with
     ``second_moment``, its variance; a series that cannot be certified is
@@ -776,7 +798,9 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
     any term is formed, for both moments of a q from one set of logarithms
     (:func:`_windows`), and a series whose window fails is its message; the
     stop is found here, by a walk along the row from that n, almost always
-    no step at all, and a row with no small term before its end fails.
+    no step at all.  Every series stops before its window ends (the union
+    bound's crossing); a row with no small term there would be a fault of
+    that line, and fails with its message rather than read past the window.
     Each q's row of terms is formed once, out to the farthest window of the
     pass that passed, by one :func:`_coverage_terms` call for every q, and
     the weighted rows follow.  Every row is nonnegative and dominated by its
@@ -791,14 +815,11 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
         return [exact[:1 + second_moment]] * len(qs)
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = [_saturating_float(q) for q in qs]
-    windows = [window for q, count in zip(qs, counts)
-               for window in _windows(a, q, count, eps, n_cap, second_moment)]
-    reach = [w[2] if type(w) is tuple else 0 for w in windows]  # 0 where a window failed
-    ends = list(map(max, reach[::2], reach[1::2])) if second_moment else reach
-    width = max(ends)
+    windows = [window for count in counts for window in _windows(a, count, eps, second_moment)]
+    width = max(w[2] if type(w) is tuple else 0 for w in windows)  # 0 where a window failed
     rows = np.zeros((len(windows), width))
     if width:
-        _coverage_terms(a, counts, ends, rows[::k])
+        _coverage_terms(a, counts, width, rows[::k])
         if second_moment:
             np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
     sums, lows = _fast2sum_running(rows)
@@ -810,7 +831,8 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
                 stop += 1
             variance = row % k
             if stop == end:
-                outcome = _uncertified("variance" if variance else "mean", a, qs[row // k], n_cap)
+                outcome = (f"{('mean', 'variance')[variance]} series for a={a}, q={qs[row // k]} "
+                           "not certified: no small term before the end of its window")
             else:
                 value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
                 if variance:  # E N^2 less the square of the unweighted sum at this stop
@@ -822,16 +844,16 @@ def _series(a: int, qs: tuple[int, ...], eps: float, n_cap: int,
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _moments(a: int, q: int, eps: float, n_cap: int) -> tuple[SeriesEstimate | str, ...]:
+def _moments(a: int, q: int, eps: float) -> tuple[SeriesEstimate | str, ...]:
     """(mean, variance) of one spec from one :func:`_series` pass, kept
     for the other moment's call.
 
-    The one entry is keyed by type too, so a bool and its int, which print
-    differently in a message, are kept apart.  The callers ask for the two
-    moments of one spec in turn; a larger memo would serve repeated specs
-    rather than the pass.
+    The one entry is keyed by type too, so a bool and its int, or a
+    Fraction and its float, which print differently in a message, are kept
+    apart.  The callers ask for the two moments of one spec in turn; a
+    larger memo would serve repeated specs rather than the pass.
     """
-    return _series(a, (q,), eps, n_cap, True)[0]
+    return _series(a, (q,), eps, True)[0]
 
 
 def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
@@ -845,8 +867,7 @@ def _default_means(a: int, qs: tuple[int, ...]) -> list[float]:
     ``DEFAULT_POLICY``, from one :func:`_series` pass, each certified or
     raised as :class:`SeriesCapError`: what the tables and the multi-sum
     check read."""
-    return [_certified(mean).value
-            for (mean,) in _series(a, qs, DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap, False)]
+    return [_certified(mean).value for (mean,) in _series(a, qs, DEFAULT_POLICY.eps_term, False)]
 
 
 def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -859,7 +880,7 @@ def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     about 40% more than the mean alone, and the variance asked next is a
     lookup.
     """
-    return _certified(_moments(spec.a, spec.q, policy.eps_term, policy.n_cap)[0])
+    return _certified(_moments(spec.a, spec.q, policy.eps_term)[0])
 
 
 def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
@@ -873,7 +894,7 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
     xfail ``test_single_bank_variance_within_its_tail_bound`` records this.
     """
-    return _certified(_moments(spec.a, spec.q, policy.eps_term, policy.n_cap)[1])
+    return _certified(_moments(spec.a, spec.q, policy.eps_term)[1])
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

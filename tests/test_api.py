@@ -85,7 +85,6 @@ HUGE_SITES = {
     "SimulationConfig seed": lambda: SimulationConfig(SPEC, 1, HUGE),
     "SimulationConfig seed too large": lambda: SimulationConfig(SPEC, 1, -HUGE),
     "SimulationConfig workers": lambda: SimulationConfig(SPEC, 1, 1, HUGE),
-    "TruncationPolicy n_cap": lambda: TruncationPolicy(n_cap=HUGE),
     "TruncationPolicy eps_term": lambda: TruncationPolicy(eps_term=HUGE),
     "round_half_away decimals": lambda: round_half_away(2.5, HUGE),
 }

@@ -83,14 +83,13 @@ class TestExpect:
 
     def test_eps_term_below_normal_range_exits_3(self, capsys):
         # 10 * eps_term lies below the smallest normal float, where no tail
-        # bound reaches, so no term cap could certify the series
+        # bound reaches, so no number of terms could certify the series
         code, out, err = run_cli(capsys, "expect", "--a", "2", "--q", "1", "--policy-eps", "1e-320")
         assert code == EXIT_CAP and out == ""
         assert err == (
             "error: mean series for a=2 not certified: eps_term=1e-320 asks for a tail bound"
             " of at most 10 * eps_term, below the smallest normal float"
-            f" {sys.float_info.min!r}, and no tail bound is that small, so no n_cap can"
-            " certify it\n"
+            f" {sys.float_info.min!r}, and no tail bound is that small\n"
         )
 
     def test_large_bank_size_answers(self, capsys):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
 import importlib.util
 import itertools
 import math
 import pickle
 import random
+import re
 import struct
 import sys
 import threading
@@ -82,8 +84,7 @@ class TestBankSpec:
 
 class TestTruncationPolicy:
     def test_defaults(self):
-        assert DEFAULT_POLICY.eps_term == 1e-12
-        assert DEFAULT_POLICY.n_cap == 100_000
+        assert astuple(DEFAULT_POLICY) == (1e-12,)
 
     # a Decimal passed the range check and the series raised a bare TypeError
     # (float * Decimal); a str, None, complex or list raised it at construction
@@ -98,10 +99,6 @@ class TestTruncationPolicy:
     def test_accepts_any_real_eps(self, eps):
         policy = TruncationPolicy(eps_term=eps)
         assert expected_tests(BankSpec(3, 2), policy) == expected_tests(BankSpec(3, 2))
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(InvalidSpecError):
-            TruncationPolicy(n_cap=0)
 
 
 class TestProbValue:
@@ -300,6 +297,37 @@ class TestSingleBankSurvival:
             for y in (0, a - 1, a, a + 1, 2 * a, 4 * a):
                 assert single_bank_survival(a, y).abs_err < 1e-9
 
+    def test_bound_covers_every_subnormal_cell(self):
+        # where S is subnormal, each of the terms that add to it rounds by up
+        # to half a unit of 2**-1074, so the bound's floor there is
+        # a * 2**-1074.  Bonferroni's inequalities put the exact S between
+        # T1 - T2 and T1, T1 = a * r1**y and T2 = C(a, 2) * r2**y with
+        # rk = (a - k) / a, and T2 < 2**-1300 on these cells, so with M and E
+        # the value and the bound in units of 2**-1074 the check is
+        # (M - E) * 2**-1074 + 2**-1300 <= T1 <= (M + E) * 2**-1074.  T1 is
+        # carried in integers as lo <= T1 * 2**1300 <= hi, from the exact
+        # value at the first cell, each step rounding lo down and hi up.  The
+        # two normal cells before the first subnormal one are checked too
+        cells = 0
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            tail = coupon._TAIL_STARTS[a]
+            first = bisect.bisect_left(range(tail), True, key=lambda y: (
+                y >= a and single_bank_survival(a, y).p < sys.float_info.min)) - 2
+            assert single_bank_survival(a, first + 1).p >= sys.float_info.min
+            if a > 2:  # at a = 2, r2 = 0 and T2 = 0
+                assert math.log2(math.comb(a, 2)) + first * math.log2((a - 2) / a) < -1301
+            lo = (a * (a - 1) ** first << 1300) // a ** first
+            hi = lo + 1
+            for y in range(first, tail):
+                v = single_bank_survival(a, y)
+                assert v.p < sys.float_info.min or y < first + 2, (a, y)
+                # every float is a whole number of units of 2**-1074
+                m, e = int(math.ldexp(v.p, 1074)), int(math.ldexp(v.abs_err, 1074))
+                assert ((m - e) << 226) + 1 <= lo and hi <= (m + e) << 226, (a, y, v)
+                lo, hi = lo * (a - 1) // a, -(-hi * (a - 1) // a)
+                cells += 1
+        assert cells > 60_000
+
     def test_rejects_above_gate(self):
         with pytest.raises(UnsupportedAlternativesError):
             single_bank_survival(65, 100)
@@ -483,11 +511,31 @@ class TestTestCountCdf:
                     worst = max(worst, lower - p, p - upper)
         assert bits(validate.sandwich_excursion(qs)) == bits(worst)
 
-    @pytest.mark.xfail(strict=True, reason="abs_err is 1.0 at a = 10, q = 1e18, n = 600, where "
-                       "p = 0.9999999965: q times the survival's absolute floor of 2**-53 "
-                       "exceeds 1, though S(600) is 3.5e-27")
     def test_error_bound_is_informative_near_one(self):
-        assert test_count_cdf(BankSpec(10, 10 ** 18), 600).abs_err <= 1e-6
+        # the bound was 1.0 at both: q times the survival's bound, whose floor
+        # was 2**-53, though S(600) is 3.5e-27 and S < 10 * 2**-1075 in the
+        # constant tail (from n = 7073 at a = 10)
+        for n in (600, 10 ** 4):
+            assert test_count_cdf(BankSpec(10, 10 ** 18), n).abs_err <= 1e-6, n
+
+    def test_error_bound_covers_exact_value(self):
+        # (1 - S)**q from S in 80-digit mpmath, whose alternating sum loses
+        # at most 20 digits, at bank counts up to 1e300 and test counts from
+        # the bank size to where p is within an ulp of 1
+        worst = 0.0
+        with mpmath.workdps(80):
+            for a in (2, 3, 10, 33, MAX_ALTERNATIVES):
+                for q in (1, 2, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 18, 10 ** 100, 10 ** 300):
+                    centre = centring(a, q).centre
+                    for n in sorted({a, a + 1, *(max(a, round(centre + x))
+                                                 for x in (-3, 0, 3, 10, 30, 40 * a))}):
+                        s = mpmath.fsum((-1) ** (k + 1) * math.comb(a, k)
+                                        * (mpmath.mpf(a - k) / a) ** n for k in range(1, a + 1))
+                        exact = mpmath.exp(q * mpmath.log1p(-s))
+                        v = test_count_cdf(BankSpec(a, q), n)
+                        assert abs(v.p - exact) <= v.abs_err, (a, q, n, v, exact)
+                        worst = max(worst, float(abs(v.p - exact) / v.abs_err))
+        assert worst > 0.01  # the bound is tight enough for the check to mean something
 
 
 class TestTestCountPmf:
@@ -559,26 +607,21 @@ class TestExpectedTests:
     def test_certificate_honored(self):
         est = expected_tests(BankSpec(10, 10))
         assert 0.0 < est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
-        assert est.terms <= DEFAULT_POLICY.n_cap
 
     def test_float_protocol(self):
         assert float(expected_tests(BankSpec(2, 1))) == pytest.approx(3.0, abs=1e-9)
 
-    def test_cap_raises(self):
-        with pytest.raises(SeriesCapError):
-            expected_tests(BankSpec(20, 100), TruncationPolicy(n_cap=50))
-
     def test_failing_cap_raises_before_any_term(self, monkeypatch):
-        # the tail bound still fails at n_cap (or can never pass, below the
-        # smallest normal float), so no term is formed before the error
+        # a q beyond the float range, or a limit below the smallest normal
+        # float, which no tail bound reaches: SeriesCapError before any term
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
             coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
         )
         for fn in (expected_tests, variance_tests):
-            with pytest.raises(SeriesCapError, match="not certified within n_cap=50"):
-                fn(BankSpec(20, 100), TruncationPolicy(n_cap=50))
+            with pytest.raises(SeriesCapError, match="q is beyond the float range"):
+                fn(BankSpec(20, 10 ** 400))
             with pytest.raises(SeriesCapError, match=r"eps_term=1e-320 asks for a tail bound "
                                r"of at most 10 \* eps_term, below the smallest normal float"):
                 fn(BankSpec(2, 1), TruncationPolicy(eps_term=1e-320))
@@ -671,10 +714,6 @@ class TestVarianceTests:
     def test_certificate_honored(self):
         est = variance_tests(BankSpec(5, 50))
         assert 0.0 < est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
-
-    def test_cap_raises(self):
-        with pytest.raises(SeriesCapError):
-            variance_tests(BankSpec(20, 100), TruncationPolicy(n_cap=50))
 
     @pytest.mark.xfail(strict=True, reason="the q = 1 variance misses its own tail_bound "
                        "for 21 of a = 2..64 (worst a = 57: 4.79e-11 against 9.90e-12)")
@@ -797,7 +836,6 @@ class TestSeriesNearFloatMax:
         var = variance_tests(BankSpec(a, q))
         for e in (est, var):
             assert 0.0 < e.tail_bound <= 10 * DEFAULT_POLICY.eps_term, (a, q, e)
-            assert e.terms <= DEFAULT_POLICY.n_cap
         assert est.value == pytest.approx(mean, abs=1e-9)
         # E N^2 - (E N)^2 cancels about log10(E N^2 / Var) digits
         assert var.value == pytest.approx(variance, rel=1e-9)
@@ -822,15 +860,63 @@ class TestSeriesNearFloatMax:
         assert abs(var.value - variance) <= var.tail_bound
 
 
+class TestWidestWindow:
+    """No term count is capped.  The widest window of the domain is at
+    a = 64, q at the float maximum and the least eps_term whose
+    10 * eps_term is a normal float; the corner at a = 2 and at the default
+    eps_term is narrower.  Both moments certify in one pass, whose terms
+    reach the variance's window end."""
+
+    LEAST_EPS = 2.225073858507203e-309
+    Q = int(sys.float_info.max)
+
+    def test_least_eps_term(self):
+        assert 10 * self.LEAST_EPS >= sys.float_info.min
+        assert 10 * math.nextafter(self.LEAST_EPS, 0.0) < sys.float_info.min
+
+    @pytest.mark.parametrize("a,eps,terms,width", [
+        (64, LEAST_EPS, (90626, 91396), 91397),
+        (2, LEAST_EPS, (2051, 2063), 2065),
+        (64, 1e-12, (47252, 47981), 47982),
+    ])
+    def test_certifies_in_one_pass(self, monkeypatch, a, eps, terms, width):
+        calls = []
+        real = coupon._coverage_terms
+        monkeypatch.setattr(
+            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
+        )
+        coupon._moments.cache_clear()
+        spec, policy = BankSpec(a, self.Q), TruncationPolicy(eps_term=eps)
+        moments = expected_tests(spec, policy), variance_tests(spec, policy)
+        assert [args[2] for args in calls] == [width]
+        assert tuple(e.terms for e in moments) == terms
+        for e in moments:
+            assert 0.0 < e.tail_bound <= 10 * eps, e
+        # each stop lies in its window, and the variance's window is the widest
+        windows = coupon._windows(a, float(self.Q), eps, True)
+        assert windows[1][2] == width
+        for (_, first, end), e in zip(windows, moments):
+            assert first <= e.terms < end, (first, e, end)
+
+
 # Reference copy of the per-test-count route that the block cache replaced:
 # the alternating closed form in compensated floats for one y, redone in
 # exact rationals when its error bound exceeds 1e-13.  The block cache must
 # reproduce it bit for bit.
 _ULP = 2.0 ** -53
+_TINY = 2.0 ** -1074
+# the S bound of the constant tail, shared by every a: the floor at a = 64
+_TAIL_ERR = MAX_ALTERNATIVES * _TINY
 
 
 def reference_curve_point(a: int, y: int) -> tuple[tuple[float, float, float, float], str]:
-    """(S, S error bound, F, F error bound) and the route taken: 'exact' or 'float'."""
+    """(S, S error bound, F, F error bound) and the route taken: 'exact',
+    'float' or, where every term of the closed form underflows, 'tail'.
+
+    S's bound is the closed form's (y + 2a + 10) ulp times the sum of the
+    term magnitudes (none on the exact route) plus the floor
+    max(ulp * S, a * 2**-1074); F's is an ulp on the exact route and S's
+    bound plus an ulp elsewhere."""
     if a == 1:
         return ((0.0, 0.0, 1.0, 0.0) if y >= 1 else (1.0, 0.0, 0.0, 0.0)), "float"
     if y < a:
@@ -846,13 +932,17 @@ def reference_curve_point(a: int, y: int) -> tuple[tuple[float, float, float, fl
             low += (x - step) + total
         total = step
         magnitude += term
+    if magnitude == 0.0:
+        return (0.0, _TAIL_ERR, 1.0, _TAIL_ERR + _ULP), "tail"
     bound = (y + 2 * a + 10) * _ULP * magnitude
     if bound > 1e-13:
         exact = exact_survival(a, y)
-        return (float(exact), _ULP, float(1 - exact), _ULP), "exact"
+        s = float(exact)
+        return (s, max(_ULP * s, a * _TINY), float(1 - exact), _ULP), "exact"
     p = total + low
-    err = bound + _ULP
-    return (clamp01(p), err, clamp01(1.0 - p), err + _ULP), "float"
+    s = clamp01(p)
+    err = bound + max(_ULP * s, a * _TINY)
+    return (s, err, clamp01(1.0 - p), err + _ULP), "float"
 
 
 def exact_survival(a: int, y: int) -> Fraction:
@@ -922,8 +1012,8 @@ def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
 
 def library_line(a: int, q: float, second_moment: bool) -> tuple:
     """The tail line of the mean or the variance series of (a, q), as the
-    library's window solve forms it; no n_cap stops it."""
-    window = coupon._windows(a, q, float(q), DEFAULT_POLICY.eps_term, sys.maxsize, True)
+    library's window solve forms it."""
+    window = coupon._windows(a, float(q), DEFAULT_POLICY.eps_term, True)
     return window[second_moment][0]
 
 
@@ -940,7 +1030,8 @@ def reference_series(
     survival=None,
 ) -> tuple[float, float, int]:
     """(value, tail_bound, terms) of the mean or variance series, summed one
-    term at a time; raises SeriesCapError as the library words it.
+    term at a time until it stops, which it does for any q below the float
+    maximum and 10 * eps_term at least the smallest normal float.
 
     ``survival(n)`` gives S(n) for n >= a; by default the per-y reference
     route.  The tail bound is :func:`reference_tail`.
@@ -951,7 +1042,7 @@ def reference_series(
         survival = lambda n: reference_curve_point(a, n)[0][0]  # noqa: E731
     bank_count = float(q)
     mean_terms, second_terms = [], []
-    for n in range(policy.n_cap + 1):
+    for n in itertools.count():
         s = 1.0 if n < a else survival(n)
         if s == 0.0:
             term = 0.0
@@ -969,10 +1060,6 @@ def reference_series(
                 return neumaier(mean_terms), tail, n
         mean_terms.append(term)
         second_terms.append(weighted)
-    series = "variance" if second_moment else "mean"
-    raise SeriesCapError(
-        f"{series} series for a={a}, q={q} not certified within n_cap={policy.n_cap}"
-    )
 
 
 def bits(*values: float) -> bytes:
@@ -1069,17 +1156,17 @@ def series_replays():
         checked.append((rows.shape, len(larger[0]), inexact, same))
         return fast_sums, fast_lows
 
-    eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
+    eps = DEFAULT_POLICY.eps_term
     specs = benchmark_requests((1, 2, 3)) | {
         (a, q) for a in range(2, MAX_ALTERNATIVES + 1)
         for q in (1, 2, 10, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306)}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coupon, "_fast2sum_running", replay)
         for a, q in sorted(specs):
-            coupon._series(a, (q,), eps, n_cap, True)
+            coupon._series(a, (q,), eps, True)
         for a in TABLE_A:
             for qs in (TABLE_Q, FIG_LOW_Q, FIG_HIGH_Q):
-                coupon._series(a, qs, eps, n_cap, False)
+                coupon._series(a, qs, eps, False)
     assert len(checked) == len(specs) + 9
     return checked
 
@@ -1112,8 +1199,8 @@ class TestSeriesSweep:
                 assert (bits(est.value, est.tail_bound), est.terms) == (
                     bits(*want[:2]), want[2]), (a, q)
             return got
-        eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
-        got = [coupon._certified(mean) for (mean,) in coupon._series(a, qs, eps, n_cap, False)]
+        eps = DEFAULT_POLICY.eps_term
+        got = [coupon._certified(mean) for (mean,) in coupon._series(a, qs, eps, False)]
         assert len(got) == len(qs)
         for q, est in zip(qs, got):
             want = expected_tests(BankSpec(a, q))
@@ -1123,14 +1210,14 @@ class TestSeriesSweep:
 
     def test_every_bank_size(self):
         rng = random.Random(12)
-        limit, n_cap = 10 * DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
+        limit = 10 * DEFAULT_POLICY.eps_term
         past_first = 0
         for a in range(2, MAX_ALTERNATIVES + 1):
             spread = tuple(int(10 ** rng.uniform(0, 8)) for _ in range(3))
             for second, qs in ((False, (*FIG_HIGH_Q, 10 ** 6, *spread)), (True, (1, 10, 10 ** 4))):
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
                     # the least n whose tail bound meets the limit; the bound never increases
-                    first = bisect.bisect_left(range(n_cap + 1), True, key=lambda n: (
+                    first = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
                         library_tail(a, q, n, second) <= limit))
                     past_first += est.terms > first
         # some sums (at a = 2 and 3) stop past the first certified n, where
@@ -1189,53 +1276,89 @@ class TestSeriesSweep:
     @pytest.mark.parametrize(
         "second,qs,policy,formed",
         [
-            # q = 10**4 fails its bound at the cap, before any term is formed
-            (False, (1, 10 ** 4), TruncationPolicy(n_cap=50), False),
-            (True, (1, 10 ** 4), TruncationPolicy(n_cap=50), False),
-            # q = 10**400 is past the float range
+            # q = 10**400 is past the float range: it fails before any term
+            (False, (10 ** 400, 1, 10 ** 4), TruncationPolicy(eps_term=1e-6), False),
+            (True, (1, 10 ** 4, 10 ** 400), TruncationPolicy(eps_term=1e-6), False),
             (False, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
             (True, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
-            # the bound passes at n_cap, but the first small term lies past it
-            (False, (1, 10), TruncationPolicy(n_cap=44), True),
-            (True, (1, 10 ** 4), TruncationPolicy(n_cap=61), True),
+            # the last q's window is cut to end at its stop, a step past the
+            # least n its bound certifies: the stop walk's guard fails it
+            (False, (1, 10), DEFAULT_POLICY, True),
+            (True, (1, 3), DEFAULT_POLICY, True),
         ],
     )
     def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, policy, formed):
         # the variance is summed one q at a time: its case asks for the failing q
         fn = variance_tests if second else expected_tests
-        failing = []
-        for q in qs:
-            try:
-                fn(BankSpec(2, q), policy)
-            except SeriesCapError as exc:
-                failing.append((q, str(exc)))
-        assert len(failing) == 1, failing
-        (failing_q, message), = failing
-        eps, n_cap = policy.eps_term, policy.n_cap
-        if not second:
-            # one mean kernel call returns every q's outcome: the failing
-            # q's message, and what each other q gets alone
-            for q, (mean,) in zip(qs, coupon._series(2, qs, eps, n_cap, False)):
-                if q == failing_q:
-                    with pytest.raises(SeriesCapError) as got:
-                        coupon._certified(mean)
-                    assert str(got.value) == message
+        eps = policy.eps_term
+        window = contextlib.nullcontext()
+        if formed:
+            stop = fn(BankSpec(2, qs[-1]), policy).terms
+            assert coupon._windows(2, float(qs[-1]), eps, second)[second][1] < stop
+            window = shortened_window(float(qs[-1]), second, stop)
+        with window:
+            failing = []
+            for q in qs:
+                try:
+                    fn(BankSpec(2, q), policy)
+                except SeriesCapError as exc:
+                    failing.append((q, str(exc)))
+            assert len(failing) == 1, failing
+            (failing_q, message), = failing
+            if not second:
+                # one mean kernel call returns every q's outcome: the failing
+                # q's message, and what each other q gets alone
+                for q, (mean,) in zip(qs, coupon._series(2, qs, eps, False)):
+                    if q == failing_q:
+                        with pytest.raises(SeriesCapError) as got:
+                            coupon._certified(mean)
+                        assert str(got.value) == message
+                    else:
+                        assert series_outcome(lambda: astuple(coupon._certified(mean))) == (
+                            series_outcome(lambda: astuple(
+                                expected_tests(BankSpec(2, q), policy)))), q
+            calls = []
+            real = coupon._coverage_terms
+            monkeypatch.setattr(
+                coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
+            )
+            coupon._moments.cache_clear()
+            with pytest.raises(SeriesCapError) as got:
+                if second:
+                    variance_tests(BankSpec(2, failing_q), policy)
                 else:
-                    assert series_outcome(lambda: astuple(coupon._certified(mean))) == (
-                        series_outcome(lambda: astuple(expected_tests(BankSpec(2, q), policy)))), q
-        calls = []
-        real = coupon._coverage_terms
-        monkeypatch.setattr(
-            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
-        )
+                    coupon._certified(coupon._series(2, (failing_q,), eps, False)[0][0])
+            assert str(got.value) == message
+            assert bool(calls) == formed
+        if formed:
+            assert message == (f"{('mean', 'variance')[second]} series for a=2, q={qs[-1]} "
+                               "not certified: no small term before the end of its window")
+
+
+@contextlib.contextmanager
+def shortened_window(count: float, second: bool, end: int):
+    """Within the block, the window solve ends the mean's (``second`` False)
+    or the variance's window of the bank count ``count`` at ``end``, at or
+    past the least n its bound certifies but before its first small term: a
+    window too short for its stop, which only a fault of the reach line
+    would give.  The moment memo is emptied on entry and on exit."""
+    real = coupon._windows
+
+    def windows(a, c, eps, second_moment):
+        solved = real(a, c, eps, second_moment)
+        if c == count and second < len(solved):
+            line, first, _ = solved[second]
+            assert first <= end, (first, end)
+            solved[second] = line, first, end
+        return solved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupon, "_windows", windows)
         coupon._moments.cache_clear()
-        with pytest.raises(SeriesCapError) as got:
-            if second:
-                variance_tests(BankSpec(2, failing_q), policy)
-            else:
-                coupon._certified(coupon._series(2, (failing_q,), eps, n_cap, False)[0][0])
-        assert str(got.value) == message
-        assert bool(calls) == formed
+        try:
+            yield
+        finally:
+            coupon._moments.cache_clear()
 
 
 def both_moments(spec: BankSpec, policy: TruncationPolicy, variance_first: bool) -> list:
@@ -1264,38 +1387,40 @@ class TestMomentPair:
     @pytest.mark.parametrize("variance_first", [False, True], ids=["mean first", "variance first"])
     @pytest.mark.parametrize("a,q", [(2, 1), (10, 10), (20, 100)])
     def test_mean_certifies_where_the_variance_does_not(self, a, q, variance_first):
-        # n_caps between the two stops: at the mean's stop, and one short of
-        # the variance's
+        # the variance's window cut to end at the least n its bound
+        # certifies, and at its stop: the stop walk's guard fails the
+        # variance, and the mean of the same pass is the reference's
         spec = BankSpec(a, q)
         mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
-        assert mean_stop < stop - 1
+        first = coupon._windows(a, float(q), DEFAULT_POLICY.eps_term, True)[1][1]
+        assert mean_stop < first <= stop
         survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
-        for n_cap in (mean_stop, stop - 1):
-            policy = TruncationPolicy(n_cap=n_cap)
-            want = [series_outcome(lambda: reference_series(a, q, second, policy, survival))
-                    for second in (False, True)]
-            assert want[0][0] != "raised"
-            assert want[1] == ("raised", f"variance series for a={a}, q={q} not certified "
-                               f"within n_cap={n_cap}")
-            assert both_moments(spec, policy, variance_first) == want, n_cap
+        want = [series_outcome(lambda: reference_series(a, q, False, DEFAULT_POLICY, survival)),
+                ("raised", f"variance series for a={a}, q={q} not certified: no small term "
+                 f"before the end of its window")]
+        for end in (first, stop):
+            with shortened_window(float(q), True, end):
+                assert both_moments(spec, DEFAULT_POLICY, variance_first) == want, end
 
     def test_memoised_failure_is_a_new_instance_each_time(self):
-        spec, policy = BankSpec(10, 10), TruncationPolicy(n_cap=320)
+        spec = BankSpec(10, 10)
         for fn in (expected_tests, variance_tests) * 2:
             raised = []
             for _ in range(2):
                 with pytest.raises(SeriesCapError) as got:
-                    fn(BankSpec(10, 10 ** 400), policy)
+                    fn(BankSpec(10, 10 ** 400))
                 raised.append(got.value)
             assert raised[0] is not raised[1]
             assert str(raised[0]) == str(raised[1])
-        # the variance fails at this cap while the mean certifies
+        # the variance fails in a window cut to end at its stop while the
+        # mean certifies
         errors = []
-        for _ in range(2):
-            assert expected_tests(spec, policy).terms == 314
-            with pytest.raises(SeriesCapError, match="variance series") as got:
-                variance_tests(spec, policy)
-            errors.append(got.value)
+        with shortened_window(10.0, True, variance_tests(spec).terms):
+            for _ in range(2):
+                assert expected_tests(spec).terms == 314
+                with pytest.raises(SeriesCapError, match="variance series") as got:
+                    variance_tests(spec)
+                errors.append(got.value)
         assert errors[0] is not errors[1] and type(errors[1]) is SeriesCapError
 
     def test_memo_holds_one_spec(self, monkeypatch):
@@ -1319,10 +1444,11 @@ class TestMomentPair:
         # another policy is another key
         expected_tests(first, TruncationPolicy(eps_term=1e-10))
         assert len(calls) == 4
-        # so is a bool standing for its int, whose messages print differently
-        for n_cap in (1, True):
-            with pytest.raises(SeriesCapError, match=f"within n_cap={n_cap}$"):
-                variance_tests(first, TruncationPolicy(n_cap=n_cap))
+        # so is a Fraction standing for its equal float, whose messages
+        # print differently
+        for eps in (5e-324, Fraction(1, 2 ** 1074)):
+            with pytest.raises(SeriesCapError, match=re.escape(f"eps_term={eps!r} asks")):
+                variance_tests(first, TruncationPolicy(eps_term=eps))
 
     def test_threads_asking_alternating_specs_get_their_own(self):
         # four threads, more than the cores CI has, switching often: each
@@ -1448,7 +1574,7 @@ class TestTailLine:
                 # smallest normal float, with eps_term < 1
                 if not (self.LEAST <= limit and eps < 1.0):
                     continue
-                solved, first, _ = coupon._windows(a, q, float(q), eps, sys.maxsize, True)[second]
+                solved, first, _ = coupon._windows(a, float(q), eps, True)[second]
                 assert solved == line, (a, q, second, eps)
                 assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
                 assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
@@ -1570,7 +1696,7 @@ class TestSurvivalBlocks:
             for y in ys:
                 self._assert_point(a, y)
             # the cut is the first y with an all-zero closed form
-            assert reference_curve_point(a, cut)[0] == (0.0, _ULP, 1.0, 2 * _ULP)
+            assert reference_curve_point(a, cut)[1] == "tail"
             assert reference_curve_point(a, cut - 1)[0][0] > 0.0
 
     @pytest.mark.parametrize(
@@ -1578,8 +1704,8 @@ class TestSurvivalBlocks:
     )
     def test_beyond_float_range_returns_constant_tail(self, y):
         spec = BankSpec(10, 5)
-        assert single_bank_survival(10, y) == ProbValue(0.0, _ULP)
-        assert single_bank_cdf(10, y) == ProbValue(1.0, 2 * _ULP)
+        assert single_bank_survival(10, y) == ProbValue(0.0, _TAIL_ERR)
+        assert single_bank_cdf(10, y) == ProbValue(1.0, _TAIL_ERR + _ULP)
         assert test_count_cdf(spec, y).p == 1.0
         assert test_count_pmf(spec, y).p == 0.0
 
@@ -1673,25 +1799,16 @@ class TestSurvivalBlocks:
         a=st.integers(1, MAX_ALTERNATIVES),
         log_q=st.floats(0.0, 308.0),
         log_eps=st.floats(-15.0, math.log10(0.5)),
-        log_cap=st.floats(0.0, 5.0),
         second=st.booleans(),
     )
-    def test_series_match_per_term_reference(self, a, log_q, log_eps, log_cap, second):
+    def test_series_match_per_term_reference(self, a, log_q, log_eps, second):
         # the block kernel against the term-by-term loop it replaced, on the
         # cached curve (checked against the per-y route above), bit for bit;
-        # q, eps_term and n_cap are drawn log-uniform
+        # q and eps_term are drawn log-uniform
         q = int(10.0 ** log_q)
-        policy = TruncationPolicy(min(10.0 ** log_eps, 0.5), int(10.0 ** log_cap))
+        policy = TruncationPolicy(min(10.0 ** log_eps, 0.5))
         fn = variance_tests if second else expected_tests
-        try:
-            want = reference_series(
-                a, q, second, policy, lambda n: single_bank_survival(a, n).p
-            )
-        except SeriesCapError as exc:
-            with pytest.raises(SeriesCapError) as got:
-                fn(BankSpec(a, q), policy)
-            assert str(got.value) == str(exc)
-            return
+        want = reference_series(a, q, second, policy, lambda n: single_bank_survival(a, n).p)
         est = fn(BankSpec(a, q), policy)
         assert bits(est.value, est.tail_bound) == bits(*want[:2]), (a, q, policy, want)
         assert est.terms == want[2], (a, q, policy, want)

@@ -430,9 +430,8 @@ class TestSharedMeanPass:
 
     def test_centred_band_matches_its_own_series(self):
         qs = (20, 50, 100, 200)
-        eps, n_cap = DEFAULT_POLICY.eps_term, DEFAULT_POLICY.n_cap
         diffs = [_certified(mean).value - centred_mean_prediction(a, q) for a in TABLE_A
-                 for q, (mean,) in zip(qs, _series(a, qs, eps, n_cap, False))]
+                 for q, (mean,) in zip(qs, _series(a, qs, DEFAULT_POLICY.eps_term, False))]
         band = validate.centred_diff_band(build_table("fig_high").rows)
         assert band == (min(diffs), max(diffs))
 
