@@ -15,7 +15,7 @@ compensated sum would give them, and kept as one flat read-only buffer per
 block, five rows end to end: S, its bound, F, its bound and log1p(-S), that
 log1p formed once per block (about 10.7 KiB a block; at most 512 blocks,
 under 5.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads
-475).  The first touch of a block costs 0.8 to 1.5 ms at a = 64 (about 6 ms
+475).  The first touch of a block costs 0.3 to 0.8 ms at a = 64 (about 3 ms
 for block 0, which holds the exact-integer cells) against about 0.06 ms for
 one lone point.  Past the first y where every term of the closed form
 underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
@@ -47,9 +47,10 @@ float range raises before any term, and so does an ``eps_term`` whose
 takes.  The same solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n,
 a line with its own constant, says how far the terms must reach, so they
 are formed in one pass.  One function (:func:`_windows`) solves both lines
-of both moments of a q, root, walk and reach, and the logarithms they
-share are formed once per q; :func:`_tail_bound` is the one definition of
-the bound, read by the walk and at each stop.  One kernel
+of both moments of every q of a pass, root, walk and reach; the five
+logarithms that depend on a and eps alone are formed once a pass, and
+log q once a q.  :func:`_tail_bound` is the one definition of the bound,
+read by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
 products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
@@ -714,13 +715,15 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return after, np.add.accumulate(low, axis=1, out=low)
 
 
-def _windows(a: int, count: float, eps: float,
+def _windows(a: int, counts: tuple[float, ...], eps: float,
              second_moment: bool) -> list[tuple[_Line, int, int] | str]:
-    """For the mean and, with ``second_moment``, the variance of a bank count
-    q saturated to the float ``count``, the tail line, the least n that line
-    certifies and the end of the term window; or, where no term can help,
-    the message of the series' failure.  This is the one solve of a tail
-    line: :func:`_tail_bound` reads the line, here in the walk and in
+    """For each bank count q of one pass at bank size ``a``, saturated to
+    the floats ``counts``, the tail line of its mean and, with
+    ``second_moment``, of its variance, the least n that line certifies
+    and the end of the term window; or, where no term can help, the
+    message of the series' failure.  One flat list, q by q, each q's mean
+    then its variance.  This is the one solve of a tail line:
+    :func:`_tail_bound` reads the line, here in the walk and in
     :func:`_series` at each stop.
 
     The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
@@ -739,47 +742,64 @@ def _windows(a: int, count: float, eps: float,
     to from the root, and the window ends at the union bound's root.  The
     end is not first + 1: a few steps short of _TAIL_STARTS[a], S(n) is a
     subnormal of a few ulps that rounds up by as much as 2x, and the first
-    small term can lie three steps past first.  Each logarithm is formed
-    once and serves both moments.
+    small term can lie three steps past first.
+
+    Five of the logarithms, r, log(2a**3/(a-1)), log(10 * eps), log a and
+    log(eps / 2), depend on a and eps alone, so they are formed once per
+    call, after the check that 10 * eps is at least the smallest normal
+    float (log(eps / 2) of an eps that underflows would raise).  Each q
+    adds its log q left to right, c = (log(2a**3/(a-1)) + log q) + 1e-9
+    and reach = ((log a + log q) + 1e-9) - log(eps / 2), so a q's windows
+    are the same doubles whatever else its pass holds.
     """
     names = ("mean", "variance")[:1 + second_moment]
     limit = 10.0 * eps
-    if count == math.inf:  # the mean lies beyond the last representable survival
-        return [f"{series} series for a={a} not certified: q is beyond the float range"
-                for series in names]
-    if limit < _MIN_NORMAL:  # the bound never goes below the smallest normal float
-        return [f"{series} series for a={a} not certified: eps_term={eps!r} asks for a tail "
-                f"bound of at most 10 * eps_term, below the smallest normal float "
-                f"{_MIN_NORMAL!r}, and no tail bound is that small"
-                for series in names]
-    log_q = math.log(count)
-    r = -math.log((a - 1) / a)
-    c = math.log(2.0 * a ** 3 / (a - 1)) + log_q + 1e-9
-    excess = c - math.log(limit)
-    reach = math.log(a) + log_q + 1e-9 - math.log(0.5 * eps)  # the union bound's, at eps / 2
+    too_small = limit < _MIN_NORMAL  # the bound never goes below the smallest normal float
+    if not too_small:
+        r = -math.log((a - 1) / a)
+        log_scale = math.log(2.0 * a ** 3 / (a - 1))
+        log_limit = math.log(limit)
+        log_a = math.log(a)
+        log_half_eps = math.log(0.5 * eps)  # the union bound's limit, eps / 2
     windows = []
-    for series, offset in zip(names, (None, 2 * a - 1)):
-        line = c, r, offset
-        root, end = excess / r, reach / r
-        if offset is not None:
-            # for the weights, 2n + offset on the line and 2n + 1 on the union
-            # bound: each fixed-point step starts below its root and climbs
-            # towards it, so the solved root lies at or below the true one,
-            # up to rounding
-            for _ in range(3):
-                root = (excess + math.log(2.0 * root + offset)) / r
-                end = (reach + math.log(2.0 * end + 1)) / r
-        # The exact bound strictly decreases in n, by a factor of at most
-        # (2a^2 - a - 1) / (2a^2 - a) a step with the variance's weight, far
-        # above the rounding of the line, so the computed bound never
-        # increases either, and the root and the least n where it meets the
-        # limit differ by rounding, about 1e-10 steps: ceil(root) lies past
-        # that n only where the root is within rounding of an integer, and
-        # then by one step.  So the walk starts one step short of ceil(root).
-        first = max(math.ceil(root) - 1, 0)
-        while _tail_bound(line, first) > limit:
-            first += 1
-        windows.append((line, first, max(first, math.ceil(end)) + 1))
+    for count in counts:
+        if count == math.inf:  # the mean lies beyond the last representable survival
+            windows += [f"{series} series for a={a} not certified: q is beyond the float range"
+                        for series in names]
+            continue
+        if too_small:
+            windows += [f"{series} series for a={a} not certified: eps_term={eps!r} asks for a "
+                        f"tail bound of at most 10 * eps_term, below the smallest normal float "
+                        f"{_MIN_NORMAL!r}, and no tail bound is that small"
+                        for series in names]
+            continue
+        log_q = math.log(count)
+        c = log_scale + log_q + 1e-9
+        excess = c - log_limit
+        reach = log_a + log_q + 1e-9 - log_half_eps
+        for offset in (None, 2 * a - 1)[:1 + second_moment]:
+            line = c, r, offset
+            root, end = excess / r, reach / r
+            if offset is not None:
+                # for the weights, 2n + offset on the line and 2n + 1 on the
+                # union bound: each fixed-point step starts below its root and
+                # climbs towards it, so the solved root lies at or below the
+                # true one, up to rounding
+                for _ in range(3):
+                    root = (excess + math.log(2.0 * root + offset)) / r
+                    end = (reach + math.log(2.0 * end + 1)) / r
+            # The exact bound strictly decreases in n, by a factor of at most
+            # (2a^2 - a - 1) / (2a^2 - a) a step with the variance's weight,
+            # far above the rounding of the line, so the computed bound never
+            # increases either, and the root and the least n where it meets
+            # the limit differ by rounding, about 1e-10 steps: ceil(root) lies
+            # past that n only where the root is within rounding of an
+            # integer, and then by one step.  So the walk starts one step
+            # short of ceil(root).
+            first = max(math.ceil(root) - 1, 0)
+            while _tail_bound(line, first) > limit:
+                first += 1
+            windows.append((line, first, max(first, math.ceil(end)) + 1))
     return windows
 
 
@@ -795,7 +815,7 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
     ``eps`` and whose tail bound is at most ``10 * eps``; as the bound never
     increases, that is the first small term at or after the least n the
     bound certifies.  That n and the end of the term window are found before
-    any term is formed, for both moments of a q from one set of logarithms
+    any term is formed, for both moments of every q by one solve
     (:func:`_windows`), and a series whose window fails is its message; the
     stop is found here, by a walk along the row from that n, almost always
     no step at all.  Every series stops before its window ends (the union
@@ -814,8 +834,8 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
         exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
         return [exact[:1 + second_moment]] * len(qs)
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
-    counts = [_saturating_float(q) for q in qs]
-    windows = [window for count in counts for window in _windows(a, count, eps, second_moment)]
+    counts = tuple(map(_saturating_float, qs))
+    windows = _windows(a, counts, eps, second_moment)
     width = max(w[2] if type(w) is tuple else 0 for w in windows)  # 0 where a window failed
     rows = np.zeros((len(windows), width))
     if width:

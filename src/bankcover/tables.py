@@ -8,6 +8,7 @@ meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -64,26 +65,44 @@ def round_half_away(value: float, decimals: int = 1) -> str:
     float range or is not finite, or a ``decimals`` that is not an int
     whose quantum ``10**-decimals`` lies in the decimal exponent range (at
     most 999999 places either way), raises ``InvalidSpecError``.
+
+    A table rounds one value a row, so the common case is cheap: a Python
+    float skips the ``numbers.Real`` check and the conversion, and the
+    quantum of a ``decimals`` comes from :func:`_quantum`, which checks it
+    on a cache miss only.
     """
-    if not isinstance(value, numbers.Real):
-        raise InvalidSpecError(f"cannot round {value!r}: the value must be a real number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise InvalidSpecError("cannot round a value beyond the float range: "
-                               "the value must be finite") from None
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise InvalidSpecError(f"cannot round {value!r}: the value must be a real number")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvalidSpecError("cannot round a value beyond the float range: "
+                                   "the value must be finite") from None
     if not math.isfinite(value):
         raise InvalidSpecError(f"cannot round {value!r}: the value must be finite")
+    try:
+        quantum = _quantum(decimals)
+    except TypeError:  # unhashable, so not an int: the cache cannot key it
+        raise _bad_decimals(decimals) from None
+    return format(Decimal(repr(value)).quantize(quantum, context=_EXACT), "f")
+
+
+@functools.lru_cache(typed=True)
+def _quantum(decimals: int) -> Decimal:
+    """``10**-decimals`` as a Decimal, for an int ``decimals`` whose quantum
+    lies in the decimal exponent range; anything else raises
+    ``InvalidSpecError``, and a raise is not cached.  Keyed by type too, so
+    ``1.0``, equal to ``1`` and hashed alike, is checked and refused, and
+    ``True`` is checked apart from ``1``."""
     if not isinstance(decimals, int) or not _EXACT.Emin <= -decimals <= _EXACT.Emax:
-        raise InvalidSpecError(f"decimals must be an integer in [{_EXACT.Emin}, {_EXACT.Emax}],"
-                               f" got {_shown(decimals)}")
-    return format(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), context=_EXACT), "f")
+        raise _bad_decimals(decimals)
+    return Decimal(1).scaleb(-decimals)
 
 
-def _render_cell(cell) -> str:
-    if isinstance(cell, float):
-        return format(cell, ".17g")
-    return str(cell)
+def _bad_decimals(decimals) -> InvalidSpecError:
+    return InvalidSpecError(f"decimals must be an integer in [{_EXACT.Emin}, {_EXACT.Emax}],"
+                            f" got {_shown(decimals)}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +114,13 @@ class TableArtifact:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header), *(",".join(map(_render_cell, row)) for row in self.rows)]
+        """The header and the rows as comma-separated lines, each ending in
+        LF: a float cell in ``%.17g``, which round-trips, any other cell as
+        its ``str``.  Each row is one join of f-string cells, with no
+        function of ours called per cell."""
+        lines = [",".join(self.header)]
+        lines += [",".join([f"{cell:.17g}" if isinstance(cell, float) else f"{cell}" for cell in row])
+                  for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
@@ -268,14 +293,13 @@ def render_figure_svg(artifact: TableArtifact) -> str:
 
     for idx, (a, pts) in enumerate(sorted(series.items())):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        coords = " ".join(f"{px(q):.2f},{py(v):.2f}" for q, v in pts)
+        # each point's x and y formatted once, for its polyline vertex and its circle
+        points = [(f"{px(q):.2f}", f"{py(v):.2f}") for q, v in pts]
+        coords = " ".join([f"{x},{y}" for x, y in points])
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for q, v in pts:
-            parts.append(
-                f'<circle cx="{px(q):.2f}" cy="{py(v):.2f}" r="2.5" fill="{color}"/>'
-            )
+        parts += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="{color}"/>' for x, y in points]
         last_q, last_v = pts[-1]
         parts.append(
             f'<text x="{px(last_q) - 4:.2f}" y="{py(last_v) - 8:.2f}" font-size="12" '

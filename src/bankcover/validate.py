@@ -6,8 +6,8 @@ per criterion returning its observed numbers.  ``run_checks`` wraps them in
 asserts on the same tables and functions, which stay outside ``__all__``.
 
 ``quick`` runs the exact-arithmetic and reference-table checks in about
-7-10 ms on a shared 2-core host once the curve blocks are filled (17-25 ms
-on the first call), three quarters of it the ``fig_high`` table; ``full``
+2.5-2.6 ms on a shared 2-core host once the curve blocks are filled (6-8 ms
+on the first call), more than half of it the ``fig_high`` table; ``full``
 adds the envelope sweeps, the variance band, the local approximation decay
 and seeded simulation concordance.  ``quick`` does each exact computation
 once: the mean-table, centred-band and plot checks judge one ``fig_high``

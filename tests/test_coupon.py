@@ -62,6 +62,36 @@ def brute_force_cdf(a: int, y: int) -> Fraction:
     return Fraction(covered, a ** y)
 
 
+def survival_ratio(a: int, y: int) -> tuple[int, int]:
+    """S(y) from the alternating closed form, as a numerator over the
+    denominator a**y, unreduced: the audits compare in integers and take no
+    gcd of numbers of tens of thousands of bits."""
+    return sum((-1) ** (k + 1) * math.comb(a, k) * (a - k) ** y for k in range(1, a + 1)), a ** y
+
+
+def within(value: float, abs_err: float, num: int, den: int) -> bool:
+    """|value - num/den| <= abs_err, decided exactly in integers."""
+    vn, vd = value.as_integer_ratio()
+    en, ed = abs_err.as_integer_ratio()
+    return abs(vn * den - num * vd) * ed <= en * vd * den
+
+
+@st.composite
+def audit_points(draw, least: int = 0) -> tuple[int, int]:
+    """(a, y) with a <= 20 and y >= ``least`` drawn from one of three
+    regions: the lower tail (y up to 2a, half of it below coverage), the bulk
+    (a to 4 a H_a + a) or the upper tail, from half the first y where
+    ((a-1)/a)**y underflows to 64 past it, into the constant tail S = 0."""
+    a = draw(st.integers(1, 20))
+    if a == 1:
+        return a, draw(st.integers(least, 4))
+    harmonic = sum(1 / k for k in range(1, a + 1))
+    underflow = math.ceil(1075 * math.log(2) / -math.log((a - 1) / a))
+    lo, hi = draw(st.sampled_from([
+        (0, 2 * a), (a, math.ceil(4 * a * harmonic) + a), (underflow // 2, underflow + 64)]))
+    return a, draw(st.integers(max(lo, least), hi))
+
+
 class TestBankSpec:
     def test_valid(self):
         spec = BankSpec(10, 200)
@@ -284,6 +314,14 @@ class TestSingleBankSurvival:
         assert 0.0 <= v.p <= 1.0
         assert v.abs_err < 1e-9
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point=audit_points())
+    def test_bound_covers_the_exact_value(self, point):
+        # the value lies within abs_err of the exact rational S(y)
+        a, y = point
+        v = single_bank_survival(a, y)
+        assert within(v.p, v.abs_err, *survival_ratio(a, y)), (a, y, v)
+
     def test_geometric_tail_certificate(self):
         # the series' tail bounds rest on S(m) <= 2a * ((a-1)/a)**(m-1) for
         # every m >= 0; the union bound a * ((a-1)/a)**m gives it with margin
@@ -373,6 +411,15 @@ class TestSingleBankCdf:
 
     def test_against_oracle_cell(self):
         assert single_bank_cdf(5, 11).p == pytest.approx(float(cdf_oracle(5, 11)), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point=audit_points())
+    def test_bound_covers_the_exact_value(self, point):
+        # the value lies within abs_err of the exact rational F(y) = 1 - S(y)
+        a, y = point
+        v = single_bank_cdf(a, y)
+        num, den = survival_ratio(a, y)
+        assert within(v.p, v.abs_err, den - num, den), (a, y, v)
 
     def test_complements_survival(self):
         for a in (2, 7, 33):
@@ -558,6 +605,18 @@ class TestTestCountPmf:
     def test_rejects_zero(self):
         with pytest.raises(InvalidSpecError):
             test_count_pmf(BankSpec(2, 1), 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point=audit_points(least=1), q=st.integers(1, 6))
+    def test_bound_covers_the_exact_value(self, point, q):
+        # the value lies within abs_err of the exact F(n)**q - F(n-1)**q; with
+        # q <= 6 the powers of the rationals stay cheap enough to form exactly
+        a, n = point
+        v = test_count_pmf(BankSpec(a, q), n)
+        num, den = survival_ratio(a, n)
+        before, _ = survival_ratio(a, n - 1)  # over a**(n-1), so times a over a**n
+        exact = (den - num) ** q - ((den // a - before) * a) ** q
+        assert within(v.p, v.abs_err, exact, den ** q), (a, q, n, v)
 
     @pytest.mark.parametrize(
         "n,message",
@@ -893,7 +952,7 @@ class TestWidestWindow:
         for e in moments:
             assert 0.0 < e.tail_bound <= 10 * eps, e
         # each stop lies in its window, and the variance's window is the widest
-        windows = coupon._windows(a, float(self.Q), eps, True)
+        windows = coupon._windows(a, (float(self.Q),), eps, True)
         assert windows[1][2] == width
         for (_, first, end), e in zip(windows, moments):
             assert first <= e.terms < end, (first, e, end)
@@ -947,10 +1006,7 @@ def reference_curve_point(a: int, y: int) -> tuple[tuple[float, float, float, fl
 
 def exact_survival(a: int, y: int) -> Fraction:
     """S(y) from the alternating closed form in exact rationals."""
-    return Fraction(
-        sum((-1) ** (k + 1) * math.comb(a, k) * (a - k) ** y for k in range(1, a + 1)),
-        a ** y,
-    )
+    return Fraction(*survival_ratio(a, y))
 
 
 def clamp01(p: float) -> float:
@@ -1013,7 +1069,7 @@ def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
 def library_line(a: int, q: float, second_moment: bool) -> tuple:
     """The tail line of the mean or the variance series of (a, q), as the
     library's window solve forms it."""
-    window = coupon._windows(a, float(q), DEFAULT_POLICY.eps_term, True)
+    window = coupon._windows(a, (float(q),), DEFAULT_POLICY.eps_term, True)
     return window[second_moment][0]
 
 
@@ -1294,7 +1350,7 @@ class TestSeriesSweep:
         window = contextlib.nullcontext()
         if formed:
             stop = fn(BankSpec(2, qs[-1]), policy).terms
-            assert coupon._windows(2, float(qs[-1]), eps, second)[second][1] < stop
+            assert coupon._windows(2, (float(qs[-1]),), eps, second)[second][1] < stop
             window = shortened_window(float(qs[-1]), second, stop)
         with window:
             failing = []
@@ -1344,12 +1400,14 @@ def shortened_window(count: float, second: bool, end: int):
     would give.  The moment memo is emptied on entry and on exit."""
     real = coupon._windows
 
-    def windows(a, c, eps, second_moment):
-        solved = real(a, c, eps, second_moment)
-        if c == count and second < len(solved):
-            line, first, _ = solved[second]
-            assert first <= end, (first, end)
-            solved[second] = line, first, end
+    def windows(a, counts, eps, second_moment):
+        solved = real(a, counts, eps, second_moment)
+        k = 1 + second_moment  # the pass's flat list holds k windows a count
+        for i, c in enumerate(counts):
+            if c == count and second < k:
+                line, first, _ = solved[k * i + second]
+                assert first <= end, (first, end)
+                solved[k * i + second] = line, first, end
         return solved
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1392,7 +1450,7 @@ class TestMomentPair:
         # variance, and the mean of the same pass is the reference's
         spec = BankSpec(a, q)
         mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
-        first = coupon._windows(a, float(q), DEFAULT_POLICY.eps_term, True)[1][1]
+        first = coupon._windows(a, (float(q),), DEFAULT_POLICY.eps_term, True)[1][1]
         assert mean_stop < first <= stop
         survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
         want = [series_outcome(lambda: reference_series(a, q, False, DEFAULT_POLICY, survival)),
@@ -1574,7 +1632,7 @@ class TestTailLine:
                 # smallest normal float, with eps_term < 1
                 if not (self.LEAST <= limit and eps < 1.0):
                     continue
-                solved, first, _ = coupon._windows(a, float(q), eps, True)[second]
+                solved, first, _ = coupon._windows(a, (float(q),), eps, True)[second]
                 assert solved == line, (a, q, second, eps)
                 assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
                 assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
@@ -1585,6 +1643,47 @@ class TestTailLine:
             for n in ns:
                 assert coupon._tail_bound(line, n) >= coupon._tail_bound(line, n + 1), (
                     a, q, second, n)
+
+    @staticmethod
+    def _passes():
+        """(a, bank counts of one pass, eps_term): ``FIG_HIGH_Q`` at four
+        bank sizes, the q of each bank size of the seed-1 exact_queries
+        stream, and q beyond the float range between finite q, under the
+        default eps_term and one whose 10 * eps_term is 0.0."""
+        stream: dict[int, list[int]] = {}
+        for a, q in sorted(benchmark_requests([1])):
+            stream.setdefault(a, []).append(q)
+        passes = [(a, FIG_HIGH_Q) for a in (2, 5, 20, MAX_ALTERNATIVES)]
+        passes += sorted((a, tuple(qs)) for a, qs in stream.items())
+        passes += [(a, (1, 10 ** 400, 7, 10 ** 400, 10 ** 6)) for a in (2, 20, MAX_ALTERNATIVES)]
+        underflowing = Fraction(1, 10 ** 400)
+        assert 10.0 * underflowing == 0.0
+        for a, qs in passes:
+            for eps in (DEFAULT_POLICY.eps_term, underflowing):
+                yield a, qs, eps
+
+    def test_pass_windows_are_each_counts_own(self):
+        # one solve for every q of a pass forms the logarithms of (a, eps)
+        # once; each q's windows must still be, bit for bit and message for
+        # message, what a solve for that q alone gives
+        messages = 0
+        for a, qs, eps in self._passes():
+            counts = tuple(map(coupon._saturating_float, qs))
+            for second in (False, True):
+                k = 1 + second
+                got = coupon._windows(a, counts, eps, second)
+                assert len(got) == k * len(counts)
+                for i, count in enumerate(counts):
+                    alone = coupon._windows(a, (count,), eps, second)
+                    for j, want in enumerate(alone):
+                        # repr is exact for floats, and tells -0.0 from 0.0
+                        assert repr(got[k * i + j]) == repr(want), (a, qs[i], eps, second, j)
+                    if count == math.inf or 10.0 * eps == 0.0:
+                        assert all(type(w) is str for w in alone), (a, qs[i], eps)
+                        messages += len(alone)
+                    else:
+                        assert all(type(w) is tuple for w in alone), (a, qs[i], eps)
+        assert messages > 0
 
 
 # The calls of one helper's check: single elements, pairs, either side of a

@@ -120,6 +120,31 @@ class TestRounding:
         with pytest.raises(InvalidSpecError, match="decimals must be an integer in"):
             round_half_away(2.5, decimals)
 
+    def test_repeat_calls_and_refused_decimals_after_them(self):
+        # the quantum of a decimals is kept once checked; a repeat gives the
+        # first call's string, and a decimals equal to a kept one (1.0 to 1,
+        # hashed alike) or out of range is still checked and refused
+        for decimals in (0, 1, 3, -2, True, 999_999):
+            first = round_half_away(71.95396472318263, decimals)
+            assert round_half_away(71.95396472318263, decimals) == first, decimals
+        for decimals in (1.0, 10 ** 6, -10 ** 6, "1", [1]):
+            with pytest.raises(InvalidSpecError, match="decimals must be an integer in"):
+                round_half_away(2.5, decimals)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            # what each gave before a Python float skipped the type check
+            pytest.param(np.float64(2.25), ("2.3", "2.25", "2", "0"), id="np.float64(2.25)"),
+            pytest.param(2 ** 53 + 1, ("9007199254740992.0", "9007199254740992.00",
+                                       "9007199254740992", "9007199254740990"), id="2**53 + 1"),
+            pytest.param(Fraction(1, 8), ("0.1", "0.13", "0", "0"), id="Fraction(1, 8)"),
+            pytest.param(True, ("1.0", "1.00", "1", "0"), id="True"),
+        ],
+    )
+    def test_other_reals_round_as_their_float(self, value, expected):
+        assert tuple(round_half_away(value, decimals) for decimals in (1, 2, 0, -1)) == expected
+
     def test_decimals_at_the_exponent_range_edges(self):
         assert round_half_away(2.5, 999_999) == "2.5" + "0" * 999_998
         assert round_half_away(2.5, -999_999) == "0"
