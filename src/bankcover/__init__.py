@@ -21,7 +21,6 @@ from .asymptotics import (
     variance_bounds,
 )
 from .coupon import (
-    DEFAULT_POLICY,
     MAX_ALTERNATIVES,
     BankSpec,
     InvalidSpecError,
@@ -29,7 +28,6 @@ from .coupon import (
     ProbValue,
     SeriesCapError,
     SeriesEstimate,
-    TruncationPolicy,
     UnsupportedAlternativesError,
     cdf_oracle,
     expected_single_bank,
@@ -52,9 +50,7 @@ __all__ = [
     "EULER_GAMMA",
     "GENERATOR_ID",
     "MAX_ALTERNATIVES",
-    "DEFAULT_POLICY",
     "BankSpec",
-    "TruncationPolicy",
     "ProbValue",
     "SeriesEstimate",
     "CentringData",

@@ -20,14 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .coupon import (
-    DEFAULT_POLICY,
-    BankSpec,
-    InvalidSpecError,
-    SeriesCapError,
-    TruncationPolicy,
-    expected_tests,
-)
+from .coupon import BankSpec, InvalidSpecError, SeriesCapError, expected_tests
 from .simulate import SimulationConfig, run_experiment
 from .tables import FIGURE_NAMES, TABLE_NAMES, _write_text, build_table, render_figure_svg
 from .validate import LEVELS, format_report, run_checks
@@ -53,12 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     expect = sub.add_parser("expect", help="mean number of tests until full coverage")
     expect.add_argument("--a", type=int, required=True, help="alternatives per bank")
     expect.add_argument("--q", type=int, required=True, help="questions per test")
-    expect.add_argument(
-        "--policy-eps",
-        type=float,
-        default=None,
-        help="series term threshold (default 1e-12)",
-    )
     expect.set_defaults(handler=_cmd_expect)
 
     table = sub.add_parser("table", help="write a reference dataset as CSV")
@@ -105,10 +92,7 @@ def _out_path(explicit: str | None, default_name: str) -> Path:
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
-    policy = DEFAULT_POLICY
-    if args.policy_eps is not None:
-        policy = TruncationPolicy(eps_term=args.policy_eps)
-    estimate = expected_tests(BankSpec(args.a, args.q), policy)
+    estimate = expected_tests(BankSpec(args.a, args.q))
     print(f"{estimate.value:.12g} (tail <= {estimate.tail_bound:.3g}, terms = {estimate.terms})")
     return EXIT_OK
 

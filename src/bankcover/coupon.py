@@ -33,23 +33,23 @@ one cdf cell from the block and build one value a call; a pmf reads its
 two cells, n and n - 1, with two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
-weighted by 2n+1 for the second moment, until a term is small and a
-geometric bound on the rest is certified.  That bound is one line per q in
-logarithms, c - r*n (plus log(2n + 2a - 1) for the variance), raised by
-1e-9 to stay a bound.  It never increases with n, so where it first meets
-the limit is found before any term, by one root solve on the line and a
-walk up of a step or two along it.  No term count is capped: over the
-whole domain (a <= 64, q below the float maximum, 10 * eps_term at least
-the smallest normal float) the widest window, at a = 64, q at the float
-maximum and the least such eps_term, ends at 91,397 terms.  A q beyond the
-float range raises before any term, and so does an ``eps_term`` whose
-10 * eps_term lies below the smallest normal float, the least value a bound
-takes.  The same solve on the union bound P(N > n) <= q * a * ((a-1)/a)**n,
-a line with its own constant, says how far the terms must reach, so they
-are formed in one pass.  One function (:func:`_windows`) solves both lines
-of both moments of every q of a pass, root, walk and reach; the five
-logarithms that depend on a and eps alone are formed once a pass, and
-log q once a q.  :func:`_tail_bound` is the one definition of the bound,
+weighted by 2n+1 for the second moment, and each stops at the first n
+whose term is below 1e-12 and whose tail, by a certified geometric bound,
+is at most 1e-11.  That threshold is one constant, ``_EPS_TERM``, the same
+for every series.  The bound is one line per q in logarithms, c - r*n (plus
+log(2n + 2a - 1) for the variance), raised by 1e-9 to stay a bound.  It
+never increases with n, so where it first meets the limit is found before
+any term, by one root solve on the line and a walk up of a step or two
+along it.  No term count is capped: over the whole domain (a <= 64, q
+below the float maximum) the widest window, at a = 64 and q at the float
+maximum, ends at 47,982 terms.  A q beyond the float range raises before
+any term.  The same solve on the union bound
+P(N > n) <= q * a * ((a-1)/a)**n, a line with its own constant, says how
+far the terms must reach, so they are formed in one pass.  One function
+(:func:`_windows`) solves both lines of both moments of every q of a pass,
+root, walk and reach; the logarithms of the two limits are formed once at
+import, the three that depend on a alone once a pass, and log q once a q.
+:func:`_tail_bound` is the one definition of the bound,
 read by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
@@ -64,7 +64,7 @@ to right, so the mean comes from the pass that forms the variance's
 unweighted row.
 :func:`expected_tests` and :func:`variance_tests` ask it for both moments
 of one spec, kept in a one-entry memo, so the second of the two calls for
-one spec and policy is a lookup and a lone mean costs a variance pass; the
+one spec is a lookup and a lone mean costs a variance pass; the
 tables and the quick checks ask it for the means of all the q of a bank
 size.
 
@@ -90,7 +90,6 @@ import bisect
 import contextlib
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,8 +103,6 @@ __all__ = [
     "OracleRangeError",
     "SeriesCapError",
     "BankSpec",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "ProbValue",
     "SeriesEstimate",
     "expected_single_bank",
@@ -142,6 +139,13 @@ _BLOCK = 256
 _BLOCK_CACHE_SIZE = 512
 # Tolerated negative round-off in a cdf difference; anything worse is a bug.
 _PMF_CLAMP = 1e-14
+# Every series stops at the first term below this whose tail bound is at most
+# ten times it; the logarithms of the tail line's limit and of the union
+# bound's, half of it, are the window solve's.
+_EPS_TERM = 1e-12
+_LIMIT = 10.0 * _EPS_TERM
+_LOG_LIMIT = math.log(_LIMIT)
+_LOG_HALF_EPS = math.log(0.5 * _EPS_TERM)
 
 
 class InvalidSpecError(ValueError):
@@ -158,8 +162,7 @@ class OracleRangeError(ValueError):
 
 class SeriesCapError(RuntimeError):
     """A series cannot be certified: its bank count lies beyond the float
-    range, its ``eps_term`` asks for a tail bound below the smallest normal
-    float, or (a fault of the window solve) no small term lies in its term
+    range, or (a fault of the window solve) no small term lies in its term
     window."""
 
 
@@ -177,33 +180,6 @@ class BankSpec:
             raise InvalidSpecError(
                 f"need a >= 1 and q >= 1, got a={_shown(self.a)}, q={_shown(self.q)}")
         _check_gated_bank_size(self.a)
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule for the infinite series over test counts.
-
-    A series terminates once its current term drops below ``eps_term`` and a
-    certified geometric bound on the discarded tail is at most
-    ``10 * eps_term``.  ``eps_term`` is a real number (``numbers.Real``: a
-    float, int or Fraction, not a Decimal) in (0, 1).  No term count is
-    capped: the stop is solved for before any term is formed, and with q
-    below the float maximum and 10 * eps_term at least the smallest normal
-    float every series stops within 91,397 terms.
-    """
-
-    eps_term: float = 1e-12
-
-    def __post_init__(self) -> None:
-        # a Decimal would pass the range check, then fail in the series
-        if not isinstance(self.eps_term, numbers.Real):
-            raise InvalidSpecError(f"eps_term must be a real number, got {_shown(self.eps_term)}")
-        if not 0.0 < self.eps_term < 1.0:
-            raise InvalidSpecError(
-                f"eps_term must lie in (0, 1), got {_shown(self.eps_term, str)}")
-
-
-DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,12 +238,12 @@ class SeriesEstimate:
         return self.value
 
 
-def _shown(value, text=repr) -> str:
-    """``text(value)``, or for an int or a Fraction too long to print in
+def _shown(value) -> str:
+    """``repr(value)``, or for an int or a Fraction too long to print in
     decimal, its size: the bits of its numerator, and of its denominator
     where that is not 1."""
     try:
-        return text(value)
+        return repr(value)
     except ValueError:  # past sys.get_int_max_str_digits()
         numerator, denominator = value.as_integer_ratio()
         size = f"{numerator.bit_length()} bits"
@@ -715,7 +691,7 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return after, np.add.accumulate(low, axis=1, out=low)
 
 
-def _windows(a: int, counts: tuple[float, ...], eps: float,
+def _windows(a: int, counts: tuple[float, ...],
              second_moment: bool) -> list[tuple[_Line, int, int] | str]:
     """For each bank count q of one pass at bank size ``a``, saturated to
     the floats ``counts``, the tail line of its mean and, with
@@ -732,51 +708,39 @@ def _windows(a: int, counts: tuple[float, ...], eps: float,
     1e-9, far above the rounding of the logarithms and of r*n for any n a
     series reaches, so the line stays a bound.  P(N > n) <= q * S(n) <=
     q * a * decay**n, times 2n+1 for the variance, is a line with the same
-    r and its own constant, raised alike; it starts above eps and has one
-    peak, so it stays below eps / 2 past its crossing, and every series
-    stops by it.  The factor 2 covers the terms' rounding and a fixed point
-    one step short.  Each line meets its limit at a root past its peak:
-    excess / r for the mean, excess = c - log(10 * eps), and reach / r for
-    the union bound at eps / 2, each refined for the variance's weight by
-    three fixed-point steps.  The least n the bound certifies is walked up
-    to from the root, and the window ends at the union bound's root.  The
-    end is not first + 1: a few steps short of _TAIL_STARTS[a], S(n) is a
-    subnormal of a few ulps that rounds up by as much as 2x, and the first
-    small term can lie three steps past first.
+    r and its own constant, raised alike; it starts above ``_EPS_TERM`` and
+    has one peak, so it stays below half of it past its crossing, and every
+    series stops by it.  The factor 2 covers the terms' rounding and a fixed
+    point one step short.  Each line meets its limit at a root past its
+    peak: excess / r for the mean, excess = c - log(10 * _EPS_TERM), and
+    reach / r for the union bound at _EPS_TERM / 2, each refined for the
+    variance's weight by three fixed-point steps.  The least n the bound
+    certifies is walked up to from the root, and the window ends at the
+    union bound's root.  The end is not first + 1: a few steps short of
+    _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by as
+    much as 2x, and the first small term can lie three steps past first.
 
-    Five of the logarithms, r, log(2a**3/(a-1)), log(10 * eps), log a and
-    log(eps / 2), depend on a and eps alone, so they are formed once per
-    call, after the check that 10 * eps is at least the smallest normal
-    float (log(eps / 2) of an eps that underflows would raise).  Each q
-    adds its log q left to right, c = (log(2a**3/(a-1)) + log q) + 1e-9
-    and reach = ((log a + log q) + 1e-9) - log(eps / 2), so a q's windows
+    The logarithms of the two limits are module constants, and the three
+    that depend on a alone, r, log(2a**3/(a-1)) and log a, are formed once
+    per call.  Each q adds its log q left to right,
+    c = (log(2a**3/(a-1)) + log q) + 1e-9 and
+    reach = ((log a + log q) + 1e-9) - log(_EPS_TERM / 2), so a q's windows
     are the same doubles whatever else its pass holds.
     """
     names = ("mean", "variance")[:1 + second_moment]
-    limit = 10.0 * eps
-    too_small = limit < _MIN_NORMAL  # the bound never goes below the smallest normal float
-    if not too_small:
-        r = -math.log((a - 1) / a)
-        log_scale = math.log(2.0 * a ** 3 / (a - 1))
-        log_limit = math.log(limit)
-        log_a = math.log(a)
-        log_half_eps = math.log(0.5 * eps)  # the union bound's limit, eps / 2
+    r = -math.log((a - 1) / a)
+    log_scale = math.log(2.0 * a ** 3 / (a - 1))
+    log_a = math.log(a)
     windows = []
     for count in counts:
         if count == math.inf:  # the mean lies beyond the last representable survival
             windows += [f"{series} series for a={a} not certified: q is beyond the float range"
                         for series in names]
             continue
-        if too_small:
-            windows += [f"{series} series for a={a} not certified: eps_term={eps!r} asks for a "
-                        f"tail bound of at most 10 * eps_term, below the smallest normal float "
-                        f"{_MIN_NORMAL!r}, and no tail bound is that small"
-                        for series in names]
-            continue
         log_q = math.log(count)
         c = log_scale + log_q + 1e-9
-        excess = c - log_limit
-        reach = log_a + log_q + 1e-9 - log_half_eps
+        excess = c - _LOG_LIMIT
+        reach = log_a + log_q + 1e-9 - _LOG_HALF_EPS
         for offset in (None, 2 * a - 1)[:1 + second_moment]:
             line = c, r, offset
             root, end = excess / r, reach / r
@@ -797,13 +761,13 @@ def _windows(a: int, counts: tuple[float, ...], eps: float,
             # integer, and then by one step.  So the walk starts one step
             # short of ceil(root).
             first = max(math.ceil(root) - 1, 0)
-            while _tail_bound(line, first) > limit:
+            while _tail_bound(line, first) > _LIMIT:
                 first += 1
             windows.append((line, first, max(first, math.ceil(end)) + 1))
     return windows
 
 
-def _series(a: int, qs: tuple[int, ...], eps: float,
+def _series(a: int, qs: tuple[int, ...],
             second_moment: bool) -> list[tuple[SeriesEstimate | str, ...]]:
     """For each q in ``qs`` at bank size ``a``, its mean and, with
     ``second_moment``, its variance; a series that cannot be certified is
@@ -812,10 +776,10 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
     Term n of the mean is P(N > n); the variance is E N^2, the sum of
     (2n+1) * P(N > n), less the square of the unweighted sum at the
     variance's stop.  Each sum stops at the first n whose term is below
-    ``eps`` and whose tail bound is at most ``10 * eps``; as the bound never
-    increases, that is the first small term at or after the least n the
-    bound certifies.  That n and the end of the term window are found before
-    any term is formed, for both moments of every q by one solve
+    ``_EPS_TERM`` and whose tail bound is at most ten times it; as the bound
+    never increases, that is the first small term at or after the least n
+    the bound certifies.  That n and the end of the term window are found
+    before any term is formed, for both moments of every q by one solve
     (:func:`_windows`), and a series whose window fails is its message; the
     stop is found here, by a walk along the row from that n, almost always
     no step at all.  Every series stops before its window ends (the union
@@ -835,7 +799,7 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
         return [exact[:1 + second_moment]] * len(qs)
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = tuple(map(_saturating_float, qs))
-    windows = _windows(a, counts, eps, second_moment)
+    windows = _windows(a, counts, second_moment)
     width = max(w[2] if type(w) is tuple else 0 for w in windows)  # 0 where a window failed
     rows = np.zeros((len(windows), width))
     if width:
@@ -847,7 +811,7 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
     for row, outcome in enumerate(windows):
         if type(outcome) is tuple:
             line, stop, end = outcome
-            while stop < end and not rows.item(row, stop) < eps:
+            while stop < end and not rows.item(row, stop) < _EPS_TERM:
                 stop += 1
             variance = row % k
             if stop == end:
@@ -864,16 +828,16 @@ def _series(a: int, qs: tuple[int, ...], eps: float,
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _moments(a: int, q: int, eps: float) -> tuple[SeriesEstimate | str, ...]:
+def _moments(a: int, q: int) -> tuple[SeriesEstimate | str, ...]:
     """(mean, variance) of one spec from one :func:`_series` pass, kept
     for the other moment's call.
 
-    The one entry is keyed by type too, so a bool and its int, or a
-    Fraction and its float, which print differently in a message, are kept
-    apart.  The callers ask for the two moments of one spec in turn; a
-    larger memo would serve repeated specs rather than the pass.
+    The one entry is keyed by type too, so a bool q and its int, which
+    print differently in a message, are kept apart.  The callers ask for
+    the two moments of one spec in turn; a larger memo would serve repeated
+    specs rather than the pass.
     """
-    return _series(a, (q,), eps, True)[0]
+    return _series(a, (q,), True)[0]
 
 
 def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
@@ -883,27 +847,26 @@ def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
 
 
 def _default_means(a: int, qs: tuple[int, ...]) -> list[float]:
-    """The mean of every q in ``qs`` at bank size ``a`` under
-    ``DEFAULT_POLICY``, from one :func:`_series` pass, each certified or
-    raised as :class:`SeriesCapError`: what the tables and the multi-sum
-    check read."""
-    return [_certified(mean).value for (mean,) in _series(a, qs, DEFAULT_POLICY.eps_term, False)]
+    """The mean of every q in ``qs`` at bank size ``a``, from one
+    :func:`_series` pass, each certified or raised as
+    :class:`SeriesCapError`: what the tables and the multi-sum check read."""
+    return [_certified(mean).value for (mean,) in _series(a, qs, False)]
 
 
-def expected_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
+def expected_tests(spec: BankSpec) -> SeriesEstimate:
     """Mean number of tests until every bank is covered.
 
-    Sums P(coverage needs more than n tests) over n >= 0 under ``policy``.
-    The returned estimate carries a certified bound on the discarded tail.
-    It comes from one pass with :func:`variance_tests` of the same spec and
-    policy (see :func:`_moments`), so a lone mean costs a variance pass,
-    about 40% more than the mean alone, and the variance asked next is a
-    lookup.
+    Sums P(coverage needs more than n tests) over n >= 0, up to the first
+    term below 1e-12 whose tail is certified to be at most 1e-11.  The
+    returned estimate carries that certified bound on the discarded tail.
+    It comes from one pass with :func:`variance_tests` of the same spec
+    (see :func:`_moments`), so a lone mean costs a variance pass, about 40%
+    more than the mean alone, and the variance asked next is a lookup.
     """
-    return _certified(_moments(spec.a, spec.q, policy.eps_term)[0])
+    return _certified(_moments(spec.a, spec.q)[0])
 
 
-def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesEstimate:
+def variance_tests(spec: BankSpec) -> SeriesEstimate:
     """Variance of the number of tests until every bank is covered.
 
     Uses E N^2 = sum over n of (2n+1) * P(N > n), with the same certified
@@ -914,7 +877,7 @@ def variance_tests(spec: BankSpec, policy: TruncationPolicy = DEFAULT_POLICY) ->
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
     xfail ``test_single_bank_variance_within_its_tail_bound`` records this.
     """
-    return _certified(_moments(spec.a, spec.q, policy.eps_term)[1])
+    return _certified(_moments(spec.a, spec.q)[1])
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

@@ -14,7 +14,6 @@ from bankcover import (
     BankSpec,
     InvalidSpecError,
     SimulationConfig,
-    TruncationPolicy,
     cdf_oracle,
     centred_mean_prediction,
     centring,
@@ -85,7 +84,7 @@ HUGE_SITES = {
     "SimulationConfig seed": lambda: SimulationConfig(SPEC, 1, HUGE),
     "SimulationConfig seed too large": lambda: SimulationConfig(SPEC, 1, -HUGE),
     "SimulationConfig workers": lambda: SimulationConfig(SPEC, 1, 1, HUGE),
-    "TruncationPolicy eps_term": lambda: TruncationPolicy(eps_term=HUGE),
+    "SimulationConfig spec": lambda: SimulationConfig(HUGE, 1, 1),
     "round_half_away decimals": lambda: round_half_away(2.5, HUGE),
 }
 
@@ -99,7 +98,7 @@ def test_an_integer_too_long_to_print_is_a_typed_error(site):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_fraction_too_long_to_print_is_a_typed_error(sign):
-    # out of (0, 1) either way; the message gives the sizes of both parts
+    # not an int either way; the message gives the sizes of both parts
     with pytest.raises(InvalidSpecError,
                        match="got " + "-" * (sign < 0) + "<Fraction of 16610 bits over 2 bits>"):
-        TruncationPolicy(eps_term=Fraction(sign * 10 ** 5000, 3))
+        round_half_away(2.5, Fraction(sign * 10 ** 5000, 3))

@@ -50,10 +50,11 @@ class TestExpect:
         assert code == EXIT_OK
         assert float(out.split()[0]) == pytest.approx(reference, abs=0.05)
 
-    def test_policy_eps_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "expect", "--a", "10", "--q", "10", "--policy-eps", "1e-8")
-        assert code == EXIT_OK
-        assert float(out.split()[0]) == pytest.approx(49.9, abs=0.05)
+    def test_removed_policy_eps_flag_exits_2(self, capsys):
+        # every series stops at the one threshold: the flag that set it is gone
+        code, out, err = run_cli(capsys, "expect", "--a", "10", "--q", "10", "--policy-eps", "1e-8")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --policy-eps 1e-8" in err
 
     def test_invalid_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expect", "--a", "0", "--q", "5")
@@ -68,7 +69,7 @@ class TestExpect:
         assert code == EXIT_USAGE
 
     def test_series_cap_exits_3(self, capsys, monkeypatch):
-        def blow_up(spec, policy):
+        def blow_up(spec):
             raise SeriesCapError("cap")
 
         monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)
@@ -81,17 +82,6 @@ class TestExpect:
         assert code == EXIT_CAP and out == ""
         assert err.startswith("error: mean series for a=2")
 
-    def test_eps_term_below_normal_range_exits_3(self, capsys):
-        # 10 * eps_term lies below the smallest normal float, where no tail
-        # bound reaches, so no number of terms could certify the series
-        code, out, err = run_cli(capsys, "expect", "--a", "2", "--q", "1", "--policy-eps", "1e-320")
-        assert code == EXIT_CAP and out == ""
-        assert err == (
-            "error: mean series for a=2 not certified: eps_term=1e-320 asks for a tail bound"
-            " of at most 10 * eps_term, below the smallest normal float"
-            f" {sys.float_info.min!r}, and no tail bound is that small\n"
-        )
-
     def test_large_bank_size_answers(self, capsys):
         # a = 41..64 once crashed in the series: F(n) rounds to 0 near n = a
         code, out, err = run_cli(capsys, "expect", "--a", "50", "--q", "3")
@@ -99,7 +89,7 @@ class TestExpect:
         assert float(out.split()[0]) > 50 * 4.4
 
     def test_internal_error_exits_5(self, capsys, monkeypatch):
-        def blow_up(spec, policy):
+        def blow_up(spec):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)

@@ -10,7 +10,6 @@ import itertools
 import math
 import pickle
 import random
-import re
 import struct
 import sys
 import threading
@@ -27,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bankcover.coupon import (
-    DEFAULT_POLICY,
     MAX_ALTERNATIVES,
     BankSpec,
     InvalidSpecError,
@@ -35,7 +33,6 @@ from bankcover.coupon import (
     ProbValue,
     SeriesCapError,
     SeriesEstimate,
-    TruncationPolicy,
     UnsupportedAlternativesError,
     cdf_oracle,
     expected_single_bank,
@@ -51,6 +48,11 @@ from bankcover import coupon, validate
 from bankcover.asymptotics import centring, sandwich_bounds
 from bankcover.tables import FIG_HIGH_Q, FIG_LOW_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
+
+# Every series stops at the first term below EPS_TERM whose tail bound is at
+# most LIMIT.
+EPS_TERM = 1e-12
+LIMIT = 10 * EPS_TERM
 
 
 def brute_force_cdf(a: int, y: int) -> Fraction:
@@ -110,25 +112,6 @@ class TestBankSpec:
         BankSpec(MAX_ALTERNATIVES, 1)
         with pytest.raises(UnsupportedAlternativesError):
             BankSpec(MAX_ALTERNATIVES + 1, 1)
-
-
-class TestTruncationPolicy:
-    def test_defaults(self):
-        assert astuple(DEFAULT_POLICY) == (1e-12,)
-
-    # a Decimal passed the range check and the series raised a bare TypeError
-    # (float * Decimal); a str, None, complex or list raised it at construction
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-9, 2.0, True, False,
-                                     Decimal("1e-12"), "x", None, 1j, [1e-12]])
-    def test_rejects_bad_eps(self, eps):
-        with pytest.raises(InvalidSpecError):
-            TruncationPolicy(eps_term=eps)
-
-    @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 12), np.float64(1e-12)],
-                             ids=["Fraction", "numpy"])
-    def test_accepts_any_real_eps(self, eps):
-        policy = TruncationPolicy(eps_term=eps)
-        assert expected_tests(BankSpec(3, 2), policy) == expected_tests(BankSpec(3, 2))
 
 
 class TestProbValue:
@@ -565,6 +548,16 @@ class TestTestCountCdf:
         for n in (600, 10 ** 4):
             assert test_count_cdf(BankSpec(10, 10 ** 18), n).abs_err <= 1e-6, n
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point=audit_points(), q=st.integers(1, 6))
+    def test_bound_covers_the_exact_value(self, point, q):
+        # the value lies within abs_err of the exact (1 - S(n))**q; with
+        # q <= 6 the powers of the rationals stay cheap enough to form exactly
+        a, n = point
+        v = test_count_cdf(BankSpec(a, q), n)
+        num, den = survival_ratio(a, n)
+        assert within(v.p, v.abs_err, (den - num) ** q, den ** q), (a, q, n, v)
+
     def test_error_bound_covers_exact_value(self):
         # (1 - S)**q from S in 80-digit mpmath, whose alternating sum loses
         # at most 20 digits, at bank counts up to 1e300 and test counts from
@@ -665,14 +658,13 @@ class TestExpectedTests:
 
     def test_certificate_honored(self):
         est = expected_tests(BankSpec(10, 10))
-        assert 0.0 < est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
+        assert 0.0 < est.tail_bound <= LIMIT
 
     def test_float_protocol(self):
         assert float(expected_tests(BankSpec(2, 1))) == pytest.approx(3.0, abs=1e-9)
 
     def test_failing_cap_raises_before_any_term(self, monkeypatch):
-        # a q beyond the float range, or a limit below the smallest normal
-        # float, which no tail bound reaches: SeriesCapError before any term
+        # a q beyond the float range: SeriesCapError before any term
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
@@ -681,14 +673,7 @@ class TestExpectedTests:
         for fn in (expected_tests, variance_tests):
             with pytest.raises(SeriesCapError, match="q is beyond the float range"):
                 fn(BankSpec(20, 10 ** 400))
-            with pytest.raises(SeriesCapError, match=r"eps_term=1e-320 asks for a tail bound "
-                               r"of at most 10 \* eps_term, below the smallest normal float"):
-                fn(BankSpec(2, 1), TruncationPolicy(eps_term=1e-320))
         assert calls == []
-
-    def test_loose_policy_still_close(self):
-        rough = expected_tests(BankSpec(10, 10), TruncationPolicy(eps_term=1e-6))
-        assert rough.value == pytest.approx(49.9022, abs=1e-3)
 
     def test_monotone_in_q(self):
         values = [expected_tests(BankSpec(7, q)).value for q in (1, 2, 5, 10, 50)]
@@ -704,7 +689,7 @@ class TestExpectedTests:
             mu = expected_single_bank(a)
             sigma = math.sqrt(sum((k - 1) * a / (a - k + 1) ** 2 for k in range(1, a + 1)))
             assert mu < est.value < mu + sigma * (q - 1) / math.sqrt(2 * q - 1), a
-            assert est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
+            assert est.tail_bound <= LIMIT
 
 
 def reference_multisum(a: int, q: int) -> float:
@@ -772,7 +757,7 @@ class TestVarianceTests:
 
     def test_certificate_honored(self):
         est = variance_tests(BankSpec(5, 50))
-        assert 0.0 < est.tail_bound <= 10 * DEFAULT_POLICY.eps_term
+        assert 0.0 < est.tail_bound <= LIMIT
 
     @pytest.mark.xfail(strict=True, reason="the q = 1 variance misses its own tail_bound "
                        "for 21 of a = 2..64 (worst a = 57: 4.79e-11 against 9.90e-12)")
@@ -894,7 +879,7 @@ class TestSeriesNearFloatMax:
         est = expected_tests(BankSpec(a, q))
         var = variance_tests(BankSpec(a, q))
         for e in (est, var):
-            assert 0.0 < e.tail_bound <= 10 * DEFAULT_POLICY.eps_term, (a, q, e)
+            assert 0.0 < e.tail_bound <= LIMIT, (a, q, e)
         assert est.value == pytest.approx(mean, abs=1e-9)
         # E N^2 - (E N)^2 cancels about log10(E N^2 / Var) digits
         assert var.value == pytest.approx(variance, rel=1e-9)
@@ -921,41 +906,39 @@ class TestSeriesNearFloatMax:
 
 class TestWidestWindow:
     """No term count is capped.  The widest window of the domain is at
-    a = 64, q at the float maximum and the least eps_term whose
-    10 * eps_term is a normal float; the corner at a = 2 and at the default
-    eps_term is narrower.  Both moments certify in one pass, whose terms
-    reach the variance's window end."""
+    a = 64 and q at the float maximum; the corner at a = 2 is narrower.
+    Both moments certify in one pass, whose terms reach the variance's
+    window end."""
 
-    LEAST_EPS = 2.225073858507203e-309
     Q = int(sys.float_info.max)
 
-    def test_least_eps_term(self):
-        assert 10 * self.LEAST_EPS >= sys.float_info.min
-        assert 10 * math.nextafter(self.LEAST_EPS, 0.0) < sys.float_info.min
-
-    @pytest.mark.parametrize("a,eps,terms,width", [
-        (64, LEAST_EPS, (90626, 91396), 91397),
-        (2, LEAST_EPS, (2051, 2063), 2065),
-        (64, 1e-12, (47252, 47981), 47982),
+    @pytest.mark.parametrize("a,terms,width", [
+        (64, (47252, 47981), 47982),
+        (2, (1065, 1076), 1078),
     ])
-    def test_certifies_in_one_pass(self, monkeypatch, a, eps, terms, width):
+    def test_certifies_in_one_pass(self, monkeypatch, a, terms, width):
         calls = []
         real = coupon._coverage_terms
         monkeypatch.setattr(
             coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
         )
         coupon._moments.cache_clear()
-        spec, policy = BankSpec(a, self.Q), TruncationPolicy(eps_term=eps)
-        moments = expected_tests(spec, policy), variance_tests(spec, policy)
+        spec = BankSpec(a, self.Q)
+        moments = expected_tests(spec), variance_tests(spec)
         assert [args[2] for args in calls] == [width]
         assert tuple(e.terms for e in moments) == terms
         for e in moments:
-            assert 0.0 < e.tail_bound <= 10 * eps, e
+            assert 0.0 < e.tail_bound <= LIMIT, e
         # each stop lies in its window, and the variance's window is the widest
-        windows = coupon._windows(a, (float(self.Q),), eps, True)
+        windows = coupon._windows(a, (float(self.Q),), True)
         assert windows[1][2] == width
         for (_, first, end), e in zip(windows, moments):
             assert first <= e.terms < end, (first, e, end)
+
+    def test_no_bank_size_is_wider(self):
+        ends = [coupon._windows(a, (float(self.Q),), True)[1][2]
+                for a in range(2, MAX_ALTERNATIVES + 1)]
+        assert max(ends) == ends[-1] == 47982
 
 
 # Reference copy of the per-test-count route that the block cache replaced:
@@ -1069,8 +1052,31 @@ def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
 def library_line(a: int, q: float, second_moment: bool) -> tuple:
     """The tail line of the mean or the variance series of (a, q), as the
     library's window solve forms it."""
-    window = coupon._windows(a, (float(q),), DEFAULT_POLICY.eps_term, True)
-    return window[second_moment][0]
+    return coupon._windows(a, (float(q),), True)[second_moment][0]
+
+
+def crossing_counts(a: int, n: int, second_moment: bool) -> tuple[float, float]:
+    """The neighbouring floats q whose tail lines (:func:`reference_tail`)
+    straddle ``LIMIT`` at test count ``n``: the greatest q whose bound at n
+    is at most the limit, and the next float up.  The bound never decreases
+    in q, so a bisection on the bits of q finds them, from the q that the
+    line's logarithms solve for."""
+    r = -math.log((a - 1) / a)
+    log_q = math.log(LIMIT) + r * n - math.log(2.0 * a ** 3 / (a - 1)) - 1e-9
+    if second_moment:
+        log_q -= math.log(2 * n + 2 * a - 1)
+    lo, hi = (struct.unpack("<q", struct.pack("<d", math.exp(log_q) * k))[0]
+              for k in (1 - 1e-9, 1 + 1e-9))
+    as_float = lambda b: struct.unpack("<d", struct.pack("<q", b))[0]  # noqa: E731
+    assert reference_tail(a, as_float(lo), n, second_moment) <= LIMIT, (a, n, second_moment)
+    assert reference_tail(a, as_float(hi), n, second_moment) > LIMIT, (a, n, second_moment)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_tail(a, as_float(mid), n, second_moment) <= LIMIT:
+            lo = mid
+        else:
+            hi = mid
+    return as_float(lo), as_float(hi)
 
 
 def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
@@ -1078,16 +1084,11 @@ def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
     return coupon._tail_bound(library_line(a, q, second_moment), n)
 
 
-def reference_series(
-    a: int,
-    q: int,
-    second_moment: bool,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    survival=None,
-) -> tuple[float, float, int]:
+def reference_series(a: int, q: int, second_moment: bool,
+                     survival=None) -> tuple[float, float, int]:
     """(value, tail_bound, terms) of the mean or variance series, summed one
-    term at a time until it stops, which it does for any q below the float
-    maximum and 10 * eps_term at least the smallest normal float.
+    term at a time until the first term below ``EPS_TERM`` whose tail bound
+    is at most ``LIMIT``, which it reaches for any q below the float maximum.
 
     ``survival(n)`` gives S(n) for n >= a; by default the per-y reference
     route.  The tail bound is :func:`reference_tail`.
@@ -1107,9 +1108,9 @@ def reference_series(
         else:
             term = -math.expm1(bank_count * math.log1p(-s))
         weighted = (2 * n + 1) * term if second_moment else term
-        if weighted < policy.eps_term:
+        if weighted < EPS_TERM:
             tail = reference_tail(a, bank_count, n, second_moment)
-            if tail <= 10.0 * policy.eps_term:
+            if tail <= LIMIT:
                 if second_moment:
                     mean = neumaier(mean_terms)
                     return neumaier(second_terms) - mean * mean, tail, n
@@ -1212,17 +1213,16 @@ def series_replays():
         checked.append((rows.shape, len(larger[0]), inexact, same))
         return fast_sums, fast_lows
 
-    eps = DEFAULT_POLICY.eps_term
     specs = benchmark_requests((1, 2, 3)) | {
         (a, q) for a in range(2, MAX_ALTERNATIVES + 1)
         for q in (1, 2, 10, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306)}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coupon, "_fast2sum_running", replay)
         for a, q in sorted(specs):
-            coupon._series(a, (q,), eps, True)
+            coupon._series(a, (q,), True)
         for a in TABLE_A:
             for qs in (TABLE_Q, FIG_LOW_Q, FIG_HIGH_Q):
-                coupon._series(a, qs, eps, False)
+                coupon._series(a, qs, False)
     assert len(checked) == len(specs) + 9
     return checked
 
@@ -1251,12 +1251,11 @@ class TestSeriesSweep:
             got = [variance_tests(BankSpec(a, q)) for q in qs]
             survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
             for q, est in zip(qs, got):
-                want = reference_series(a, q, True, DEFAULT_POLICY, survival)
+                want = reference_series(a, q, True, survival)
                 assert (bits(est.value, est.tail_bound), est.terms) == (
                     bits(*want[:2]), want[2]), (a, q)
             return got
-        eps = DEFAULT_POLICY.eps_term
-        got = [coupon._certified(mean) for (mean,) in coupon._series(a, qs, eps, False)]
+        got = [coupon._certified(mean) for (mean,) in coupon._series(a, qs, False)]
         assert len(got) == len(qs)
         for q, est in zip(qs, got):
             want = expected_tests(BankSpec(a, q))
@@ -1266,7 +1265,6 @@ class TestSeriesSweep:
 
     def test_every_bank_size(self):
         rng = random.Random(12)
-        limit = 10 * DEFAULT_POLICY.eps_term
         past_first = 0
         for a in range(2, MAX_ALTERNATIVES + 1):
             spread = tuple(int(10 ** rng.uniform(0, 8)) for _ in range(3))
@@ -1274,7 +1272,7 @@ class TestSeriesSweep:
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
                     # the least n whose tail bound meets the limit; the bound never increases
                     first = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
-                        library_tail(a, q, n, second) <= limit))
+                        library_tail(a, q, n, second) <= LIMIT))
                     past_first += est.terms > first
         # some sums (at a = 2 and 3) stop past the first certified n, where
         # the term is not yet small
@@ -1286,77 +1284,83 @@ class TestSeriesSweep:
                 self._assert_sweep(a, (1, 1, 10, 1), second)
 
     def test_stop_search_near_underflow(self):
-        # eps_term puts the certified stop within 12 steps of _TAIL_STARTS[a],
-        # where decay**n underflows: there S(n) rounds up by as much as 2x, so
-        # the first small term can lie three steps past the first certified n.
-        # Each call must stop, or fail, where the one-term reference does
+        # q from 1e300 to the float maximum puts many stops within 12 steps
+        # of _TAIL_STARTS[a], where decay**n underflows: there S(n) rounds up
+        # by as much as 2x, so the first small term can lie three steps past
+        # the first certified n (at the float maximum and a = 2, the
+        # variance's first certified n is 1076, a step past 1075).  Each call
+        # must stop, or fail, where the one-term reference does
         rng = random.Random(66)
         top = math.log10(sys.float_info.max)
+        near = 0
         for a in range(2, 9):
             for second in (False, True):
                 fn = variance_tests if second else expected_tests
                 for _ in range(6):
-                    q = int(10 ** rng.uniform(200, top))
-                    f = coupon._TAIL_STARTS[a] + rng.randint(-12, 12)
-                    eps = library_tail(a, q, f, second) / 10 * (1 + 1e-12)
-                    policy = TruncationPolicy(eps_term=eps)
-                    got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
+                    q = int(10 ** rng.uniform(300, top))
+                    got = series_outcome(lambda: astuple(fn(BankSpec(a, q))))
                     want = series_outcome(lambda: reference_series(
-                        a, q, second, policy, survival=lambda n: single_bank_survival(a, n).p))
-                    assert got == want, (a, q, second, f)
+                        a, q, second, survival=lambda n: single_bank_survival(a, n).p))
+                    assert got == want, (a, q, second)
+                    near += abs(got[1] - coupon._TAIL_STARTS[a]) <= 12
+        assert near >= 10
 
     def test_limit_on_a_float_tail_value(self):
-        # 10 * eps_term lies within an ulp of the float tail bound at some f,
-        # so the last bits of the tail line decide the least certified n; a
-        # search that starts past it, or stops short of it, stops elsewhere
-        # than the one-term reference
+        # the tail lines of two neighbouring floats q (integers, with log q
+        # from 38 to 708) straddle the limit at f: the bound at f is at most
+        # the limit for the lower and above it for the upper, so the last
+        # bits of the line decide whether the least certified n is f or
+        # f + 1; a search that starts past it, or stops short of it, stops
+        # elsewhere than the one-term reference.  The mean's draws are those
+        # whose solved root, excess / r, lies past f at the lower q, so that
+        # ceil(root) lies a step past its least certified n
         rng = random.Random(15)
-        checked = 0
-        for _ in range(400):
-            a = rng.randint(2, MAX_ALTERNATIVES)
-            q = int(10 ** rng.uniform(0, 12))
-            f = rng.randint(1, 40 * a)
-            for second in (False, True):
-                eps = library_tail(a, q, f, second) / 10
-                if not 0.0 < eps < 1.0:
-                    continue
-                policy = TruncationPolicy(eps_term=eps)
-                fn = variance_tests if second else expected_tests
-                got = series_outcome(lambda: astuple(fn(BankSpec(a, q), policy)))
+        draws = {False: 0, True: 0}
+        while min(draws.values()) < 6:
+            a, second = rng.randint(2, MAX_ALTERNATIVES), rng.random() < 0.5
+            drawn = math.exp(rng.uniform(38, 708))
+            f = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
+                reference_tail(a, drawn, n, second) <= LIMIT))
+            counts = crossing_counts(a, f, second)
+            c, r, _ = library_line(a, counts[0], second)
+            if draws[second] == 6 or not (second or (c - math.log(LIMIT)) / r > f):
+                continue
+            draws[second] += 1
+            fn = variance_tests if second else expected_tests
+            for q, first in zip(map(int, counts), (f, f + 1)):
+                assert coupon._windows(a, (float(q),), True)[second][1] == first, (a, q, second)
+                got = series_outcome(lambda: astuple(fn(BankSpec(a, q))))
                 want = series_outcome(lambda: reference_series(
-                    a, q, second, policy, survival=lambda n: single_bank_survival(a, n).p))
+                    a, q, second, survival=lambda n: single_bank_survival(a, n).p))
                 assert got == want, (a, q, second, f)
-                checked += 1
-        assert checked >= 300
 
     @pytest.mark.parametrize(
-        "second,qs,policy,formed",
+        "second,qs,formed",
         [
             # q = 10**400 is past the float range: it fails before any term
-            (False, (10 ** 400, 1, 10 ** 4), TruncationPolicy(eps_term=1e-6), False),
-            (True, (1, 10 ** 4, 10 ** 400), TruncationPolicy(eps_term=1e-6), False),
-            (False, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
-            (True, (3, 10 ** 400, 1), DEFAULT_POLICY, False),
+            (False, (10 ** 400, 1, 10 ** 4), False),
+            (True, (1, 10 ** 4, 10 ** 400), False),
+            (False, (3, 10 ** 400, 1), False),
+            (True, (3, 10 ** 400, 1), False),
             # the last q's window is cut to end at its stop, a step past the
             # least n its bound certifies: the stop walk's guard fails it
-            (False, (1, 10), DEFAULT_POLICY, True),
-            (True, (1, 3), DEFAULT_POLICY, True),
+            (False, (1, 10), True),
+            (True, (1, 3), True),
         ],
     )
-    def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, policy, formed):
+    def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, formed):
         # the variance is summed one q at a time: its case asks for the failing q
         fn = variance_tests if second else expected_tests
-        eps = policy.eps_term
         window = contextlib.nullcontext()
         if formed:
-            stop = fn(BankSpec(2, qs[-1]), policy).terms
-            assert coupon._windows(2, (float(qs[-1]),), eps, second)[second][1] < stop
+            stop = fn(BankSpec(2, qs[-1])).terms
+            assert coupon._windows(2, (float(qs[-1]),), second)[second][1] < stop
             window = shortened_window(float(qs[-1]), second, stop)
         with window:
             failing = []
             for q in qs:
                 try:
-                    fn(BankSpec(2, q), policy)
+                    fn(BankSpec(2, q))
                 except SeriesCapError as exc:
                     failing.append((q, str(exc)))
             assert len(failing) == 1, failing
@@ -1364,15 +1368,14 @@ class TestSeriesSweep:
             if not second:
                 # one mean kernel call returns every q's outcome: the failing
                 # q's message, and what each other q gets alone
-                for q, (mean,) in zip(qs, coupon._series(2, qs, eps, False)):
+                for q, (mean,) in zip(qs, coupon._series(2, qs, False)):
                     if q == failing_q:
                         with pytest.raises(SeriesCapError) as got:
                             coupon._certified(mean)
                         assert str(got.value) == message
                     else:
                         assert series_outcome(lambda: astuple(coupon._certified(mean))) == (
-                            series_outcome(lambda: astuple(
-                                expected_tests(BankSpec(2, q), policy)))), q
+                            series_outcome(lambda: astuple(expected_tests(BankSpec(2, q))))), q
             calls = []
             real = coupon._coverage_terms
             monkeypatch.setattr(
@@ -1381,9 +1384,9 @@ class TestSeriesSweep:
             coupon._moments.cache_clear()
             with pytest.raises(SeriesCapError) as got:
                 if second:
-                    variance_tests(BankSpec(2, failing_q), policy)
+                    variance_tests(BankSpec(2, failing_q))
                 else:
-                    coupon._certified(coupon._series(2, (failing_q,), eps, False)[0][0])
+                    coupon._certified(coupon._series(2, (failing_q,), False)[0][0])
             assert str(got.value) == message
             assert bool(calls) == formed
         if formed:
@@ -1400,8 +1403,8 @@ def shortened_window(count: float, second: bool, end: int):
     would give.  The moment memo is emptied on entry and on exit."""
     real = coupon._windows
 
-    def windows(a, counts, eps, second_moment):
-        solved = real(a, counts, eps, second_moment)
+    def windows(a, counts, second_moment):
+        solved = real(a, counts, second_moment)
         k = 1 + second_moment  # the pass's flat list holds k windows a count
         for i, c in enumerate(counts):
             if c == count and second < k:
@@ -1419,14 +1422,14 @@ def shortened_window(count: float, second: bool, end: int):
             coupon._moments.cache_clear()
 
 
-def both_moments(spec: BankSpec, policy: TruncationPolicy, variance_first: bool) -> list:
+def both_moments(spec: BankSpec, variance_first: bool) -> list:
     """The outcomes of the mean and the variance, in that order, asked for
     one after the other from an empty memo."""
     coupon._moments.cache_clear()
     calls = {False: expected_tests, True: variance_tests}
     got = {}
     for second in (variance_first, not variance_first):
-        got[second] = series_outcome(lambda: astuple(calls[second](spec, policy)))
+        got[second] = series_outcome(lambda: astuple(calls[second](spec)))
     return [got[False], got[True]]
 
 
@@ -1438,9 +1441,9 @@ class TestMomentPair:
         for a in (2, 3, 10, 33, MAX_ALTERNATIVES):
             survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
             for q in (1, 7, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306):
-                want = [series_outcome(lambda: reference_series(
-                    a, q, second, DEFAULT_POLICY, survival)) for second in (False, True)]
-                assert both_moments(BankSpec(a, q), DEFAULT_POLICY, variance_first) == want, (a, q)
+                want = [series_outcome(lambda: reference_series(a, q, second, survival))
+                        for second in (False, True)]
+                assert both_moments(BankSpec(a, q), variance_first) == want, (a, q)
 
     @pytest.mark.parametrize("variance_first", [False, True], ids=["mean first", "variance first"])
     @pytest.mark.parametrize("a,q", [(2, 1), (10, 10), (20, 100)])
@@ -1450,15 +1453,15 @@ class TestMomentPair:
         # variance, and the mean of the same pass is the reference's
         spec = BankSpec(a, q)
         mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
-        first = coupon._windows(a, (float(q),), DEFAULT_POLICY.eps_term, True)[1][1]
+        first = coupon._windows(a, (float(q),), True)[1][1]
         assert mean_stop < first <= stop
         survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
-        want = [series_outcome(lambda: reference_series(a, q, False, DEFAULT_POLICY, survival)),
+        want = [series_outcome(lambda: reference_series(a, q, False, survival)),
                 ("raised", f"variance series for a={a}, q={q} not certified: no small term "
                  f"before the end of its window")]
         for end in (first, stop):
             with shortened_window(float(q), True, end):
-                assert both_moments(spec, DEFAULT_POLICY, variance_first) == want, end
+                assert both_moments(spec, variance_first) == want, end
 
     def test_memoised_failure_is_a_new_instance_each_time(self):
         spec = BankSpec(10, 10)
@@ -1499,14 +1502,6 @@ class TestMomentPair:
         # the memo held the other spec, so the first one's terms are formed again
         assert (variance_tests(first), expected_tests(first)) == pair[::-1]
         assert len(calls) == 3
-        # another policy is another key
-        expected_tests(first, TruncationPolicy(eps_term=1e-10))
-        assert len(calls) == 4
-        # so is a Fraction standing for its equal float, whose messages
-        # print differently
-        for eps in (5e-324, Fraction(1, 2 ** 1074)):
-            with pytest.raises(SeriesCapError, match=re.escape(f"eps_term={eps!r} asks")):
-                variance_tests(first, TruncationPolicy(eps_term=eps))
 
     def test_threads_asking_alternating_specs_get_their_own(self):
         # four threads, more than the cores CI has, switching often: each
@@ -1599,44 +1594,22 @@ class TestTailLine:
                 checked += 1
         assert checked > 30_000
 
-    @staticmethod
-    def _eps_for(limit: float) -> list[float]:
-        """The eps_term whose 10 * eps_term is ``limit``, stepping from
-        limit / 10, else the two neighbouring doubles whose products
-        bracket it."""
-        eps = limit / 10
-        below = 10.0 * eps < limit
-        while 10.0 * eps != limit:
-            step = math.nextafter(eps, math.inf if below else 0.0)
-            if 10.0 * step != limit and (10.0 * step < limit) != below:
-                return sorted([eps, step])
-            eps = step
-        return [eps]
-
     def test_walk_starts_at_the_least_certified_n(self):
-        # limits from a few eps_term and at, just above and just below the
-        # bound itself, where the last bits of the line decide the least n;
-        # a series meets only limits 10 * eps_term, so the window solve is
-        # asked each limit through the eps_term that gives it, or the two
-        # whose limits bracket it
+        # every case line's window starts at the least n whose bound meets
+        # the limit; and so it does where the last bits of the line decide
+        # that n: over each bank size's range of n, the two neighbouring
+        # floats q whose lines straddle the limit at n certify from n and
+        # from n + 1
         for a, q, second, line, ns in self._cases():
-            limits = [10 * eps for eps in (1e-15, 1e-12, 1e-6, 0.099)]
-            for n in ns[::3]:
-                bound = coupon._tail_bound(line, n)
-                limits += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
-            epsilons = [eps for limit in limits if self.LEAST <= limit < 10.0
-                        for eps in self._eps_for(limit)]
-            for eps in epsilons:
-                limit = 10.0 * eps
-                # a series walks only to a limit 10 * eps_term of at least the
-                # smallest normal float, with eps_term < 1
-                if not (self.LEAST <= limit and eps < 1.0):
-                    continue
-                solved, first, _ = coupon._windows(a, (float(q),), eps, True)[second]
-                assert solved == line, (a, q, second, eps)
-                assert coupon._tail_bound(line, first) <= limit, (a, q, second, limit)
-                assert first == 0 or coupon._tail_bound(line, first - 1) > limit, (
-                    a, q, second, limit)
+            first = coupon._windows(a, (float(q),), True)[second][1]
+            assert coupon._tail_bound(line, first) <= LIMIT, (a, q, second)
+            assert first == 0 or coupon._tail_bound(line, first - 1) > LIMIT, (a, q, second)
+        for a in range(2, MAX_ALTERNATIVES + 1):
+            for second in (False, True):
+                least, most = (coupon._windows(a, (q,), True)[second][1] for q in (1.0, self.TOP))
+                for n in range(least + 1, most, max(1, (most - least) // 8)):
+                    for q, want in zip(crossing_counts(a, n, second), (n, n + 1)):
+                        assert coupon._windows(a, (q,), True)[second][1] == want, (a, q, second)
 
     def test_bound_never_increases(self):
         for a, q, second, line, ns in self._cases():
@@ -1646,43 +1619,38 @@ class TestTailLine:
 
     @staticmethod
     def _passes():
-        """(a, bank counts of one pass, eps_term): ``FIG_HIGH_Q`` at four
-        bank sizes, the q of each bank size of the seed-1 exact_queries
-        stream, and q beyond the float range between finite q, under the
-        default eps_term and one whose 10 * eps_term is 0.0."""
+        """(a, bank counts of one pass): ``FIG_HIGH_Q`` at four bank sizes,
+        the q of each bank size of the seed-1 exact_queries stream, and q
+        beyond the float range between finite q."""
         stream: dict[int, list[int]] = {}
         for a, q in sorted(benchmark_requests([1])):
             stream.setdefault(a, []).append(q)
         passes = [(a, FIG_HIGH_Q) for a in (2, 5, 20, MAX_ALTERNATIVES)]
         passes += sorted((a, tuple(qs)) for a, qs in stream.items())
         passes += [(a, (1, 10 ** 400, 7, 10 ** 400, 10 ** 6)) for a in (2, 20, MAX_ALTERNATIVES)]
-        underflowing = Fraction(1, 10 ** 400)
-        assert 10.0 * underflowing == 0.0
-        for a, qs in passes:
-            for eps in (DEFAULT_POLICY.eps_term, underflowing):
-                yield a, qs, eps
+        return passes
 
     def test_pass_windows_are_each_counts_own(self):
-        # one solve for every q of a pass forms the logarithms of (a, eps)
-        # once; each q's windows must still be, bit for bit and message for
+        # one solve for every q of a pass forms the logarithms of a once;
+        # each q's windows must still be, bit for bit and message for
         # message, what a solve for that q alone gives
         messages = 0
-        for a, qs, eps in self._passes():
+        for a, qs in self._passes():
             counts = tuple(map(coupon._saturating_float, qs))
             for second in (False, True):
                 k = 1 + second
-                got = coupon._windows(a, counts, eps, second)
+                got = coupon._windows(a, counts, second)
                 assert len(got) == k * len(counts)
                 for i, count in enumerate(counts):
-                    alone = coupon._windows(a, (count,), eps, second)
+                    alone = coupon._windows(a, (count,), second)
                     for j, want in enumerate(alone):
                         # repr is exact for floats, and tells -0.0 from 0.0
-                        assert repr(got[k * i + j]) == repr(want), (a, qs[i], eps, second, j)
-                    if count == math.inf or 10.0 * eps == 0.0:
-                        assert all(type(w) is str for w in alone), (a, qs[i], eps)
+                        assert repr(got[k * i + j]) == repr(want), (a, qs[i], second, j)
+                    if count == math.inf:
+                        assert all(type(w) is str for w in alone), (a, qs[i])
                         messages += len(alone)
                     else:
-                        assert all(type(w) is tuple for w in alone), (a, qs[i], eps)
+                        assert all(type(w) is tuple for w in alone), (a, qs[i])
         assert messages > 0
 
 
@@ -1890,27 +1858,25 @@ class TestSurvivalBlocks:
         assert q * math.log1p(-survival(first)) == -math.inf
         for fn, second in ((expected_tests, False), (variance_tests, True)):
             est = fn(BankSpec(a, q))
-            want = reference_series(a, q, second, DEFAULT_POLICY, survival)
+            want = reference_series(a, q, second, survival)
             assert (bits(est.value, est.tail_bound), est.terms) == (bits(*want[:2]), want[2])
 
     @settings(max_examples=200, deadline=None)
     @given(
         a=st.integers(1, MAX_ALTERNATIVES),
         log_q=st.floats(0.0, 308.0),
-        log_eps=st.floats(-15.0, math.log10(0.5)),
         second=st.booleans(),
     )
-    def test_series_match_per_term_reference(self, a, log_q, log_eps, second):
+    def test_series_match_per_term_reference(self, a, log_q, second):
         # the block kernel against the term-by-term loop it replaced, on the
         # cached curve (checked against the per-y route above), bit for bit;
-        # q and eps_term are drawn log-uniform
+        # q is drawn log-uniform
         q = int(10.0 ** log_q)
-        policy = TruncationPolicy(min(10.0 ** log_eps, 0.5))
         fn = variance_tests if second else expected_tests
-        want = reference_series(a, q, second, policy, lambda n: single_bank_survival(a, n).p)
-        est = fn(BankSpec(a, q), policy)
-        assert bits(est.value, est.tail_bound) == bits(*want[:2]), (a, q, policy, want)
-        assert est.terms == want[2], (a, q, policy, want)
+        want = reference_series(a, q, second, lambda n: single_bank_survival(a, n).p)
+        est = fn(BankSpec(a, q))
+        assert bits(est.value, est.tail_bound) == bits(*want[:2]), (a, q, want)
+        assert est.terms == want[2], (a, q, want)
 
     def test_cache_is_bounded_and_small(self):
         # documented bound: at most 512 blocks of five 256-double rows,

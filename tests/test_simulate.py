@@ -129,6 +129,12 @@ class TestSimulationConfig:
         with pytest.raises(InvalidSpecError):
             SimulationConfig(BankSpec(2, 2), reps, seed, workers)
 
+    @pytest.mark.parametrize("spec", ["x", (10, 10), None], ids=["str", "tuple", "None"])
+    def test_rejects_a_spec_that_is_not_a_bank_spec(self, spec):
+        # a str spec once passed and run_experiment raised a bare AttributeError
+        with pytest.raises(InvalidSpecError, match="spec must be a BankSpec, got "):
+            run_experiment(SimulationConfig(spec, 10, 1))
+
 
 class TestSimulateOne:
     """The per-block sampler: the coverage times of one block's replications."""
