@@ -274,6 +274,11 @@ def _check_test_count(y: int, minimum: int = 0) -> None:
         raise InvalidSpecError(f"test count must be >= {minimum}, got {_shown(y)}")
 
 
+def _check_spec(spec) -> None:
+    if not isinstance(spec, BankSpec):
+        raise InvalidSpecError(f"spec must be a BankSpec, got {_shown(spec)}")
+
+
 def expected_single_bank(a: int) -> float:
     """Mean number of tests until one bank of ``a`` alternatives is covered.
 
@@ -575,8 +580,11 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     The q banks are independent, so this is the q-th power of the single-bank
     cdf; the power is taken through ``log1p`` when the single-bank survival is
     small enough for direct powering to lose accuracy.  A q beyond the float
-    range counts as +inf, and the error bound is then 1.
+    range counts as +inf, and the error bound is then 1.  A ``spec`` that is
+    not a :class:`BankSpec` raises ``InvalidSpecError``.
     """
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
     if type(n) is not int or n < 0:
         _check_test_count(n)
     p, err = _count_cell(spec.a, _saturating_float(spec.q), n)
@@ -588,7 +596,10 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
 
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
     """P(full coverage happens exactly at test ``n``): the cdf difference at
-    n and n - 1, with the sum of their error bounds."""
+    n and n - 1, with the sum of their error bounds.  A ``spec`` that is not
+    a :class:`BankSpec` raises ``InvalidSpecError``."""
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
     if type(n) is not int or n < 1:
         _check_test_count(n, minimum=1)
     a, q = spec.a, _saturating_float(spec.q)
@@ -861,8 +872,11 @@ def expected_tests(spec: BankSpec) -> SeriesEstimate:
     returned estimate carries that certified bound on the discarded tail.
     It comes from one pass with :func:`variance_tests` of the same spec
     (see :func:`_moments`), so a lone mean costs a variance pass, about 40%
-    more than the mean alone, and the variance asked next is a lookup.
+    more than the mean alone, and the variance asked next is a lookup.  A
+    ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``.
     """
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
     return _certified(_moments(spec.a, spec.q)[0])
 
 
@@ -876,7 +890,10 @@ def variance_tests(spec: BankSpec) -> SeriesEstimate:
     magnifies: at q = 1 the value misses it for 21 of the bank sizes
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
     xfail ``test_single_bank_variance_within_its_tail_bound`` records this.
+    A ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``.
     """
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
     return _certified(_moments(spec.a, spec.q)[1])
 
 
@@ -890,7 +907,10 @@ def expected_tests_multisum(spec: BankSpec) -> float:
     so a term is the double a loop over the whole tuple forms, in the same
     order of operations.  Summed by ``math.fsum``, which is exact whatever
     the order, apart from the main path, as a check on :func:`expected_tests`.
+    A ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``.
     """
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
     a, q = spec.a, spec.q
     if a > _MULTISUM_MAX_A or q > _MULTISUM_MAX_Q:
         raise OracleRangeError(

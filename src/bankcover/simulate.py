@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupon import BankSpec, InvalidSpecError, _shown
+from .coupon import BankSpec, InvalidSpecError, _check_spec, _shown
 
 __all__ = [
     "GENERATOR_ID",
@@ -95,8 +95,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.spec, BankSpec):
-            raise InvalidSpecError(f"spec must be a BankSpec, got {_shown(self.spec)}")
+        _check_spec(self.spec)
         if not isinstance(self.reps, int) or self.reps < 1:
             raise InvalidSpecError(f"reps must be an integer >= 1, got {_shown(self.reps)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:

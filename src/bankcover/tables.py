@@ -8,7 +8,6 @@ meaningful.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -18,7 +17,7 @@ from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import InvalidSpecError, _default_means, _shown
+from .coupon import InvalidSpecError, _default_means
 
 __all__ = [
     "TABLE_A",
@@ -45,14 +44,16 @@ FIGURE_NAMES = ("fig_low", "fig_high")
 
 _VALUE_HEADER = ("a", "q", "value", "value_rounded")
 _SD_HEADER = ("a", "sd_min", "sd_max")
+# the display column's quantum: one decimal
+_TENTH = Decimal("0.1")
 # quantize raises where its result has more digits than its context keeps (28
-# by default, fewer than 1e27 has at one decimal); this one keeps as many as
-# decimal can
+# by default); at one decimal the float maximum needs 311 characters, so this
+# context keeps as many digits as decimal can
 _EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_UP)
 
 
-def round_half_away(value: float, decimals: int = 1) -> str:
-    """Decimal string rounded to ``decimals`` places, halves away from zero.
+def round_half_away(value: float) -> str:
+    """Decimal string rounded to one decimal, halves away from zero.
 
     ``value`` is a real number (``numbers.Real``: a float, a numpy float,
     an int, a bool or a Fraction, not a Decimal), rounded as its float: a
@@ -60,16 +61,12 @@ def round_half_away(value: float, decimals: int = 1) -> str:
     nearest to it.  That float's shortest repr is rounded once, in a
     decimal context that keeps every digit of the result, so the rounding
     is exact at any magnitude, and written out in plain digits, never in
-    exponent notation: ``(1234.5, -2)`` gives ``'1200'`` and ``(1e-7, 7)``
-    ``'0.0000001'``.  A value that is not a real number, lies beyond the
-    float range or is not finite, or a ``decimals`` that is not an int
-    whose quantum ``10**-decimals`` lies in the decimal exponent range (at
-    most 999999 places either way), raises ``InvalidSpecError``.
+    exponent notation: ``1e22`` gives ``'10000000000000000000000.0'`` and
+    ``1e-7`` ``'0.0'``.  A value that is not a real number, or lies beyond
+    the float range or is not finite, raises ``InvalidSpecError``.
 
-    A table rounds one value a row, so the common case is cheap: a Python
-    float skips the ``numbers.Real`` check and the conversion, and the
-    quantum of a ``decimals`` comes from :func:`_quantum`, which checks it
-    on a cache miss only.
+    A table rounds one value a row, so a Python float skips the
+    ``numbers.Real`` check and the conversion.
     """
     if type(value) is not float:
         if not isinstance(value, numbers.Real):
@@ -81,28 +78,7 @@ def round_half_away(value: float, decimals: int = 1) -> str:
                                    "the value must be finite") from None
     if not math.isfinite(value):
         raise InvalidSpecError(f"cannot round {value!r}: the value must be finite")
-    try:
-        quantum = _quantum(decimals)
-    except TypeError:  # unhashable, so not an int: the cache cannot key it
-        raise _bad_decimals(decimals) from None
-    return format(Decimal(repr(value)).quantize(quantum, context=_EXACT), "f")
-
-
-@functools.lru_cache(typed=True)
-def _quantum(decimals: int) -> Decimal:
-    """``10**-decimals`` as a Decimal, for an int ``decimals`` whose quantum
-    lies in the decimal exponent range; anything else raises
-    ``InvalidSpecError``, and a raise is not cached.  Keyed by type too, so
-    ``1.0``, equal to ``1`` and hashed alike, is checked and refused, and
-    ``True`` is checked apart from ``1``."""
-    if not isinstance(decimals, int) or not _EXACT.Emin <= -decimals <= _EXACT.Emax:
-        raise _bad_decimals(decimals)
-    return Decimal(1).scaleb(-decimals)
-
-
-def _bad_decimals(decimals) -> InvalidSpecError:
-    return InvalidSpecError(f"decimals must be an integer in [{_EXACT.Emin}, {_EXACT.Emax}],"
-                            f" got {_shown(decimals)}")
+    return format(Decimal(repr(value)).quantize(_TENTH, context=_EXACT), "f")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,14 @@ from bankcover import (
     centring,
     decay_rate,
     expected_single_bank,
+    expected_tests,
+    expected_tests_multisum,
     local_pmf_approx,
-    round_half_away,
     single_bank_cdf,
     single_bank_survival,
     test_count_cdf,
     test_count_pmf,
+    variance_tests,
 )
 
 SUBMODULES = {
@@ -85,7 +87,11 @@ HUGE_SITES = {
     "SimulationConfig seed too large": lambda: SimulationConfig(SPEC, 1, -HUGE),
     "SimulationConfig workers": lambda: SimulationConfig(SPEC, 1, 1, HUGE),
     "SimulationConfig spec": lambda: SimulationConfig(HUGE, 1, 1),
-    "round_half_away decimals": lambda: round_half_away(2.5, HUGE),
+    "expected_tests spec": lambda: expected_tests(HUGE),
+    "variance_tests spec": lambda: variance_tests(HUGE),
+    "expected_tests_multisum spec": lambda: expected_tests_multisum(HUGE),
+    "test_count_cdf spec": lambda: test_count_cdf(HUGE, 5),
+    "test_count_pmf spec": lambda: test_count_pmf(HUGE, 5),
 }
 
 
@@ -101,4 +107,4 @@ def test_a_fraction_too_long_to_print_is_a_typed_error(sign):
     # not an int either way; the message gives the sizes of both parts
     with pytest.raises(InvalidSpecError,
                        match="got " + "-" * (sign < 0) + "<Fraction of 16610 bits over 2 bits>"):
-        round_half_away(2.5, Fraction(sign * 10 ** 5000, 3))
+        SimulationConfig(Fraction(sign * 10 ** 5000, 3), 1, 1)

@@ -10,6 +10,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import struct
 import sys
 import threading
@@ -112,6 +113,21 @@ class TestBankSpec:
         BankSpec(MAX_ALTERNATIVES, 1)
         with pytest.raises(UnsupportedAlternativesError):
             BankSpec(MAX_ALTERNATIVES + 1, 1)
+
+    SPEC_READERS = {
+        "expected_tests": expected_tests,
+        "variance_tests": variance_tests,
+        "expected_tests_multisum": expected_tests_multisum,
+        "test_count_cdf": lambda spec: test_count_cdf(spec, 5),
+        "test_count_pmf": lambda spec: test_count_pmf(spec, 5),
+    }
+
+    @pytest.mark.parametrize("spec", ["x", (10, 10), None], ids=["str", "tuple", "None"])
+    @pytest.mark.parametrize("reader", SPEC_READERS)
+    def test_spec_readers_reject_a_spec_that_is_not_a_bank_spec(self, reader, spec):
+        # each raised a bare AttributeError on reading spec.a or spec.q
+        with pytest.raises(InvalidSpecError, match=re.escape(f"spec must be a BankSpec, got {spec!r}")):
+            self.SPEC_READERS[reader](spec)
 
 
 class TestProbValue:
