@@ -26,7 +26,6 @@ from .coupon import (
     InvalidSpecError,
     OracleRangeError,
     ProbValue,
-    SeriesCapError,
     SeriesEstimate,
     UnsupportedAlternativesError,
     cdf_oracle,
@@ -63,7 +62,6 @@ __all__ = [
     "InvalidSpecError",
     "UnsupportedAlternativesError",
     "OracleRangeError",
-    "SeriesCapError",
     "expected_single_bank",
     "single_bank_survival",
     "single_bank_cdf",

@@ -1,14 +1,14 @@
 """Command line surface: expectation queries, tables, simulation, self-checks.
 
-Exit codes: 0 success, 1 validation failure, 2 bad usage, 3 series not
-certified, 4 I/O failure, 5 internal error (any other exception, reported as
-one ``error: internal:`` line on stderr).  The BANKCOVER_OUT_DIR environment
-variable sets the default output directory for table and figure files; --out
-wins over it.  An --out that is a directory, or ends in a path separator (the
-directory is then made if missing), gets the file ``<name>.csv`` or
-``<name>.svg`` inside it.  A file that already holds exactly the bytes keeps
-its data and gets a new modification time; any other is truncated and
-written, and a read-only file exits 4 either way.
+Exit codes: 0 success, 1 validation failure, 2 bad usage or a domain error
+(such as a q beyond the float range), 4 I/O failure, 5 internal error (any
+other exception, reported as one ``error: internal:`` line on stderr).  The
+BANKCOVER_OUT_DIR environment variable sets the default output directory for
+table and figure files; --out wins over it.  An --out that is a directory, or
+ends in a path separator (the directory is then made if missing), gets the
+file ``<name>.csv`` or ``<name>.svg`` inside it.  A file that already holds
+exactly the bytes keeps its data and gets a new modification time; any other
+is truncated and written, and a read-only file exits 4 either way.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .coupon import BankSpec, InvalidSpecError, SeriesCapError, expected_tests
+from .coupon import BankSpec, InvalidSpecError, expected_tests
 from .simulate import SimulationConfig, run_experiment
 from .tables import FIGURE_NAMES, TABLE_NAMES, _write_text, build_table, render_figure_svg
 from .validate import LEVELS, format_report, run_checks
@@ -30,7 +30,6 @@ OUT_DIR_ENV = "BANKCOVER_OUT_DIR"
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
-EXIT_CAP = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
@@ -142,9 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SeriesCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

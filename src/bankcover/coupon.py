@@ -42,8 +42,9 @@ never increases with n, so where it first meets the limit is found before
 any term, by one root solve on the line and a walk up of a step or two
 along it.  No term count is capped: over the whole domain (a <= 64, q
 below the float maximum) the widest window, at a = 64 and q at the float
-maximum, ends at 47,982 terms.  A q beyond the float range raises before
-any term.  The same solve on the union bound
+maximum, ends at 47,982 terms.  A q that no float can hold (from
+2**1024 - 2**970 on) is refused with ``InvalidSpecError`` before any
+window or term.  The same solve on the union bound
 P(N > n) <= q * a * ((a-1)/a)**n, a line with its own constant, says how
 far the terms must reach, so they are formed in one pass.  One function
 (:func:`_windows`) solves both lines of both moments of every q of a pass,
@@ -101,7 +102,6 @@ __all__ = [
     "InvalidSpecError",
     "UnsupportedAlternativesError",
     "OracleRangeError",
-    "SeriesCapError",
     "BankSpec",
     "ProbValue",
     "SeriesEstimate",
@@ -131,6 +131,9 @@ _TINY = 2.0 ** -1074  # the least subnormal float
 _LOG_MAX = math.log(sys.float_info.max)
 # Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
 _OVERFLOW_COUNT = sys.float_info.max / 37.0
+# The least integer that float() cannot hold: half an ulp past the float
+# maximum, where rounding goes up to 2**1024.  The series refuse it.
+_COUNT_LIMIT = 2 ** 1024 - 2 ** 970
 _UNGUARDED = contextlib.nullcontext()  # reusable; np.errstate costs about 1.8 us a pass
 # Float-path error bound above which the survival sum is redone exactly.
 _EXACT_SWITCH = 1e-13
@@ -158,12 +161,6 @@ class UnsupportedAlternativesError(InvalidSpecError):
 
 class OracleRangeError(ValueError):
     """An oracle helper was asked to leave its trusted range."""
-
-
-class SeriesCapError(RuntimeError):
-    """A series cannot be certified: its bank count lies beyond the float
-    range, or (a fault of the window solve) no small term lies in its term
-    window."""
 
 
 @dataclass(frozen=True)
@@ -641,9 +638,9 @@ def _coverage_terms(a: int, counts: tuple[float, ...], width: int, rows: np.ndar
     the block is filled, and read here from the blocks' last rows.  The
     products of every q lie end to end in one flat array, and one ``expm1``
     call forms every term (:func:`_libm`: the platform libm's, the bits of
-    ``math.expm1``).  A row's terms past its own end, or in a row whose
-    window failed, are formed and never read: a stop lies before its end,
-    and the replay's column stop - 1 reads only the columns before it.
+    ``math.expm1``).  A row's terms past its own end are formed and never
+    read: a stop lies before its end, and the replay's column stop - 1
+    reads only the columns before it.
     Where S(n) is 1.0 that row holds -inf, and the term is expm1's limit,
     exactly 1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0,
     so those cells are left as they are.  Every term lies in [0, 1] and none
@@ -703,12 +700,11 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(a: int, counts: tuple[float, ...],
-             second_moment: bool) -> list[tuple[_Line, int, int] | str]:
-    """For each bank count q of one pass at bank size ``a``, saturated to
-    the floats ``counts``, the tail line of its mean and, with
+             second_moment: bool) -> list[tuple[_Line, int, int]]:
+    """For each bank count q of one pass at bank size ``a``, as the finite
+    floats ``counts``, the tail line of its mean and, with
     ``second_moment``, of its variance, the least n that line certifies
-    and the end of the term window; or, where no term can help, the
-    message of the series' failure.  One flat list, q by q, each q's mean
+    and the end of the term window.  One flat list, q by q, each q's mean
     then its variance.  This is the one solve of a tail line:
     :func:`_tail_bound` reads the line, here in the walk and in
     :func:`_series` at each stop.
@@ -738,16 +734,11 @@ def _windows(a: int, counts: tuple[float, ...],
     reach = ((log a + log q) + 1e-9) - log(_EPS_TERM / 2), so a q's windows
     are the same doubles whatever else its pass holds.
     """
-    names = ("mean", "variance")[:1 + second_moment]
     r = -math.log((a - 1) / a)
     log_scale = math.log(2.0 * a ** 3 / (a - 1))
     log_a = math.log(a)
     windows = []
     for count in counts:
-        if count == math.inf:  # the mean lies beyond the last representable survival
-            windows += [f"{series} series for a={a} not certified: q is beyond the float range"
-                        for series in names]
-            continue
         log_q = math.log(count)
         c = log_scale + log_q + 1e-9
         excess = c - _LOG_LIMIT
@@ -779,10 +770,9 @@ def _windows(a: int, counts: tuple[float, ...],
 
 
 def _series(a: int, qs: tuple[int, ...],
-            second_moment: bool) -> list[tuple[SeriesEstimate | str, ...]]:
-    """For each q in ``qs`` at bank size ``a``, its mean and, with
-    ``second_moment``, its variance; a series that cannot be certified is
-    kept as the message it raises (see :func:`_certified`).
+            second_moment: bool) -> list[tuple[SeriesEstimate, ...]]:
+    """For each q in ``qs`` at bank size ``a``, each below the float
+    limit, its mean and, with ``second_moment``, its variance.
 
     Term n of the mean is P(N > n); the variance is E N^2, the sum of
     (2n+1) * P(N > n), less the square of the unweighted sum at the
@@ -791,14 +781,14 @@ def _series(a: int, qs: tuple[int, ...],
     never increases, that is the first small term at or after the least n
     the bound certifies.  That n and the end of the term window are found
     before any term is formed, for both moments of every q by one solve
-    (:func:`_windows`), and a series whose window fails is its message; the
-    stop is found here, by a walk along the row from that n, almost always
-    no step at all.  Every series stops before its window ends (the union
-    bound's crossing); a row with no small term there would be a fault of
-    that line, and fails with its message rather than read past the window.
-    Each q's row of terms is formed once, out to the farthest window of the
-    pass that passed, by one :func:`_coverage_terms` call for every q, and
-    the weighted rows follow.  Every row is nonnegative and dominated by its
+    (:func:`_windows`); the stop is found here, by a walk along the row from
+    that n, almost always no step at all.  Every series stops before its
+    window ends (the union bound's crossing); a row with no small term there
+    would be a fault of that line, not of the input, and the whole pass
+    raises ``RuntimeError`` rather than read past the window.  Each q's row
+    of terms is formed once, out to the farthest window of the pass, by one
+    :func:`_coverage_terms` call for every q, and the weighted rows
+    follow.  Every row is nonnegative and dominated by its
     running sum, so one :func:`_fast2sum_running` call replays them all
     strictly left to right, and column stop - 1 of its running sums and
     corrections is, bit for bit, Neumaier's loop stopped there: each moment
@@ -809,59 +799,59 @@ def _series(a: int, qs: tuple[int, ...],
         exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
         return [exact[:1 + second_moment]] * len(qs)
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
-    counts = tuple(map(_saturating_float, qs))
+    counts = tuple(map(float, qs))
     windows = _windows(a, counts, second_moment)
-    width = max(w[2] if type(w) is tuple else 0 for w in windows)  # 0 where a window failed
+    width = max(end for _, _, end in windows)
     rows = np.zeros((len(windows), width))
-    if width:
-        _coverage_terms(a, counts, width, rows[::k])
-        if second_moment:
-            np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
+    _coverage_terms(a, counts, width, rows[::k])
+    if second_moment:
+        np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
     sums, lows = _fast2sum_running(rows)
-    outcomes = []  # each moment's estimate, or the message of its failure
-    for row, outcome in enumerate(windows):
-        if type(outcome) is tuple:
-            line, stop, end = outcome
-            while stop < end and not rows.item(row, stop) < _EPS_TERM:
-                stop += 1
-            variance = row % k
-            if stop == end:
-                outcome = (f"{('mean', 'variance')[variance]} series for a={a}, q={qs[row // k]} "
-                           "not certified: no small term before the end of its window")
-            else:
-                value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
-                if variance:  # E N^2 less the square of the unweighted sum at this stop
-                    t = sums.item(row - 1, stop - 1) + lows.item(row - 1, stop - 1)
-                    value -= t * t
-                outcome = SeriesEstimate(value, _tail_bound(line, stop), stop)
-        outcomes.append(outcome)
-    return [tuple(outcomes[i:i + k]) for i in range(0, len(outcomes), k)]
+    estimates = []
+    for row, (line, stop, end) in enumerate(windows):
+        while stop < end and not rows.item(row, stop) < _EPS_TERM:
+            stop += 1
+        variance = row % k
+        if stop == end:
+            raise RuntimeError(f"{('mean', 'variance')[variance]} series for a={a}, "
+                               f"q={qs[row // k]} not certified: no small term before the end "
+                               "of its window")
+        value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
+        if variance:  # E N^2 less the square of the unweighted sum at this stop
+            t = sums.item(row - 1, stop - 1) + lows.item(row - 1, stop - 1)
+            value -= t * t
+        estimates.append(SeriesEstimate(value, _tail_bound(line, stop), stop))
+    return [tuple(estimates[i:i + k]) for i in range(0, len(estimates), k)]
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _moments(a: int, q: int) -> tuple[SeriesEstimate | str, ...]:
+@functools.lru_cache(maxsize=1)
+def _moments(a: int, q: int) -> tuple[SeriesEstimate, SeriesEstimate]:
     """(mean, variance) of one spec from one :func:`_series` pass, kept
     for the other moment's call.
 
-    The one entry is keyed by type too, so a bool q and its int, which
-    print differently in a message, are kept apart.  The callers ask for
-    the two moments of one spec in turn; a larger memo would serve repeated
-    specs rather than the pass.
+    A bool q and its int share the entry, as their estimates have the same
+    bits; a pass that raises keeps nothing.  The callers ask for the two
+    moments of one spec in turn; a larger memo would serve repeated specs
+    rather than the pass.
     """
     return _series(a, (q,), True)[0]
 
 
-def _certified(moment: SeriesEstimate | str) -> SeriesEstimate:
-    if type(moment) is str:
-        raise SeriesCapError(moment)  # a new instance on every call
-    return moment
+def _moment(spec: BankSpec, variance: int) -> SeriesEstimate:
+    """The mean (``variance`` 0) or the variance (1) of ``spec``, checked:
+    the spec, then the bank count, then the memo."""
+    if type(spec) is not BankSpec:
+        _check_spec(spec)
+    if spec.q >= _COUNT_LIMIT:
+        raise InvalidSpecError(f"{('mean', 'variance')[variance]} series for a={spec.a}: q is "
+                               "beyond the float range (q must be below 2**1024 - 2**970)")
+    return _moments(spec.a, spec.q)[variance]
 
 
 def _default_means(a: int, qs: tuple[int, ...]) -> list[float]:
     """The mean of every q in ``qs`` at bank size ``a``, from one
-    :func:`_series` pass, each certified or raised as
-    :class:`SeriesCapError`: what the tables and the multi-sum check read."""
-    return [_certified(mean).value for (mean,) in _series(a, qs, False)]
+    :func:`_series` pass: what the tables and the multi-sum check read."""
+    return [mean.value for (mean,) in _series(a, qs, False)]
 
 
 def expected_tests(spec: BankSpec) -> SeriesEstimate:
@@ -873,11 +863,10 @@ def expected_tests(spec: BankSpec) -> SeriesEstimate:
     It comes from one pass with :func:`variance_tests` of the same spec
     (see :func:`_moments`), so a lone mean costs a variance pass, about 40%
     more than the mean alone, and the variance asked next is a lookup.  A
-    ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``.
+    ``spec`` that is not a :class:`BankSpec`, or whose q no float can hold
+    (q >= 2**1024 - 2**970), raises ``InvalidSpecError`` before any term.
     """
-    if type(spec) is not BankSpec:
-        _check_spec(spec)
-    return _certified(_moments(spec.a, spec.q)[0])
+    return _moment(spec, 0)
 
 
 def variance_tests(spec: BankSpec) -> SeriesEstimate:
@@ -889,12 +878,12 @@ def variance_tests(spec: BankSpec) -> SeriesEstimate:
     covers that truncation only, not rounding, which E N^2 - mean**2
     magnifies: at q = 1 the value misses it for 21 of the bank sizes
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
-    xfail ``test_single_bank_variance_within_its_tail_bound`` records this.
-    A ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``.
+    xfail ``test_single_bank_variance_within_its_tail_bound`` records this,
+    and ``test_series_within_their_tail_bound`` the misses at larger q.
+    A ``spec`` that is not a :class:`BankSpec`, or whose q no float can hold,
+    raises ``InvalidSpecError`` before any term, as for the mean.
     """
-    if type(spec) is not BankSpec:
-        _check_spec(spec)
-    return _certified(_moments(spec.a, spec.q)[1])
+    return _moment(spec, 1)
 
 
 def expected_tests_multisum(spec: BankSpec) -> float:

@@ -15,8 +15,8 @@ import pytest
 import bankcover
 import bankcover.asymptotics as asymptotics
 import bankcover.cli as cli
+import bankcover.coupon as coupon
 from bankcover.cli import (
-    EXIT_CAP,
     EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
@@ -24,7 +24,6 @@ from bankcover.cli import (
     EXIT_VALIDATION,
     main,
 )
-from bankcover.coupon import SeriesCapError
 from bankcover.validate import run_checks
 
 
@@ -68,25 +67,31 @@ class TestExpect:
         code, _, _ = run_cli(capsys, "expect", "--a", "ten", "--q", "1")
         assert code == EXIT_USAGE
 
-    def test_series_cap_exits_3(self, capsys, monkeypatch):
-        def blow_up(spec):
-            raise SeriesCapError("cap")
-
-        monkeypatch.setattr("bankcover.cli.expected_tests", blow_up)
-        code, _, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
-        assert code == EXIT_CAP and "cap" in err
-
-    def test_bank_count_beyond_float_range_exits_3(self, capsys):
-        # q = 10**400 is valid, but no float curve reaches its mean
+    def test_bank_count_beyond_float_range_exits_2(self, capsys):
+        # a q that no float can hold is refused as a domain error, naming the limit
         code, out, err = run_cli(capsys, "expect", "--a", "2", "--q", str(10 ** 400))
-        assert code == EXIT_CAP and out == ""
-        assert err.startswith("error: mean series for a=2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: mean series for a=2: q is beyond the float range "
+                       "(q must be below 2**1024 - 2**970)\n")
 
     def test_large_bank_size_answers(self, capsys):
         # a = 41..64 once crashed in the series: F(n) rounds to 0 near n = a
         code, out, err = run_cli(capsys, "expect", "--a", "50", "--q", "3")
         assert code == EXIT_OK and err == ""
         assert float(out.split()[0]) > 50 * 4.4
+
+    def test_window_fault_exits_5(self, capsys, monkeypatch):
+        # a term window that ends at its least certified n holds no stop: a
+        # fault of the window solve, not of the input, so an internal error
+        real = coupon._windows
+        monkeypatch.setattr(coupon, "_windows", lambda *args: [
+            (line, first, first) for line, first, _ in real(*args)])
+        coupon._moments.cache_clear()
+        code, out, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == ("error: internal: RuntimeError: mean series for a=10, q=10 not "
+                       "certified: no small term before the end of its window\n")
+        assert coupon._moments.cache_info().currsize == 0
 
     def test_internal_error_exits_5(self, capsys, monkeypatch):
         def blow_up(spec):

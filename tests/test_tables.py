@@ -18,7 +18,7 @@ import pytest
 
 from bankcover import tables, validate
 from bankcover.asymptotics import centred_mean_prediction
-from bankcover.coupon import InvalidSpecError, _certified, _series
+from bankcover.coupon import InvalidSpecError, _series
 from bankcover.tables import (
     FIG_HIGH_Q,
     FIG_LOW_Q,
@@ -427,7 +427,7 @@ class TestSharedMeanPass:
 
     def test_centred_band_matches_its_own_series(self):
         qs = (20, 50, 100, 200)
-        diffs = [_certified(mean).value - centred_mean_prediction(a, q) for a in TABLE_A
+        diffs = [mean.value - centred_mean_prediction(a, q) for a in TABLE_A
                  for q, (mean,) in zip(qs, _series(a, qs, False))]
         band = validate.centred_diff_band(build_table("fig_high").rows)
         assert band == (min(diffs), max(diffs))
