@@ -24,10 +24,8 @@ from .coupon import (
     MAX_ALTERNATIVES,
     BankSpec,
     InvalidSpecError,
-    OracleRangeError,
     ProbValue,
     SeriesEstimate,
-    UnsupportedAlternativesError,
     cdf_oracle,
     expected_single_bank,
     expected_tests,
@@ -60,8 +58,6 @@ __all__ = [
     "TableArtifact",
     "CheckResult",
     "InvalidSpecError",
-    "UnsupportedAlternativesError",
-    "OracleRangeError",
     "expected_single_bank",
     "single_bank_survival",
     "single_bank_cdf",

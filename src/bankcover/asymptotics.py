@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .coupon import MAX_ALTERNATIVES, InvalidSpecError, _saturating_float, _shown
+from .coupon import MAX_ALTERNATIVES, InvalidSpecError, _shown
 
 __all__ = [
     "EULER_GAMMA",
@@ -58,6 +59,23 @@ def decay_rate(a: int) -> float:
     if a > _MAX_ASYMPTOTIC_A:
         raise InvalidSpecError(f"asymptotics need a <= 2**53, got an a of {a.bit_length()} bits")
     return -math.log1p(-1.0 / a)
+
+
+def _saturating_float(x: float) -> float:
+    """The lag ``x``, a real number, as a float; an integer beyond the float
+    range becomes an infinity of its sign.  A lag that is not a
+    ``numbers.Real``, or is NaN, raises ``InvalidSpecError``.  A lag is an
+    int or a float almost always, so those skip the ``numbers.Real`` check,
+    and a float that is not NaN is returned as it is.
+    """
+    if type(x) is float and x == x:
+        return x
+    if type(x) is not int and (not isinstance(x, numbers.Real) or x != x):
+        raise InvalidSpecError(f"a lag must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def gumbel_cdf(x: float) -> float:

@@ -43,8 +43,9 @@ any term, by one root solve on the line and a walk up of a step or two
 along it.  No term count is capped: over the whole domain (a <= 64, q
 below the float maximum) the widest window, at a = 64 and q at the float
 maximum, ends at 47,982 terms.  A q that no float can hold (from
-2**1024 - 2**970 on) is refused with ``InvalidSpecError`` before any
-window or term.  The same solve on the union bound
+2**1024 - 2**970 on) never reaches a series: :class:`BankSpec` refuses it
+with ``InvalidSpecError``, so every count here converts to a finite float.
+The same solve on the union bound
 P(N > n) <= q * a * ((a-1)/a)**n, a line with its own constant, says how
 far the terms must reach, so they are formed in one pass.  One function
 (:func:`_windows`) solves both lines of both moments of every q of a pass,
@@ -100,8 +101,6 @@ import numpy as np
 __all__ = [
     "MAX_ALTERNATIVES",
     "InvalidSpecError",
-    "UnsupportedAlternativesError",
-    "OracleRangeError",
     "BankSpec",
     "ProbValue",
     "SeriesEstimate",
@@ -132,7 +131,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 # Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
 _OVERFLOW_COUNT = sys.float_info.max / 37.0
 # The least integer that float() cannot hold: half an ulp past the float
-# maximum, where rounding goes up to 2**1024.  The series refuse it.
+# maximum, where rounding goes up to 2**1024.  BankSpec refuses it.
 _COUNT_LIMIT = 2 ** 1024 - 2 ** 970
 _UNGUARDED = contextlib.nullcontext()  # reusable; np.errstate costs about 1.8 us a pass
 # Float-path error bound above which the survival sum is redone exactly.
@@ -152,20 +151,18 @@ _LOG_HALF_EPS = math.log(0.5 * _EPS_TERM)
 
 
 class InvalidSpecError(ValueError):
-    """Parameters outside the supported domain."""
-
-
-class UnsupportedAlternativesError(InvalidSpecError):
-    """Bank size beyond the double-precision gate ``MAX_ALTERNATIVES``."""
-
-
-class OracleRangeError(ValueError):
-    """An oracle helper was asked to leave its trusted range."""
+    """Parameters outside the supported domain, or outside an oracle's trusted range."""
 
 
 @dataclass(frozen=True)
 class BankSpec:
-    """Test layout: ``q`` questions per test, each from a bank of ``a`` alternatives."""
+    """Test layout: ``q`` questions per test, each from a bank of ``a`` alternatives.
+
+    The one check of the domain every spec reader shares: integers with
+    1 <= a <= ``MAX_ALTERNATIVES`` and 1 <= q < 2**1024 - 2**970, the least
+    integer that no float can hold.  q = 2**1024 - 2**970 - 1 rounds down to
+    the float maximum and answers as it does.
+    """
 
     a: int
     q: int
@@ -176,7 +173,9 @@ class BankSpec:
         if self.a < 1 or self.q < 1:
             raise InvalidSpecError(
                 f"need a >= 1 and q >= 1, got a={_shown(self.a)}, q={_shown(self.q)}")
-        _check_gated_bank_size(self.a)
+        _check_bank_size(self.a)
+        if self.q >= _COUNT_LIMIT:
+            raise InvalidSpecError("q is beyond the float range (q must be below 2**1024 - 2**970)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,12 +253,8 @@ def _check_bank_size(a: int) -> None:
         raise InvalidSpecError(f"a must be an integer, got {a!r}")
     if a < 1:
         raise InvalidSpecError(f"need a >= 1, got {_shown(a)}")
-
-
-def _check_gated_bank_size(a: int) -> None:
-    _check_bank_size(a)
     if a > MAX_ALTERNATIVES:
-        raise UnsupportedAlternativesError(
+        raise InvalidSpecError(
             f"a={_shown(a)} exceeds the supported maximum of {MAX_ALTERNATIVES} alternatives"
         )
 
@@ -283,20 +278,11 @@ def expected_single_bank(a: int) -> float:
     ascending index order.  Gated at ``MAX_ALTERNATIVES`` like every other
     entry point.
     """
-    _check_gated_bank_size(a)
+    _check_bank_size(a)
     h = 0.0
     for k in range(1, a + 1):
         h += 1.0 / k
     return a * h
-
-
-def _saturating_float(x: float) -> float:
-    """``x`` as a float; an integer beyond the float range becomes an infinity
-    of its sign (a bank count q or a Gumbel lag)."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _tail_start(a: int) -> int:
@@ -460,7 +446,7 @@ def single_bank_survival(a: int, y: int) -> ProbValue:
     # it stops, and raise what they always did, in the same order (a bool
     # passes them, as an int does)
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
-        _check_gated_bank_size(a)
+        _check_bank_size(a)
         _check_test_count(y)
     # one lookup: y's row of ready values, then its index there
     if y < _TAIL_STARTS[a]:
@@ -474,7 +460,7 @@ def single_bank_cdf(a: int, y: int) -> ProbValue:
     Exactly zero for y < a.
     """
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
-        _check_gated_bank_size(a)  # as in single_bank_survival
+        _check_bank_size(a)  # as in single_bank_survival
         _check_test_count(y)
     if y < _TAIL_STARTS[a]:
         return _point_row(a, y // _BLOCK, 2)[y % _BLOCK]
@@ -499,14 +485,16 @@ def cdf_oracle(a: int, y: int) -> Fraction:
     """Exact coverage probability a! S2(y, a) / a**y from surjection counts.
 
     An O(a**2) integer triangle sharing no code with the closed form, kept
-    for cross-checking.  Trusted range: a <= 12, y <= 200.  The triangle's
-    row at y holds the count of every smaller bank size too: entry k over
-    k**y is ``cdf_oracle(k, y)``, so one row serves a whole column of cells.
+    for cross-checking.  Trusted range: a <= 12, y <= 200; outside it it
+    raises ``InvalidSpecError`` (past ``MAX_ALTERNATIVES``, the gate's).
+    The triangle's row at y holds the count of every smaller bank size too:
+    entry k over k**y is ``cdf_oracle(k, y)``, so one row serves a whole
+    column of cells.
     """
     _check_bank_size(a)
     _check_test_count(y)
     if a > _ORACLE_MAX_A or y > _ORACLE_MAX_Y:
-        raise OracleRangeError(
+        raise InvalidSpecError(
             f"oracle trusted only for a <= {_ORACLE_MAX_A} and y <= {_ORACLE_MAX_Y}"
         )
     return Fraction(_onto_row(a, y)[a], a ** y)
@@ -537,7 +525,7 @@ def _onto_rows(a: int):
 
 def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     """The q-bank cdf at a valid test count ``y`` and its error bound, for a
-    bank count ``q`` already saturated to a float.
+    bank count ``q`` already converted to a float, which is finite.
 
     The bound is q (1 - S-)**(q-1) * s_err + ulp, S- = max(S - s_err, 0):
     what the survival's bound s_err carries through (1 - S)**q, plus the
@@ -545,8 +533,7 @@ def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     however large q is.  The power's own rounding, a few ulps of q * S
     relative to p, lies under the first part, since s_err is at least 16
     ulps of S on the float route; the exact cells all have S above 0.7,
-    where F = 1 - S is read rounded once and p is its power.  A q beyond the
-    float range gives 1.
+    where F = 1 - S is read rounded once and p is its power.
     """
     if y < a:
         return 0.0, 0.0
@@ -557,18 +544,17 @@ def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     else:
         b, i = _TAIL_BLOCK, 0
     s = b[i]
-    if s == 0.0:
-        p = 1.0  # what exp(q * log1p(-s)) gives, without inf * 0 at q = inf
-    elif s < 0.5:
-        p = math.exp(q * b[i + 4 * _BLOCK])  # log1p(-s), formed with the block
+    if s < 0.5:
+        # log1p(-s), formed with the block; -0.0 where s is 0.0, so p is 1.0
+        p = math.exp(q * b[i + 4 * _BLOCK])
     else:
         p = b[i + 2 * _BLOCK] ** q
     # |d(1 - S)**q / dS| = q (1 - S)**(q-1) is largest over [S - s_err, S + s_err]
-    # at its low end, clamped at 0; at q = inf the product is inf or nan
+    # at its low end, clamped at 0
     s_err = b[i + _BLOCK]
     low = s - s_err
     err = q * (math.exp((q - 1.0) * math.log1p(-low)) if low > 0.0 else 1.0) * s_err + _ULP
-    return p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call; nan gives 1.0
+    return p, (err if err < 1.0 else 1.0)  # min(1.0, err) without the call
 
 
 def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
@@ -576,15 +562,14 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
 
     The q banks are independent, so this is the q-th power of the single-bank
     cdf; the power is taken through ``log1p`` when the single-bank survival is
-    small enough for direct powering to lose accuracy.  A q beyond the float
-    range counts as +inf, and the error bound is then 1.  A ``spec`` that is
+    small enough for direct powering to lose accuracy.  A ``spec`` that is
     not a :class:`BankSpec` raises ``InvalidSpecError``.
     """
     if type(spec) is not BankSpec:
         _check_spec(spec)
     if type(n) is not int or n < 0:
         _check_test_count(n)
-    p, err = _count_cell(spec.a, _saturating_float(spec.q), n)
+    p, err = _count_cell(spec.a, float(spec.q), n)
     # p is 0.0, 1.0, exp of a value <= 0 or a power of F in [0.5, 1], and the
     # bound 0.0 or a sum >= ulp capped at 1.0: ProbValue's checks would pass
     # ProbValue() here and in the pmf (16 a request) would delete no code: _point_row needs _value
@@ -599,7 +584,7 @@ def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
         _check_spec(spec)
     if type(n) is not int or n < 1:
         _check_test_count(n, minimum=1)
-    a, q = spec.a, _saturating_float(spec.q)
+    a, q = spec.a, float(spec.q)
     hi, hi_err = _count_cell(a, q, n)
     lo, lo_err = _count_cell(a, q, n - 1)
     diff = hi - lo
@@ -839,12 +824,9 @@ def _moments(a: int, q: int) -> tuple[SeriesEstimate, SeriesEstimate]:
 
 def _moment(spec: BankSpec, variance: int) -> SeriesEstimate:
     """The mean (``variance`` 0) or the variance (1) of ``spec``, checked:
-    the spec, then the bank count, then the memo."""
+    the spec, then the memo."""
     if type(spec) is not BankSpec:
         _check_spec(spec)
-    if spec.q >= _COUNT_LIMIT:
-        raise InvalidSpecError(f"{('mean', 'variance')[variance]} series for a={spec.a}: q is "
-                               "beyond the float range (q must be below 2**1024 - 2**970)")
     return _moments(spec.a, spec.q)[variance]
 
 
@@ -863,8 +845,8 @@ def expected_tests(spec: BankSpec) -> SeriesEstimate:
     It comes from one pass with :func:`variance_tests` of the same spec
     (see :func:`_moments`), so a lone mean costs a variance pass, about 40%
     more than the mean alone, and the variance asked next is a lookup.  A
-    ``spec`` that is not a :class:`BankSpec`, or whose q no float can hold
-    (q >= 2**1024 - 2**970), raises ``InvalidSpecError`` before any term.
+    ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``
+    before any term; a q that no float can hold never makes a spec.
     """
     return _moment(spec, 0)
 
@@ -880,8 +862,8 @@ def variance_tests(spec: BankSpec) -> SeriesEstimate:
     a = 2..64, worst at a = 57 (error 4.79e-11, bound 9.90e-12).  The strict
     xfail ``test_single_bank_variance_within_its_tail_bound`` records this,
     and ``test_series_within_their_tail_bound`` the misses at larger q.
-    A ``spec`` that is not a :class:`BankSpec`, or whose q no float can hold,
-    raises ``InvalidSpecError`` before any term, as for the mean.
+    A ``spec`` that is not a :class:`BankSpec` raises ``InvalidSpecError``
+    before any term, as for the mean.
     """
     return _moment(spec, 1)
 
@@ -902,7 +884,7 @@ def expected_tests_multisum(spec: BankSpec) -> float:
         _check_spec(spec)
     a, q = spec.a, spec.q
     if a > _MULTISUM_MAX_A or q > _MULTISUM_MAX_Q:
-        raise OracleRangeError(
+        raise InvalidSpecError(
             f"multi-sum trusted only for a <= {_MULTISUM_MAX_A} and q <= {_MULTISUM_MAX_Q}"
         )
     # one level per m: each tuple (j1, ..., jm) extends its prefix's signed

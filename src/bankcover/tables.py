@@ -158,6 +158,8 @@ def build_table(name: str) -> TableArtifact:
     ``sd_bounds``  standard deviation band per bank size
     ``fig_low``    exact means, dense low-q grid (one series per bank size)
     ``fig_high``   exact means, wide q grid up to 200
+
+    Any other name raises ``InvalidSpecError``.
     """
 
     def centred(a: int, qs: tuple[int, ...]) -> list[float]:
@@ -177,7 +179,7 @@ def build_table(name: str) -> TableArtifact:
         return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_LOW_Q, _default_means))
     if name == "fig_high":
         return TableArtifact(name, _VALUE_HEADER, _value_rows(TABLE_A, FIG_HIGH_Q, _default_means))
-    raise KeyError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
+    raise InvalidSpecError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
 
 
 _SERIES_COLORS = ("#3465a4", "#cc0000", "#4e9a06", "#75507b", "#c17d11")

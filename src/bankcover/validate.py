@@ -45,6 +45,7 @@ from .asymptotics import (
 )
 from .coupon import (
     BankSpec,
+    InvalidSpecError,
     _cdf_cells,
     _default_means,
     _onto_rows,
@@ -288,9 +289,10 @@ def simulation_concordance(seed: int, workers: tuple[int, int]) -> tuple[float, 
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:
-    """Run the named check battery; ``level`` is ``quick`` or ``full``."""
+    """Run the named check battery; ``level`` is ``quick`` or ``full``, and
+    any other raises ``InvalidSpecError``."""
     if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+        raise InvalidSpecError(f"level must be one of {LEVELS}, got {level!r}")
     worst = max(abs(expected_single_bank(a) - float(v)) for a, v in SINGLE_EXACT.items())
     notes = [
         f"printed reference {printed} for a={a} is {deviation:.4f} "

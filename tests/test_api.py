@@ -1,4 +1,4 @@
-"""Public surface: the export lists agree, and bad integers of any size raise typed errors."""
+"""Public surface: the export lists agree, and bad inputs of any size raise one typed error."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import bankcover
 from bankcover import (
     BankSpec,
     InvalidSpecError,
+    ProbValue,
+    SeriesEstimate,
     SimulationConfig,
     cdf_oracle,
     centred_mean_prediction,
@@ -22,12 +24,14 @@ from bankcover import (
     expected_tests,
     expected_tests_multisum,
     local_pmf_approx,
+    run_checks,
     single_bank_cdf,
     single_bank_survival,
     test_count_cdf,
     test_count_pmf,
     variance_tests,
 )
+from bankcover.cli import EXIT_OK, EXIT_USAGE, main
 
 SUBMODULES = {
     info.name: importlib.import_module(f"bankcover.{info.name}")
@@ -108,3 +112,71 @@ def test_a_fraction_too_long_to_print_is_a_typed_error(sign):
     with pytest.raises(InvalidSpecError,
                        match="got " + "-" * (sign < 0) + "<Fraction of 16610 bits over 2 bits>"):
         SimulationConfig(Fraction(sign * 10 ** 5000, 3), 1, 1)
+
+
+# The least q that no float can hold, and BankSpec's one refusal of it.
+LIMIT_Q = 2 ** 1024 - 2 ** 970
+LIMIT_MESSAGE = "q is beyond the float range (q must be below 2**1024 - 2**970)"
+
+# Every reader of a BankSpec, each called as its callers call it.
+SPEC_CONSUMERS = {
+    "BankSpec": lambda spec: spec,
+    "expected_tests": expected_tests,
+    "variance_tests": variance_tests,
+    "test_count_cdf": lambda spec: test_count_cdf(spec, 1025),
+    "test_count_pmf": lambda spec: test_count_pmf(spec, 1025),
+    "expected_tests_multisum": expected_tests_multisum,
+    "SimulationConfig": lambda spec: SimulationConfig(spec, 1, 1),
+}
+
+
+class TestFloatLimit:
+    """BankSpec is the one place that knows the q domain."""
+
+    @pytest.mark.parametrize("consumer", SPEC_CONSUMERS)
+    @pytest.mark.parametrize("a", [1, 2, 64])
+    def test_every_spec_consumer_gets_the_one_refusal(self, consumer, a):
+        with pytest.raises(InvalidSpecError) as got:
+            SPEC_CONSUMERS[consumer](BankSpec(a, LIMIT_Q))
+        assert type(got.value) is InvalidSpecError and str(got.value) == LIMIT_MESSAGE
+
+    @pytest.mark.parametrize("consumer", SPEC_CONSUMERS)
+    def test_one_less_answers(self, consumer):
+        # q - 1 rounds to the float maximum and answers as any q does: the
+        # point reads with a bound far below 1 (a q past the float range once
+        # read 1.0 for the cdf and 2.0 for the pmf), the multi-sum with its
+        # trusted-range refusal
+        spec = BankSpec(2, LIMIT_Q - 1)
+        if consumer == "expected_tests_multisum":
+            with pytest.raises(InvalidSpecError, match="multi-sum trusted only"):
+                expected_tests_multisum(spec)
+            return
+        got = SPEC_CONSUMERS[consumer](spec)
+        if isinstance(got, ProbValue):
+            assert 0.0 < got.p < 1.0 and got.abs_err < 1e-12, got
+        elif isinstance(got, SeriesEstimate):
+            assert 0.0 < got.value < 2000.0 and 0.0 < got.tail_bound <= 1e-11, got
+        elif consumer == "SimulationConfig":
+            assert got.spec == spec
+        else:
+            assert got == spec
+
+    @pytest.mark.parametrize("command", [["expect"], ["simulate", "--reps", "1", "--seed", "1"]],
+                             ids=["expect", "simulate"])
+    def test_cli_refuses_the_limit(self, capsys, command):
+        code = main([command[0], "--a", "10", "--q", str(LIMIT_Q), *command[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {LIMIT_MESSAGE}\n")
+
+    def test_cli_answers_one_less(self, capsys):
+        code = main(["expect", "--a", "2", "--q", str(LIMIT_Q - 1)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "") and out.startswith("1026.33274738 ")
+
+
+def test_an_unknown_check_level_is_a_typed_error():
+    # it was a bare ValueError; an unknown table name, once a KeyError, is
+    # tests/test_tables.py's
+    with pytest.raises(InvalidSpecError) as got:
+        run_checks("slow")
+    assert str(got.value) == "level must be one of ('quick', 'full'), got 'slow'"

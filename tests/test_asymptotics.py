@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import math
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -126,6 +128,14 @@ class TestGumbelCdf:
         assert gumbel_cdf(10 ** 400) == gumbel_cdf(1e300) == 1.0
         assert gumbel_cdf(-10 ** 400) == gumbel_cdf(-1e300) == 0.0
 
+    @pytest.mark.parametrize(
+        "x,want",
+        [(np.float64(0.5), 0.5), (np.float32(0.5), 0.5), (True, 1.0), (Fraction(1, 2), 0.5),
+         (Fraction(10 ** 400, 3), math.inf), (math.inf, math.inf), (-math.inf, -math.inf)],
+        ids=["np.float64", "np.float32", "True", "Fraction", "Fraction 1e400/3", "inf", "-inf"])
+    def test_other_reals_read_as_their_float(self, x, want):
+        assert gumbel_cdf(x) == gumbel_cdf(want)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5, 30), st.floats(-5, 30))
     def test_monotone(self, x, y):
@@ -167,6 +177,33 @@ class TestSandwichBounds:
                 p = test_count_cdf(spec, max(n, 0)).p
                 lower, upper = sandwich_bounds(a, x)
                 assert lower - 0.02 <= p <= upper + 0.02
+
+
+# Every helper that takes a lag, called with a bad one.
+LAG_READERS = {
+    "gumbel_cdf": gumbel_cdf,
+    "sandwich_bounds": lambda x: sandwich_bounds(5, x),
+    "local_pmf_approx": lambda x: local_pmf_approx(5, 10, x),
+}
+
+
+@pytest.mark.parametrize("reader", LAG_READERS)
+@pytest.mark.parametrize(
+    "lag,message",
+    [("3", "a lag must be a real number, got '3'"),
+     ("1e9", "a lag must be a real number, got '1e9'"),
+     (None, "a lag must be a real number, got None"),
+     (1j, "a lag must be a real number, got 1j"),
+     (Decimal(2), "a lag must be a real number, got Decimal('2')"),
+     (math.nan, "a lag must be a real number, got nan"),
+     (np.float64("nan"), f"a lag must be a real number, got {np.float64('nan')!r}")],
+    ids=["str", "str 1e9", "None", "complex", "Decimal", "nan", "np.nan"])
+def test_a_lag_that_is_not_a_real_number_is_refused(reader, lag, message):
+    # a str once read as its float, None raised a bare TypeError and nan
+    # returned nan
+    with pytest.raises(InvalidSpecError) as got:
+        LAG_READERS[reader](lag)
+    assert type(got.value) is InvalidSpecError and str(got.value) == message
 
 
 class TestLocalPmfApprox:

@@ -71,7 +71,7 @@ class TestExpect:
         # a q that no float can hold is refused as a domain error, naming the limit
         code, out, err = run_cli(capsys, "expect", "--a", "2", "--q", str(10 ** 400))
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: mean series for a=2: q is beyond the float range "
+        assert err == ("error: q is beyond the float range "
                        "(q must be below 2**1024 - 2**970)\n")
 
     def test_large_bank_size_answers(self, capsys):

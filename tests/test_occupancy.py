@@ -1,4 +1,4 @@
-"""Series moments at large q against an independent occupancy-count sampler.
+"""Series moments and the pmf at large q against an independent occupancy-count sampler.
 
 The stage-sum sampler in ``simulate.py`` draws q·(a−1) waits a replication,
 too many at q = 10⁶ for a test's time.  This one tracks c_j, the number of
@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from bankcover import BankSpec, expected_tests, variance_tests
+from bankcover import BankSpec, expected_tests, test_count_cdf, test_count_pmf, variance_tests
 
 
 def coverage_times(a: int, q: int, reps: int, seed: int) -> np.ndarray:
@@ -69,3 +70,26 @@ def test_series_moments_within_four_standard_errors(a, q, reps):
     spec = BankSpec(a, q)
     assert abs(mean - expected_tests(spec).value) <= 4 * mean_se
     assert abs(var - variance_tests(spec).value) <= 4 * var_se
+
+
+def test_histogram_matches_the_pmf():
+    # chi-square over one bin per test count whose expected count is at
+    # least 5, with the counts below and above them pooled into two tail
+    # bins; a tail bin expected below 5 is merged into its neighbour
+    a, q, reps = 10, 10 ** 4, 10_000
+    times = coverage_times(a, q, reps, seed=1)
+    spec = BankSpec(a, q)
+    kept = [n for n in range(a, int(times.max()) + 1) if reps * test_count_pmf(spec, n).p >= 5]
+    lo, hi = kept[0], kept[-1]
+    assert kept == list(range(lo, hi + 1))  # the pmf is unimodal
+    cells = [[reps * test_count_cdf(spec, lo - 1).p, np.count_nonzero(times < lo)]]
+    cells += [[reps * test_count_pmf(spec, n).p, np.count_nonzero(times == n)] for n in kept]
+    cells.append([reps * (1.0 - test_count_cdf(spec, hi).p), np.count_nonzero(times > hi)])
+    if cells[0][0] < 5:
+        cells[:2] = [np.add(*cells[:2])]
+    if cells[-1][0] < 5:
+        cells[-2:] = [np.add(*cells[-2:])]
+    expected, observed = np.array(cells, dtype=float).T
+    assert observed.sum() == reps
+    statistic = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(statistic, len(cells) - 1) >= 1e-4

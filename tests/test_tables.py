@@ -24,6 +24,7 @@ from bankcover.tables import (
     FIG_LOW_Q,
     SD_A,
     TABLE_A,
+    TABLE_NAMES,
     TABLE_Q,
     TableArtifact,
     _write_text,
@@ -178,8 +179,9 @@ class TestBuildTable:
             assert all(x < y for x, y in zip(values, values[1:]))
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidSpecError) as got:
             build_table("nope")
+        assert str(got.value) == f"unknown table 'nope'; expected one of {TABLE_NAMES}"
 
 
 class TestCsvRoundTrip:
