@@ -33,37 +33,33 @@ one cdf cell from the block and build one value a call; a pmf reads its
 two cells, n and n - 1, with two calls.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
-weighted by 2n+1 for the second moment, and each stops at the first n
-whose term is below 1e-12 and whose tail, by a certified geometric bound,
-is at most 1e-11.  That threshold is one constant, ``_EPS_TERM``, the same
-for every series.  The bound is one line per q in logarithms, c - r*n (plus
-log(2n + 2a - 1) for the variance), raised by 1e-9 to stay a bound.  It
-never increases with n, so where it first meets the limit is found before
-any term, by one root solve on the line and a walk up of a step or two
-along it.  No term count is capped: over the whole domain (a <= 64, q
-below the float maximum) the widest window, at a = 64 and q at the float
-maximum, ends at 47,982 terms.  A q that no float can hold (from
-2**1024 - 2**970 on) never reaches a series: :class:`BankSpec` refuses it
-with ``InvalidSpecError``, so every count here converts to a finite float.
-The same solve on the union bound
-P(N > n) <= q * a * ((a-1)/a)**n, a line with its own constant, says how
-far the terms must reach, so they are formed in one pass.  One function
-(:func:`_windows`) solves both lines of both moments of every q of a pass,
-root, walk and reach; the logarithms of the two limits are formed once at
-import, the three that depend on a alone once a pass, and log q once a q.
-:func:`_tail_bound` is the one definition of the bound,
-read by the walk and at each stop.  One kernel
+weighted by 2n+1 for the second moment, and each stops at the least n
+whose tail, by a certified geometric bound, is at most 1e-11
+(``_LIMIT``, the one threshold of every series).  The bound is one line
+per q in logarithms, c - r*n (plus log(2n + 2a - 1) for the variance),
+raised by 1e-9 to stay a bound.  It never increases with n, so where it
+first meets the limit is found before any term, by one root solve on the
+line and a walk up of a step or two along it, and the terms before it
+are formed in one pass.  No term count is capped: over the whole domain
+(a <= 64, q below the float maximum) the longest series, the variance at
+a = 64 and q at the float maximum, sums 47,981 terms.  A q that no float
+can hold (from 2**1024 - 2**970 on) never reaches a series:
+:class:`BankSpec` refuses it with ``InvalidSpecError``, so every count
+here converts to a finite float.  One function (:func:`_windows`) solves
+the lines of both moments of every q of a pass, root and walk; the
+logarithm of the limit is formed once at import, the two that depend on
+a alone once a pass, and log q once a q.  :func:`_tail_bound` is the one
+definition of the bound, read by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
 products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
 platform libm's, through numpy's scalar loop: :func:`_libm`), and each q
-keeps its own stops, each the first small term from the least certified
-n on, and its own tail bounds, the line read at each stop.  Where S is
-exactly 1.0 the stored logarithm is -inf and the term expm1's limit, 1.0;
-the constant tail's terms are 0.0 and take none.  Each moment reads its
-sum from the replay at its own stop, since the replay adds strictly left
-to right, so the mean comes from the pass that forms the variance's
-unweighted row.
+reads its sums at its own stops, with its own tail bounds, the line read
+at each stop.  Where S is exactly 1.0 the stored logarithm is -inf and
+the term expm1's limit, 1.0; the constant tail's terms are 0.0 and take
+none.  Each moment reads its sum from the replay at its own stop, since
+the replay adds strictly left to right, so the mean comes from the pass
+that forms the variance's unweighted row.
 :func:`expected_tests` and :func:`variance_tests` ask it for both moments
 of one spec, kept in a one-entry memo, so the second of the two calls for
 one spec is a lookup and a lone mean costs a variance pass; the
@@ -141,13 +137,10 @@ _BLOCK = 256
 _BLOCK_CACHE_SIZE = 512
 # Tolerated negative round-off in a cdf difference; anything worse is a bug.
 _PMF_CLAMP = 1e-14
-# Every series stops at the first term below this whose tail bound is at most
-# ten times it; the logarithms of the tail line's limit and of the union
-# bound's, half of it, are the window solve's.
-_EPS_TERM = 1e-12
-_LIMIT = 10.0 * _EPS_TERM
+# Every series stops at the least n whose tail bound is at most this; its
+# logarithm is the window solve's.
+_LIMIT = 1e-11
 _LOG_LIMIT = math.log(_LIMIT)
-_LOG_HALF_EPS = math.log(0.5 * _EPS_TERM)
 
 
 class InvalidSpecError(ValueError):
@@ -623,9 +616,8 @@ def _coverage_terms(a: int, counts: tuple[float, ...], width: int, rows: np.ndar
     the block is filled, and read here from the blocks' last rows.  The
     products of every q lie end to end in one flat array, and one ``expm1``
     call forms every term (:func:`_libm`: the platform libm's, the bits of
-    ``math.expm1``).  A row's terms past its own end are formed and never
-    read: a stop lies before its end, and the replay's column stop - 1
-    reads only the columns before it.
+    ``math.expm1``).  A row's terms past its own stop are formed and never
+    read: the replay's column stop - 1 reads only the columns before it.
     Where S(n) is 1.0 that row holds -inf, and the term is expm1's limit,
     exactly 1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0,
     so those cells are left as they are.  Every term lies in [0, 1] and none
@@ -661,8 +653,8 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights P(N > n), which is 1.0 below n = a >= 2, by 2n + 1: its first
     three terms are 1, 3 and at most 5, whose additions are exact or
     dominated, and from n = 3 on the sum before n, at least n^2 P(N > n),
-    dominates (2n + 1) P(N > n).  Past a row's own window its terms are
-    still those, out to the farthest window of the pass, and then zeros,
+    dominates (2n + 1) P(N > n).  Past a row's own stop its terms are
+    still those, out to the farthest stop of the pass, and then zeros,
     which add exactly.  The signed rows of a curve block need not meet either
     condition, but z is exact at every addition of each row whose cell the
     block keeps (the rest are redone in exact integers), which the tests
@@ -685,12 +677,12 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(a: int, counts: tuple[float, ...],
-             second_moment: bool) -> list[tuple[_Line, int, int]]:
+             second_moment: bool) -> list[tuple[_Line, int]]:
     """For each bank count q of one pass at bank size ``a``, as the finite
     floats ``counts``, the tail line of its mean and, with
-    ``second_moment``, of its variance, the least n that line certifies
-    and the end of the term window.  One flat list, q by q, each q's mean
-    then its variance.  This is the one solve of a tail line:
+    ``second_moment``, of its variance, and the least n that line
+    certifies, where the series stops.  One flat list, q by q, each q's
+    mean then its variance.  This is the one solve of a tail line:
     :func:`_tail_bound` reads the line, here in the walk and in
     :func:`_series` at each stop.
 
@@ -698,47 +690,32 @@ def _windows(a: int, counts: tuple[float, ...],
     2n + 2a - 1 for the variance: in logarithms the line c - r*n, plus
     log(2n + 2a - 1), one c and one r for both moments.  c is raised by
     1e-9, far above the rounding of the logarithms and of r*n for any n a
-    series reaches, so the line stays a bound.  P(N > n) <= q * S(n) <=
-    q * a * decay**n, times 2n+1 for the variance, is a line with the same
-    r and its own constant, raised alike; it starts above ``_EPS_TERM`` and
-    has one peak, so it stays below half of it past its crossing, and every
-    series stops by it.  The factor 2 covers the terms' rounding and a fixed
-    point one step short.  Each line meets its limit at a root past its
-    peak: excess / r for the mean, excess = c - log(10 * _EPS_TERM), and
-    reach / r for the union bound at _EPS_TERM / 2, each refined for the
-    variance's weight by three fixed-point steps.  The least n the bound
-    certifies is walked up to from the root, and the window ends at the
-    union bound's root.  The end is not first + 1: a few steps short of
-    _TAIL_STARTS[a], S(n) is a subnormal of a few ulps that rounds up by as
-    much as 2x, and the first small term can lie three steps past first.
+    series reaches, so the line stays a bound.  The line meets the limit at
+    a root, excess / r, excess = c - log(1e-11), refined for the variance's
+    weight by three fixed-point steps, and the least n the bound certifies
+    is walked up to from the root.
 
-    The logarithms of the two limits are module constants, and the three
-    that depend on a alone, r, log(2a**3/(a-1)) and log a, are formed once
-    per call.  Each q adds its log q left to right,
-    c = (log(2a**3/(a-1)) + log q) + 1e-9 and
-    reach = ((log a + log q) + 1e-9) - log(_EPS_TERM / 2), so a q's windows
-    are the same doubles whatever else its pass holds.
+    The logarithm of the limit is a module constant, and the two that
+    depend on a alone, r and log(2a**3/(a-1)), are formed once per call.
+    Each q adds its log q left to right, c = (log(2a**3/(a-1)) + log q) +
+    1e-9, so a q's windows are the same doubles whatever else its pass
+    holds.
     """
     r = -math.log((a - 1) / a)
     log_scale = math.log(2.0 * a ** 3 / (a - 1))
-    log_a = math.log(a)
     windows = []
     for count in counts:
-        log_q = math.log(count)
-        c = log_scale + log_q + 1e-9
+        c = log_scale + math.log(count) + 1e-9
         excess = c - _LOG_LIMIT
-        reach = log_a + log_q + 1e-9 - _LOG_HALF_EPS
         for offset in (None, 2 * a - 1)[:1 + second_moment]:
             line = c, r, offset
-            root, end = excess / r, reach / r
+            root = excess / r
             if offset is not None:
-                # for the weights, 2n + offset on the line and 2n + 1 on the
-                # union bound: each fixed-point step starts below its root and
-                # climbs towards it, so the solved root lies at or below the
-                # true one, up to rounding
+                # for the weight 2n + offset, each fixed-point step starts
+                # below the root and climbs towards it, so the solved root
+                # lies at or below the true one, up to rounding
                 for _ in range(3):
                     root = (excess + math.log(2.0 * root + offset)) / r
-                    end = (reach + math.log(2.0 * end + 1)) / r
             # The exact bound strictly decreases in n, by a factor of at most
             # (2a^2 - a - 1) / (2a^2 - a) a step with the variance's weight,
             # far above the rounding of the line, so the computed bound never
@@ -750,7 +727,7 @@ def _windows(a: int, counts: tuple[float, ...],
             first = max(math.ceil(root) - 1, 0)
             while _tail_bound(line, first) > _LIMIT:
                 first += 1
-            windows.append((line, first, max(first, math.ceil(end)) + 1))
+            windows.append((line, first))
     return windows
 
 
@@ -761,24 +738,17 @@ def _series(a: int, qs: tuple[int, ...],
 
     Term n of the mean is P(N > n); the variance is E N^2, the sum of
     (2n+1) * P(N > n), less the square of the unweighted sum at the
-    variance's stop.  Each sum stops at the first n whose term is below
-    ``_EPS_TERM`` and whose tail bound is at most ten times it; as the bound
-    never increases, that is the first small term at or after the least n
-    the bound certifies.  That n and the end of the term window are found
-    before any term is formed, for both moments of every q by one solve
-    (:func:`_windows`); the stop is found here, by a walk along the row from
-    that n, almost always no step at all.  Every series stops before its
-    window ends (the union bound's crossing); a row with no small term there
-    would be a fault of that line, not of the input, and the whole pass
-    raises ``RuntimeError`` rather than read past the window.  Each q's row
-    of terms is formed once, out to the farthest window of the pass, by one
-    :func:`_coverage_terms` call for every q, and the weighted rows
-    follow.  Every row is nonnegative and dominated by its
-    running sum, so one :func:`_fast2sum_running` call replays them all
-    strictly left to right, and column stop - 1 of its running sums and
-    corrections is, bit for bit, Neumaier's loop stopped there: each moment
-    reads its totals at its own stop, no row is padded past it, and each q
-    gets what a call for it alone gives.
+    variance's stop.  Each sum stops at the least n whose tail bound is at
+    most 1e-11, found before any term is formed, for both moments of every
+    q by one solve (:func:`_windows`), so the terms of a sum are those of
+    n in [0, stop).  Each q's row of terms is formed once, out to the
+    farthest stop of the pass, by one :func:`_coverage_terms` call for
+    every q, and the weighted rows follow.  Every row is nonnegative and
+    dominated by its running sum, so one :func:`_fast2sum_running` call
+    replays them all strictly left to right, and column stop - 1 of its
+    running sums and corrections is, bit for bit, Neumaier's loop stopped
+    there: each moment reads its totals at its own stop, no row is padded
+    past it, and each q gets what a call for it alone gives.
     """
     if a == 1:
         exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
@@ -786,23 +756,16 @@ def _series(a: int, qs: tuple[int, ...],
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = tuple(map(float, qs))
     windows = _windows(a, counts, second_moment)
-    width = max(end for _, _, end in windows)
+    width = max(stop for _, stop in windows)
     rows = np.zeros((len(windows), width))
     _coverage_terms(a, counts, width, rows[::k])
     if second_moment:
         np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
     sums, lows = _fast2sum_running(rows)
     estimates = []
-    for row, (line, stop, end) in enumerate(windows):
-        while stop < end and not rows.item(row, stop) < _EPS_TERM:
-            stop += 1
-        variance = row % k
-        if stop == end:
-            raise RuntimeError(f"{('mean', 'variance')[variance]} series for a={a}, "
-                               f"q={qs[row // k]} not certified: no small term before the end "
-                               "of its window")
+    for row, (line, stop) in enumerate(windows):
         value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
-        if variance:  # E N^2 less the square of the unweighted sum at this stop
+        if row % k:  # E N^2 less the square of the unweighted sum at this stop
             t = sums.item(row - 1, stop - 1) + lows.item(row - 1, stop - 1)
             value -= t * t
         estimates.append(SeriesEstimate(value, _tail_bound(line, stop), stop))
@@ -811,13 +774,13 @@ def _series(a: int, qs: tuple[int, ...],
 
 @functools.lru_cache(maxsize=1)
 def _moments(a: int, q: int) -> tuple[SeriesEstimate, SeriesEstimate]:
-    """(mean, variance) of one spec from one :func:`_series` pass, kept
-    for the other moment's call.
+    """(mean, variance) of one spec from one :func:`_series` pass, which
+    forms the terms out to the variance's stop, kept for the other
+    moment's call.
 
     A bool q and its int share the entry, as their estimates have the same
-    bits; a pass that raises keeps nothing.  The callers ask for the two
-    moments of one spec in turn; a larger memo would serve repeated specs
-    rather than the pass.
+    bits.  The callers ask for the two moments of one spec in turn; a
+    larger memo would serve repeated specs rather than the pass.
     """
     return _series(a, (q,), True)[0]
 
@@ -839,9 +802,10 @@ def _default_means(a: int, qs: tuple[int, ...]) -> list[float]:
 def expected_tests(spec: BankSpec) -> SeriesEstimate:
     """Mean number of tests until every bank is covered.
 
-    Sums P(coverage needs more than n tests) over n >= 0, up to the first
-    term below 1e-12 whose tail is certified to be at most 1e-11.  The
-    returned estimate carries that certified bound on the discarded tail.
+    Sums P(coverage needs more than n tests) over n >= 0, up to the least
+    n whose tail is certified to be at most 1e-11, found before any term
+    is formed.  The returned estimate carries that certified bound on the
+    discarded tail.
     It comes from one pass with :func:`variance_tests` of the same spec
     (see :func:`_moments`), so a lone mean costs a variance pass, about 40%
     more than the mean alone, and the variance asked next is a lookup.  A

@@ -145,19 +145,25 @@ class TestFloatLimit:
         # q - 1 rounds to the float maximum and answers as any q does: the
         # point reads with a bound far below 1 (a q past the float range once
         # read 1.0 for the cdf and 2.0 for the pmf), the multi-sum with its
-        # trusted-range refusal
+        # trusted-range refusal, the simulator with its draw budget's, which
+        # a = 1, with no stage to draw, passes
         spec = BankSpec(2, LIMIT_Q - 1)
         if consumer == "expected_tests_multisum":
             with pytest.raises(InvalidSpecError, match="multi-sum trusted only"):
                 expected_tests_multisum(spec)
+            return
+        if consumer == "SimulationConfig":
+            with pytest.raises(InvalidSpecError) as got:
+                SimulationConfig(spec, 1, 1)
+            assert str(got.value) == ("reps * q * (a - 1) stage waits exceed the "
+                                      "simulator's budget of 2**32 draws")
+            assert SimulationConfig(BankSpec(1, LIMIT_Q - 1), 1, 1).spec.q == LIMIT_Q - 1
             return
         got = SPEC_CONSUMERS[consumer](spec)
         if isinstance(got, ProbValue):
             assert 0.0 < got.p < 1.0 and got.abs_err < 1e-12, got
         elif isinstance(got, SeriesEstimate):
             assert 0.0 < got.value < 2000.0 and 0.0 < got.tail_bound <= 1e-11, got
-        elif consumer == "SimulationConfig":
-            assert got.spec == spec
         else:
             assert got == spec
 

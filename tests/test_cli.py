@@ -15,7 +15,6 @@ import pytest
 import bankcover
 import bankcover.asymptotics as asymptotics
 import bankcover.cli as cli
-import bankcover.coupon as coupon
 from bankcover.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -79,19 +78,6 @@ class TestExpect:
         code, out, err = run_cli(capsys, "expect", "--a", "50", "--q", "3")
         assert code == EXIT_OK and err == ""
         assert float(out.split()[0]) > 50 * 4.4
-
-    def test_window_fault_exits_5(self, capsys, monkeypatch):
-        # a term window that ends at its least certified n holds no stop: a
-        # fault of the window solve, not of the input, so an internal error
-        real = coupon._windows
-        monkeypatch.setattr(coupon, "_windows", lambda *args: [
-            (line, first, first) for line, first, _ in real(*args)])
-        coupon._moments.cache_clear()
-        code, out, err = run_cli(capsys, "expect", "--a", "10", "--q", "10")
-        assert code == EXIT_INTERNAL and out == ""
-        assert err == ("error: internal: RuntimeError: mean series for a=10, q=10 not "
-                       "certified: no small term before the end of its window\n")
-        assert coupon._moments.cache_info().currsize == 0
 
     def test_internal_error_exits_5(self, capsys, monkeypatch):
         def blow_up(spec):
@@ -194,6 +180,14 @@ class TestSimulate:
     def test_invalid_reps_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--a", "2", "--q", "1", "--reps", "0", "--seed", "1")
         assert code == EXIT_USAGE
+
+    def test_run_past_the_draw_budget_exits_2(self, capsys):
+        # 2**32 + 1 stage waits at a = 2: refused before any draw
+        code, out, err = run_cli(capsys, "simulate", "--a", "2", "--q", str(2 ** 32 + 1),
+                                 "--reps", "1", "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: reps * q * (a - 1) stage waits exceed the simulator's "
+                       "budget of 2**32 draws\n")
 
 
 class TestValidate:

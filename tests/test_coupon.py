@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import contextlib
 import copy
 import functools
 import importlib.util
@@ -48,10 +47,8 @@ from bankcover.asymptotics import centring, sandwich_bounds
 from bankcover.tables import FIG_HIGH_Q, FIG_LOW_Q, TABLE_A, TABLE_Q
 from bankcover.validate import SINGLE_PRINTED
 
-# Every series stops at the first term below EPS_TERM whose tail bound is at
-# most LIMIT.
-EPS_TERM = 1e-12
-LIMIT = 10 * EPS_TERM
+# Every series stops at the least n whose tail bound is at most LIMIT.
+LIMIT = 1e-11
 # The largest bank count BankSpec takes: past the float maximum, to which it
 # rounds; one more is refused
 TOP_Q = 2 ** 1024 - 2 ** 970 - 1
@@ -986,13 +983,13 @@ class TestWidestWindow:
     """No term count is capped.  The widest window of the domain is at
     a = 64 and q at the float maximum; the corner at a = 2 is narrower.
     Both moments certify in one pass, whose terms reach the variance's
-    window end."""
+    stop."""
 
     Q = int(sys.float_info.max)
 
     @pytest.mark.parametrize("a,terms,width", [
-        (64, (47252, 47981), 47982),
-        (2, (1065, 1076), 1078),
+        (64, (47252, 47981), 47981),
+        (2, (1065, 1076), 1076),
     ])
     def test_certifies_in_one_pass(self, monkeypatch, a, terms, width):
         calls = []
@@ -1007,16 +1004,14 @@ class TestWidestWindow:
         assert tuple(e.terms for e in moments) == terms
         for e in moments:
             assert 0.0 < e.tail_bound <= LIMIT, e
-        # each stop lies in its window, and the variance's window is the widest
+        # each moment stops at the least n its line certifies
         windows = coupon._windows(a, (float(self.Q),), True)
-        assert windows[1][2] == width
-        for (_, first, end), e in zip(windows, moments):
-            assert first <= e.terms < end, (first, e, end)
+        assert [first for _, first in windows] == [e.terms for e in moments]
 
     def test_no_bank_size_is_wider(self):
-        ends = [coupon._windows(a, (float(self.Q),), True)[1][2]
+        ends = [coupon._windows(a, (float(self.Q),), True)[1][1]
                 for a in range(2, MAX_ALTERNATIVES + 1)]
-        assert max(ends) == ends[-1] == 47982
+        assert max(ends) == ends[-1] == 47981
 
 
 # Reference copy of the per-test-count route that the block cache replaced:
@@ -1122,19 +1117,30 @@ def neumaier(values) -> float:
     return s + c
 
 
-def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
-    """2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance, from
-    its logarithm c - r*n (+ log(2n + 2a - 1)) with c raised by 1e-9: inf
-    above the float range, and at least the smallest normal float; the
-    tests' own copy of the library's tail line, rounded as it rounds."""
+def reference_line(a: int, q: float, second_moment: bool):
+    """n -> 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance,
+    from its logarithm c - r*n (+ log(2n + 2a - 1)) with c raised by 1e-9:
+    inf above the float range, and at least the smallest normal float; the
+    tests' own copy of the library's tail line, rounded as it rounds.  c and
+    r are formed once, for a caller that reads the line at every n."""
     c = math.log(2.0 * a ** 3 / (a - 1)) + math.log(q) + 1e-9
     r = -math.log((a - 1) / a)
-    log_tail = c - r * n
-    if second_moment:
-        log_tail += math.log(2 * n + 2 * a - 1)
-    if log_tail >= math.log(sys.float_info.max):
-        return math.inf
-    return max(math.exp(log_tail), sys.float_info.min)
+    log_max = math.log(sys.float_info.max)
+
+    def tail(n: int) -> float:
+        log_tail = c - r * n
+        if second_moment:
+            log_tail += math.log(2 * n + 2 * a - 1)
+        if log_tail >= log_max:
+            return math.inf
+        return max(math.exp(log_tail), sys.float_info.min)
+
+    return tail
+
+
+def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
+    """:func:`reference_line` read at test count ``n``."""
+    return reference_line(a, q, second_moment)(n)
 
 
 def library_line(a: int, q: float, second_moment: bool) -> tuple:
@@ -1175,19 +1181,26 @@ def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
 def reference_series(a: int, q: int, second_moment: bool,
                      survival=None) -> tuple[float, float, int]:
     """(value, tail_bound, terms) of the mean or variance series, summed one
-    term at a time until the first term below ``EPS_TERM`` whose tail bound
-    is at most ``LIMIT``, which it reaches for any q below the float maximum.
+    term at a time up to the least n whose tail bound is at most ``LIMIT``,
+    which it reaches for any q below the float maximum.
 
     ``survival(n)`` gives S(n) for n >= a; by default the per-y reference
-    route.  The tail bound is :func:`reference_tail`.
+    route.  The tail bound is :func:`reference_line`.
     """
     if a == 1:
         return (0.0 if second_moment else 1.0), 0.0, 1
     if survival is None:
         survival = lambda n: reference_curve_point(a, n)[0][0]  # noqa: E731
     bank_count = float(q)
+    line = reference_line(a, bank_count, second_moment)
     mean_terms, second_terms = [], []
     for n in itertools.count():
+        tail = line(n)
+        if tail <= LIMIT:
+            if second_moment:
+                mean = neumaier(mean_terms)
+                return neumaier(second_terms) - mean * mean, tail, n
+            return neumaier(mean_terms), tail, n
         s = 1.0 if n < a else survival(n)
         if s == 0.0:
             term = 0.0
@@ -1195,29 +1208,17 @@ def reference_series(a: int, q: int, second_moment: bool,
             term = 1.0
         else:
             term = -math.expm1(bank_count * math.log1p(-s))
-        weighted = (2 * n + 1) * term if second_moment else term
-        if weighted < EPS_TERM:
-            tail = reference_tail(a, bank_count, n, second_moment)
-            if tail <= LIMIT:
-                if second_moment:
-                    mean = neumaier(mean_terms)
-                    return neumaier(second_terms) - mean * mean, tail, n
-                return neumaier(mean_terms), tail, n
         mean_terms.append(term)
-        second_terms.append(weighted)
+        second_terms.append((2 * n + 1) * term)
 
 
 def bits(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def series_outcome(call) -> tuple:
-    """The bits of a series' value and tail bound with its term count, or
-    the message of the fault it raised."""
-    try:
-        value, tail, terms = call()
-    except RuntimeError as exc:
-        return ("raised", str(exc))
+def series_outcome(estimate: tuple) -> tuple:
+    """The bits of a series' value and tail bound with its term count."""
+    value, tail, terms = estimate
     return bits(value, tail), terms
 
 
@@ -1353,31 +1354,40 @@ class TestSeriesSweep:
 
     def test_every_bank_size(self):
         rng = random.Random(12)
-        past_first = 0
         for a in range(2, MAX_ALTERNATIVES + 1):
             spread = tuple(int(10 ** rng.uniform(0, 8)) for _ in range(3))
             for second, qs in ((False, (*FIG_HIGH_Q, 10 ** 6, *spread)), (True, (1, 10, 10 ** 4))):
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
-                    # the least n whose tail bound meets the limit; the bound never increases
+                    # every sum stops at the least n whose tail bound meets
+                    # the limit; the bound never increases
                     first = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
                         library_tail(a, q, n, second) <= LIMIT))
-                    past_first += est.terms > first
-        # some sums (at a = 2 and 3) stop past the first certified n, where
-        # the term is not yet small
-        assert past_first > 0
+                    assert est.terms == first, (a, q, second)
 
     def test_two_and_three_alternatives_with_repeated_q(self):
         for a in (2, 3):
             for second in (False, True):
                 self._assert_sweep(a, (1, 1, 10, 1), second)
 
+    def test_two_and_three_alternatives_within_their_tail_bound(self):
+        # a = 2 and 3 are the bank sizes where a term at the least certified
+        # n can still be above 1e-12 (the tail line lies only 8 and 9 times
+        # above the term's own bound there), so the sums that stop there
+        # must still meet the 60-digit reference within their bound
+        rng = random.Random(43)
+        qs = sorted({int(10 ** rng.uniform(0, 6)) for _ in range(20)})
+        for a in (2, 3):
+            for q in qs:
+                want = decimal_moments(a, q)
+                for est, exact in zip((expected_tests(BankSpec(a, q)),
+                                       variance_tests(BankSpec(a, q))), want):
+                    assert abs(est.value - exact) <= est.tail_bound, (a, q, est, exact)
+
     def test_stop_search_near_underflow(self):
         # q from 1e300 to the float maximum puts many stops within 12 steps
         # of _TAIL_STARTS[a], where decay**n underflows: there S(n) rounds up
-        # by as much as 2x, so the first small term can lie three steps past
-        # the first certified n (at the float maximum and a = 2, the
-        # variance's first certified n is 1076, a step past 1075).  Each call
-        # must stop where the one-term reference does
+        # by as much as 2x.  Each call must stop where the one-term
+        # reference does
         rng = random.Random(66)
         top = math.log10(sys.float_info.max)
         near = 0
@@ -1386,8 +1396,8 @@ class TestSeriesSweep:
                 fn = variance_tests if second else expected_tests
                 for _ in range(6):
                     q = int(10 ** rng.uniform(300, top))
-                    got = series_outcome(lambda: astuple(fn(BankSpec(a, q))))
-                    want = series_outcome(lambda: reference_series(
+                    got = series_outcome(astuple(fn(BankSpec(a, q))))
+                    want = series_outcome(reference_series(
                         a, q, second, survival=lambda n: single_bank_survival(a, n).p))
                     assert got == want, (a, q, second)
                     near += abs(got[1] - coupon._TAIL_STARTS[a]) <= 12
@@ -1417,96 +1427,10 @@ class TestSeriesSweep:
             fn = variance_tests if second else expected_tests
             for q, first in zip(map(int, counts), (f, f + 1)):
                 assert coupon._windows(a, (float(q),), True)[second][1] == first, (a, q, second)
-                got = series_outcome(lambda: astuple(fn(BankSpec(a, q))))
-                want = series_outcome(lambda: reference_series(
+                got = series_outcome(astuple(fn(BankSpec(a, q))))
+                want = series_outcome(reference_series(
                     a, q, second, survival=lambda n: single_bank_survival(a, n).p))
                 assert got == want, (a, q, second, f)
-
-    @pytest.mark.parametrize(
-        "second,qs,at_stop",
-        [
-            # the last q's mean (second False) or variance window is cut to
-            # end at the least n its bound certifies, or at its stop
-            (False, (10 ** 4, 1, 10), False),
-            (True, (1, 10 ** 4, 3), False),
-            (False, (3, 1, 10 ** 4), False),
-            (True, (3, 10 ** 4, 1), False),
-            (False, (1, 10), True),
-            (True, (1, 3), True),
-        ],
-    )
-    def test_failing_q_raises_its_single_message(self, monkeypatch, second, qs, at_stop):
-        # a window too short for its stop is a fault of the window solve: the
-        # pass raises it as RuntimeError for both moments of the failing q,
-        # keeps no value and caches nothing, and every other q answers as it
-        # does with no window cut
-        a, failing_q = 2, qs[-1]
-        fn = variance_tests if second else expected_tests
-        want = {q: [astuple(moment(BankSpec(a, q))) for moment in (expected_tests, variance_tests)]
-                for q in qs}
-        stop = fn(BankSpec(a, failing_q)).terms
-        first = coupon._windows(a, (float(failing_q),), True)[second][1]
-        message = (f"{('mean', 'variance')[second]} series for a={a}, q={failing_q} "
-                   "not certified: no small term before the end of its window")
-        calls = []
-        real = coupon._coverage_terms
-        monkeypatch.setattr(
-            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
-        )
-        with shortened_window(float(failing_q), second, stop if at_stop else first):
-            failing = []
-            for q in qs:
-                for j, moment in enumerate((expected_tests, variance_tests)):
-                    try:
-                        got = moment(BankSpec(a, q))
-                    except RuntimeError as exc:
-                        failing.append((q, str(exc)))
-                    else:
-                        assert astuple(got) == want[q][j], (q, j)
-            assert failing == [(failing_q, message)] * 2
-            # one mean kernel call over every q returns no value where the
-            # mean's window is cut; the mean pass solves no variance window
-            if second:
-                assert coupon._default_means(a, qs) == [want[q][0][0] for q in qs]
-            else:
-                with pytest.raises(RuntimeError) as got:
-                    coupon._default_means(a, qs)
-                assert str(got.value) == message
-            # the fault is not cached: each call forms the terms again
-            calls.clear()
-            for _ in range(2):
-                with pytest.raises(RuntimeError) as got:
-                    fn(BankSpec(a, failing_q))
-                assert str(got.value) == message
-            assert len(calls) == 2
-
-
-@contextlib.contextmanager
-def shortened_window(count: float, second: bool, end: int):
-    """Within the block, the window solve ends the mean's (``second`` False)
-    or the variance's window of the bank count ``count`` at ``end``, at or
-    past the least n its bound certifies but before its first small term: a
-    window too short for its stop, which only a fault of the reach line
-    would give.  The moment memo is emptied on entry and on exit."""
-    real = coupon._windows
-
-    def windows(a, counts, second_moment):
-        solved = real(a, counts, second_moment)
-        k = 1 + second_moment  # the pass's flat list holds k windows a count
-        for i, c in enumerate(counts):
-            if c == count and second < k:
-                line, first, _ = solved[k * i + second]
-                assert first <= end, (first, end)
-                solved[k * i + second] = line, first, end
-        return solved
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coupon, "_windows", windows)
-        coupon._moments.cache_clear()
-        try:
-            yield
-        finally:
-            coupon._moments.cache_clear()
 
 
 def both_moments(spec: BankSpec, variance_first: bool) -> list:
@@ -1516,7 +1440,7 @@ def both_moments(spec: BankSpec, variance_first: bool) -> list:
     calls = {False: expected_tests, True: variance_tests}
     got = {}
     for second in (variance_first, not variance_first):
-        got[second] = series_outcome(lambda: astuple(calls[second](spec)))
+        got[second] = series_outcome(astuple(calls[second](spec)))
     return [got[False], got[True]]
 
 
@@ -1528,53 +1452,29 @@ class TestMomentPair:
         for a in (2, 3, 10, 33, MAX_ALTERNATIVES):
             survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
             for q in (1, 7, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 100, 10 ** 306):
-                want = [series_outcome(lambda: reference_series(a, q, second, survival))
+                want = [series_outcome(reference_series(a, q, second, survival))
                         for second in (False, True)]
                 assert both_moments(BankSpec(a, q), variance_first) == want, (a, q)
 
     @pytest.mark.parametrize("variance_first", [False, True], ids=["mean first", "variance first"])
     @pytest.mark.parametrize("a,q", [(2, 1), (10, 10), (20, 100)])
     def test_mean_certifies_where_the_variance_does_not(self, a, q, variance_first):
-        # the variance's window cut to end at the least n its bound
-        # certifies, and at its stop: the stop walk's guard finds the fault,
-        # and the pass the two moments share raises it for both, in either
-        # order, and keeps neither.  The mean's own pass, which the tables
-        # read, solves no variance window and certifies as the reference does
+        # at the mean's stop the variance's bound is still above the limit:
+        # the shared pass runs on to the variance's stop and gives both
+        # moments as the reference does, in either order, and keeps them.
+        # The mean's own pass, which the tables read, forms no variance row
+        # and certifies as the reference does
         spec = BankSpec(a, q)
         mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
-        first = coupon._windows(a, (float(q),), True)[1][1]
-        assert mean_stop < first <= stop
+        assert mean_stop < stop
+        assert library_tail(a, q, mean_stop, False) <= LIMIT < library_tail(a, q, mean_stop, True)
         survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
-        mean = series_outcome(lambda: reference_series(a, q, False, survival))
-        fault = ("raised", f"variance series for a={a}, q={q} not certified: no small term "
-                 f"before the end of its window")
-        for end in (first, stop):
-            with shortened_window(float(q), True, end):
-                assert both_moments(spec, variance_first) == [fault, fault], end
-                assert coupon._moments.cache_info().currsize == 0, end
-                (alone,), = coupon._series(a, (q,), False)
-                assert series_outcome(lambda: astuple(alone)) == mean, end
-
-    def test_memoised_failure_is_a_new_instance_each_time(self, monkeypatch):
-        # no failure is memoised: a faulting pass runs again on every call
-        spec = BankSpec(10, 10)
-        calls = []
-        real = coupon._coverage_terms
-        monkeypatch.setattr(
-            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
-        )
-        # the variance's window cut to end at its stop: either moment raises
-        # the fault, a new instance from a new pass each time
-        errors = []
-        with shortened_window(10.0, True, variance_tests(spec).terms):
-            calls.clear()
-            for fn in (expected_tests, variance_tests) * 2:
-                with pytest.raises(RuntimeError, match="variance series") as got:
-                    fn(spec)
-                errors.append(got.value)
-            assert len(calls) == 4
-            assert coupon._moments.cache_info().currsize == 0
-        assert len({id(e) for e in errors}) == 4 and type(errors[1]) is RuntimeError
+        want = [series_outcome(reference_series(a, q, second, survival))
+                for second in (False, True)]
+        assert both_moments(spec, variance_first) == want
+        assert coupon._moments.cache_info().currsize == 1
+        (alone,), = coupon._series(a, (q,), False)
+        assert series_outcome(astuple(alone)) == want[0]
 
     def test_memo_holds_one_spec(self, monkeypatch):
         assert coupon._moments.cache_info().maxsize == 1

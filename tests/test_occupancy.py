@@ -1,4 +1,5 @@
-"""Series moments and the pmf at large q against an independent occupancy-count sampler.
+"""Series moments, the pmf and the Gumbel asymptotics at large q against an
+independent occupancy-count sampler.
 
 The stage-sum sampler in ``simulate.py`` draws q·(a−1) waits a replication,
 too many at q = 10⁶ for a test's time.  This one tracks c_j, the number of
@@ -6,10 +7,14 @@ banks that have seen exactly j of their a alternatives.  At each test a bank
 at j sees a new alternative with probability (a − j)/a, so Binomial(c_j,
 (a − j)/a) of the banks at j move up one: O(a) draws a test whatever q is.
 It never reads S(n) and shares no code with the library.
+
+The asymptotic checks (Erdős and Rényi, Publ. Math. Inst. Hung. Acad. Sci.
+6, 1961) read the samples the moment test draws, each drawn once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +22,13 @@ import pytest
 from scipy import stats
 
 from bankcover import BankSpec, expected_tests, test_count_cdf, test_count_pmf, variance_tests
+from bankcover.asymptotics import (
+    centring,
+    gumbel_cdf,
+    local_pmf_approx,
+    sandwich_bounds,
+    variance_bounds,
+)
 
 
 def coverage_times(a: int, q: int, reps: int, seed: int) -> np.ndarray:
@@ -51,6 +63,18 @@ def coverage_times(a: int, q: int, reps: int, seed: int) -> np.ndarray:
         n += 1
 
 
+# (a, q, reps) of the seed-1 samples the moment and asymptotic checks share
+SAMPLES = [(10, 10 ** 4, 2000), (10, 10 ** 6, 2000), (64, 10 ** 6, 1000)]
+
+
+@functools.cache
+def seed_one_times(a: int, q: int, reps: int) -> np.ndarray:
+    """``coverage_times(a, q, reps, seed=1)``, drawn once and read-only."""
+    times = coverage_times(a, q, reps, seed=1)
+    times.flags.writeable = False
+    return times
+
+
 def sample_moments(times: np.ndarray) -> tuple[float, float, float, float]:
     """(mean, its standard error, sample variance, its standard error); the
     variance's error comes from the sample's fourth central moment."""
@@ -64,27 +88,19 @@ def sample_moments(times: np.ndarray) -> tuple[float, float, float, float]:
             math.sqrt((m4 - var ** 2 * (reps - 3) / (reps - 1)) / reps))
 
 
-@pytest.mark.parametrize("a,q,reps", [(10, 10 ** 4, 2000), (10, 10 ** 6, 2000), (64, 10 ** 6, 1000)])
-def test_series_moments_within_four_standard_errors(a, q, reps):
-    mean, mean_se, var, var_se = sample_moments(coverage_times(a, q, reps, seed=1))
-    spec = BankSpec(a, q)
-    assert abs(mean - expected_tests(spec).value) <= 4 * mean_se
-    assert abs(var - variance_tests(spec).value) <= 4 * var_se
-
-
-def test_histogram_matches_the_pmf():
-    # chi-square over one bin per test count whose expected count is at
-    # least 5, with the counts below and above them pooled into two tail
-    # bins; a tail bin expected below 5 is merged into its neighbour
-    a, q, reps = 10, 10 ** 4, 10_000
-    times = coverage_times(a, q, reps, seed=1)
-    spec = BankSpec(a, q)
-    kept = [n for n in range(a, int(times.max()) + 1) if reps * test_count_pmf(spec, n).p >= 5]
+def chi_square_sf(times: np.ndarray, lowest: int, pmf, cdf) -> float:
+    """The chi-square p-value of ``times`` against a law on the integers
+    from ``lowest`` on, given by its ``pmf`` and ``cdf``: one bin per test
+    count whose expected count is at least 5, with the counts below and
+    above them pooled into two tail bins; a tail bin expected below 5 is
+    merged into its neighbour."""
+    reps = times.size
+    kept = [n for n in range(lowest, int(times.max()) + 1) if reps * pmf(n) >= 5]
     lo, hi = kept[0], kept[-1]
     assert kept == list(range(lo, hi + 1))  # the pmf is unimodal
-    cells = [[reps * test_count_cdf(spec, lo - 1).p, np.count_nonzero(times < lo)]]
-    cells += [[reps * test_count_pmf(spec, n).p, np.count_nonzero(times == n)] for n in kept]
-    cells.append([reps * (1.0 - test_count_cdf(spec, hi).p), np.count_nonzero(times > hi)])
+    cells = [[reps * cdf(lo - 1), np.count_nonzero(times < lo)]]
+    cells += [[reps * pmf(n), np.count_nonzero(times == n)] for n in kept]
+    cells.append([reps * (1.0 - cdf(hi)), np.count_nonzero(times > hi)])
     if cells[0][0] < 5:
         cells[:2] = [np.add(*cells[:2])]
     if cells[-1][0] < 5:
@@ -92,4 +108,53 @@ def test_histogram_matches_the_pmf():
     expected, observed = np.array(cells, dtype=float).T
     assert observed.sum() == reps
     statistic = ((observed - expected) ** 2 / expected).sum()
-    assert stats.chi2.sf(statistic, len(cells) - 1) >= 1e-4
+    return stats.chi2.sf(statistic, len(cells) - 1)
+
+
+@pytest.mark.parametrize("a,q,reps", SAMPLES)
+def test_series_moments_within_four_standard_errors(a, q, reps):
+    mean, mean_se, var, var_se = sample_moments(seed_one_times(a, q, reps))
+    spec = BankSpec(a, q)
+    assert abs(mean - expected_tests(spec).value) <= 4 * mean_se
+    assert abs(var - variance_tests(spec).value) <= 4 * var_se
+
+
+def test_histogram_matches_the_pmf():
+    a, q, reps = 10, 10 ** 4, 10_000
+    spec = BankSpec(a, q)
+    assert chi_square_sf(coverage_times(a, q, reps, seed=1), a,
+                         lambda n: test_count_pmf(spec, n).p,
+                         lambda n: test_count_cdf(spec, n).p) >= 1e-4
+
+
+@pytest.mark.parametrize("a,q,reps", SAMPLES)
+def test_sample_variance_within_the_large_q_band(a, q, reps):
+    # the band widened by validate's 0.5 and four standard errors
+    _, _, var, var_se = sample_moments(seed_one_times(a, q, reps))
+    band = variance_bounds(a)
+    slack = 0.5 + 4 * var_se
+    assert band.var_lo - slack <= var <= band.var_hi + slack, (var, var_se, band)
+
+
+@pytest.mark.parametrize("a,q,reps", SAMPLES)
+def test_empirical_cdf_within_the_gumbel_envelope(a, q, reps):
+    # P(T <= floor(centre + x)) at validate's lags, against the envelope
+    # widened by validate's 0.02 and four binomial standard errors, taken at
+    # the envelope's nearest point
+    times = np.sort(seed_one_times(a, q, reps))
+    centre = centring(a, q).centre
+    for x in np.arange(-3.0, 10.0 + 1e-9, 0.25).tolist():
+        p = np.searchsorted(times, math.floor(centre + x), side="right") / reps
+        lower, upper = sandwich_bounds(a, x)
+        nearest = min(max(p, lower), upper)
+        slack = 0.02 + 4 * math.sqrt(nearest * (1.0 - nearest) / reps)
+        assert lower - slack <= p <= upper + slack, (x, p, lower, upper)
+
+
+def test_histogram_matches_the_local_gumbel_pmf():
+    # the local increments telescope to the Gumbel cdf at rate * (n - centre)
+    a, q, reps = SAMPLES[1]
+    c = centring(a, q)
+    assert chi_square_sf(seed_one_times(a, q, reps), a,
+                         lambda n: local_pmf_approx(a, q, n - c.centre_ceil),
+                         lambda n: gumbel_cdf(c.decay_rate * (n - c.centre))) >= 1e-4

@@ -119,6 +119,9 @@ def draws_of(result: SimulationResult) -> np.ndarray:
     return np.repeat(list(result.histogram.keys()), list(result.histogram.values()))
 
 
+DRAW_BUDGET_MESSAGE = "reps * q * (a - 1) stage waits exceed the simulator's budget of 2**32 draws"
+
+
 class TestSimulationConfig:
     def test_valid(self):
         config = SimulationConfig(BankSpec(10, 10), 100, 42, workers=2)
@@ -128,6 +131,27 @@ class TestSimulationConfig:
     def test_rejects_bad_values(self, reps, seed, workers):
         with pytest.raises(InvalidSpecError):
             SimulationConfig(BankSpec(2, 2), reps, seed, workers)
+
+    # reps * q * (a - 1) stage waits: exactly 2**32, and at a = 1 none at all.
+    # Each config is constructed, never run
+    @pytest.mark.parametrize("a,q,reps", [(2, 1, 2 ** 32), (2, 2 ** 32, 1), (5, 2 ** 15, 2 ** 15),
+                                          (1, 10 ** 300, 2 ** 40)])
+    def test_accepts_a_run_at_the_draw_budget(self, a, q, reps):
+        assert SimulationConfig(BankSpec(a, q), reps, 1).reps == reps
+
+    @pytest.mark.parametrize("a,q,reps", [(2, 1, 2 ** 32 + 1), (2, 2 ** 32 + 1, 1),
+                                          (64, 10 ** 300, 1)])
+    def test_refuses_a_run_past_the_draw_budget(self, a, q, reps):
+        with pytest.raises(InvalidSpecError) as got:
+            SimulationConfig(BankSpec(a, q), reps, 1)
+        assert str(got.value) == DRAW_BUDGET_MESSAGE
+
+    def test_earlier_checks_keep_their_messages_past_the_budget(self):
+        spec = BankSpec(2, 2 ** 40)
+        for args, message in [((0, 1), "reps must be"), ((1, -1), "seed must be"),
+                              ((1, 1, 0), "workers must be")]:
+            with pytest.raises(InvalidSpecError, match=message):
+                SimulationConfig(spec, *args)
 
     @pytest.mark.parametrize("spec", ["x", (10, 10), None], ids=["str", "tuple", "None"])
     def test_rejects_a_spec_that_is_not_a_bank_spec(self, spec):
