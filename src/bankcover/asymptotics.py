@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .coupon import MAX_ALTERNATIVES, InvalidSpecError, _shown
+from .coupon import _COUNT_LIMIT, MAX_ALTERNATIVES, InvalidSpecError, _shown
 
 __all__ = [
     "EULER_GAMMA",
@@ -132,14 +132,25 @@ def local_pmf_approx(a: int, q: int, n: int) -> float:
     """Gumbel increment approximating P(coverage maximum = centre_ceil + n).
 
     The increment telescopes over ``n``, so it is a genuine probability mass
-    function on the integers.
+    function on the integers.  A request asks for 16 of them, so one guard
+    passes every int triple that :func:`_rate_and_centre` accepts and whose
+    lag a float holds; only for any other triple do its checks and
+    :func:`_saturating_float` run, with their messages.  Either way the rate,
+    the centre and both :func:`gumbel_cdf` values are formed inline, with
+    their float operations in the same order.
     """
-    rate, centre = _rate_and_centre(a, q)
+    fast = (type(a) is type(q) is type(n) is int and 1 < a <= _MAX_ASYMPTOTIC_A and q > 0
+            and -_COUNT_LIMIT < n < _COUNT_LIMIT)
+    if not fast:
+        _rate_and_centre(a, q)  # raises for a pair it refuses
+    rate = -math.log1p(-1.0 / a)
+    centre = math.log(a * q) / rate
     frac = centre - math.floor(centre)
-    n = _saturating_float(n)
-    hi = gumbel_cdf(rate * (n + 1 - frac))
-    lo = gumbel_cdf(rate * (n - frac))
-    return hi - lo
+    x = float(n) if fast else _saturating_float(n)
+    hi, lo = rate * (x + 1 - frac), rate * (x - frac)
+    # gumbel_cdf's values, its cut at -40 included
+    return ((0.0 if hi < -40.0 else math.exp(-math.exp(-hi)))
+            - (0.0 if lo < -40.0 else math.exp(-math.exp(-lo))))
 
 
 @dataclass(frozen=True)
@@ -196,9 +207,22 @@ class VarianceBoundSummary:
     sd_hi: float
 
 
-@functools.lru_cache(maxsize=MAX_ALTERNATIVES)  # depends on a alone: once per bank size
 def variance_bounds(a: int) -> VarianceBoundSummary:
-    """Band guaranteed to contain the large-q variance of the coverage maximum."""
+    """Band guaranteed to contain the large-q variance of the coverage maximum.
+
+    It depends on a alone, so a warm call is one lookup in a memo of the
+    last ``MAX_ALTERNATIVES`` bank sizes (:func:`_variance_bounds`).  An
+    ``a`` that is not an int, such as a list the memo could not hash, goes
+    to :func:`decay_rate` first, which raises ``InvalidSpecError`` for it.
+    """
+    if type(a) is not int:
+        decay_rate(a)
+    return _variance_bounds(a)
+
+
+@functools.lru_cache(maxsize=MAX_ALTERNATIVES)
+def _variance_bounds(a: int) -> VarianceBoundSummary:
+    """:func:`variance_bounds`, formed once per bank size."""
     rate = decay_rate(a)
     center = GUMBEL_VARIANCE / (rate * rate)
     moment = band_second_moment(a)

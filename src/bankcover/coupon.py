@@ -21,16 +21,20 @@ one lone point.  Past the first y where every term of the closed form
 underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
 that y is kept per a in a table built at import.  So a point read is one
 guard on its arguments, one lookup (the table, then a cached row of ready
-values) and one index.  Each row holds the S or the F of one block as 256
-shared frozen :class:`ProbValue` instances, filled slot by slot from cells
-whose range checks ran once for the whole block when it was filled (about
-26.8 KB and 80 us a row, on top of the block's fill; at most 256 rows, under
-7 MiB); the tail and a = 1 read constants.  A caller that wants the
-probabilities alone, as the oracle and envelope-witness checks do, copies
-the F cells of the blocks (:func:`_cdf_cells`) and builds no value.  The
-q-bank cdf and pmf depend on q, so they share one float kernel that reads
-one cdf cell from the block and build one value a call; a pmf reads its
-two cells, n and n - 1, with two calls.
+values) and one index; a survival read first tries the row the last
+survival read used, which holds y for 255 of the 256 reads of a sweep over
+consecutive y, and then needs no lookup.  Each row holds the S or the F of
+one block as 256 shared frozen :class:`ProbValue` instances, filled slot
+by slot from cells whose range checks ran once for the whole block when
+it was filled (about 26.8 KB and 80 us a row, on top of the block's fill;
+at most 256 rows, under 7 MiB, and one more in the memo); the tail and
+a = 1 read constants.  A caller that wants the probabilities alone, as
+the oracle and envelope-witness checks do, copies the F cells of the
+blocks (:func:`_cdf_cells`) and builds no value.  The q-bank cdf and pmf
+depend on q, so they share one float kernel that reads one cdf cell from
+the block and build one value a call.  A pmf needs the cells at n and n - 1;
+it keeps the cell it formed at n, so the next pmf of the same (a, q) at
+n + 1 forms one cell, and a window of 16 consecutive n forms 17.
 
 The mean and variance series sum P(N > n) = -expm1(q * log1p(-S(n))),
 weighted by 2n+1 for the second moment, and each stops at the least n
@@ -53,13 +57,15 @@ definition of the bound, read by the walk and at each stop.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
 products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
-platform libm's, through numpy's scalar loop: :func:`_libm`), and each q
-reads its sums at its own stops, with its own tail bounds, the line read
-at each stop.  Where S is exactly 1.0 the stored logarithm is -inf and
-the term expm1's limit, 1.0; the constant tail's terms are 0.0 and take
-none.  Each moment reads its sum from the replay at its own stop, since
-the replay adds strictly left to right, so the mean comes from the pass
-that forms the variance's unweighted row.
+platform libm's, through numpy's scalar loop: :func:`_libm`), whose
+output, the negated terms, is replayed times the weights (1, and 2n + 1
+for the variance) and never negated, the sign flipped where a sum is
+read, and each q reads its sums at its own stops, with the tail bounds
+its window walk formed there.  Where S is exactly 1.0 the stored
+logarithm is -inf and the term expm1's limit, 1.0; the constant tail's
+terms are 0.0 and are not formed.  Each moment reads its sum from the
+replay at its own stop, since the replay adds strictly left to right, so
+the mean comes from the pass that forms the variance's unweighted row.
 :func:`expected_tests` and :func:`variance_tests` ask it for both moments
 of one spec, kept in a one-entry memo, so the second of the two calls for
 one spec is a lookup and a lone mean costs a variance pass; the
@@ -433,17 +439,34 @@ def _point_row(a: int, j: int, row: int) -> tuple[ProbValue, ...]:
     return tuple(map(_value, *cells.reshape(2, _BLOCK).tolist()))
 
 
+# The row the last survival read indexed, as (a, lo, hi, row): row[y - lo] is
+# the value at y for lo <= y < hi, where lo starts the row's block and hi is
+# its end or the tail start, whichever is first.  A request's sweep reads
+# consecutive y, so 255 of its 256 reads in a block hit it and skip
+# _point_row's lookup.  One tuple, rebound whole, so a thread never pairs one
+# (a, y) with another's row; it holds one row beyond _point_row's at most.
+_NO_ROW = (0, 0, 0, ())
+_last_s = _NO_ROW
+
+
 def single_bank_survival(a: int, y: int) -> ProbValue:
     """P(some alternative of one bank is still unseen after ``y`` tests)."""
+    global _last_s
     # one guard passes every valid pair; the full checks run only for a pair
     # it stops, and raise what they always did, in the same order (a bool
     # passes them, as an int does)
     if type(a) is not int or type(y) is not int or not 0 < a <= MAX_ALTERNATIVES or y < 0:
         _check_bank_size(a)
         _check_test_count(y)
-    # one lookup: y's row of ready values, then its index there
+    last_a, lo, hi, row = _last_s
+    if a == last_a and lo <= y < hi:
+        return row[y - lo]
+    # one lookup: y's row of ready values, kept as the memo, then its index
     if y < _TAIL_STARTS[a]:
-        return _point_row(a, y // _BLOCK, 0)[y % _BLOCK]
+        lo = y - y % _BLOCK
+        row = _point_row(a, lo // _BLOCK, 0)
+        _last_s = a, lo, min(lo + _BLOCK, _TAIL_STARTS[a]), row
+        return row[y - lo]
     return _ONE_BANK_S[min(y, 1)] if a == 1 else _TAIL_S
 
 
@@ -569,17 +592,31 @@ def test_count_cdf(spec: BankSpec, n: int) -> ProbValue:
     return _value(p, err)
 
 
+# The upper cell the last pmf formed, as (a, q, n, (p, err)) with q as the
+# float the cells use: a window of consecutive n reads it as its next lower
+# cell, so 16 pmfs form 17 cells.  One tuple, rebound whole, as for the rows.
+_last_cell = (0, 0.0, 0, (0.0, 0.0))
+
+
 def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
     """P(full coverage happens exactly at test ``n``): the cdf difference at
-    n and n - 1, with the sum of their error bounds.  A ``spec`` that is not
-    a :class:`BankSpec` raises ``InvalidSpecError``."""
+    n and n - 1, with the sum of their error bounds.  The cell at n - 1 is
+    the one the last call formed at n when that call had the same (a, q),
+    and is formed here otherwise.  A ``spec`` that is not a
+    :class:`BankSpec` raises ``InvalidSpecError``."""
+    global _last_cell
     if type(spec) is not BankSpec:
         _check_spec(spec)
     if type(n) is not int or n < 1:
         _check_test_count(n, minimum=1)
     a, q = spec.a, float(spec.q)
-    hi, hi_err = _count_cell(a, q, n)
-    lo, lo_err = _count_cell(a, q, n - 1)
+    last_a, last_q, last_n, cell = _last_cell
+    if last_n != n - 1 or last_a != a or last_q != q:
+        cell = _count_cell(a, q, n - 1)
+    lo, lo_err = cell
+    cell = _count_cell(a, q, n)
+    _last_cell = a, q, n, cell
+    hi, hi_err = cell
     diff = hi - lo
     if diff < 0.0:
         if diff < -_PMF_CLAMP:
@@ -608,20 +645,20 @@ def _tail_bound(line: _Line, n: int) -> float:
     return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
 
-def _coverage_terms(a: int, counts: tuple[float, ...], width: int, rows: np.ndarray) -> None:
-    """Row i of ``rows``, zero on entry, gets P(N > n) = 1 - (1 - S(n))**q
-    as -expm1(q * log1p(-S(n))) for q = counts[i], over n in [0, width).
+def _coverage_terms(a: int, counts: tuple[float, ...], width: int) -> np.ndarray:
+    """Row i gets expm1(q * log1p(-S(n))) = -P(N > n), the negated term, for
+    q = counts[i], over n in [0, min(width, _TAIL_STARTS[a])).
 
     log1p(-S(n)) does not depend on q, so it is formed once per block, when
     the block is filled, and read here from the blocks' last rows.  The
     products of every q lie end to end in one flat array, and one ``expm1``
     call forms every term (:func:`_libm`: the platform libm's, the bits of
-    ``math.expm1``).  A row's terms past its own stop are formed and never
-    read: the replay's column stop - 1 reads only the columns before it.
-    Where S(n) is 1.0 that row holds -inf, and the term is expm1's limit,
-    exactly 1.0.  From ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0,
-    so those cells are left as they are.  Every term lies in [0, 1] and none
-    is -0.0.
+    ``math.expm1``); the rows are a view of its output, negated nowhere.  A
+    row's terms past its own stop are formed and never read: the replay's
+    column stop - 1 reads only the columns before it.  Where S(n) is 1.0
+    that row holds -inf, and the term is expm1's limit, exactly -1.0.  From
+    ``_TAIL_STARTS[a]`` on, S(n) is 0.0 and the term 0.0, which would add
+    exactly, so those columns are not formed.  Every entry lies in [-1, 0].
     """
     cut = min(width, _TAIL_STARTS[a])
     # the log row is the last _BLOCK doubles of each block's array, the
@@ -630,10 +667,10 @@ def _coverage_terms(a: int, counts: tuple[float, ...], width: int, rows: np.ndar
     # this one-view shortcut and _UNGUARDED stay: deleting both cost +4% exact_p50_ms (10 of 10)
     logs = views[0] if len(views) == 1 else np.concatenate(views)
     # a product overflows only for q past _OVERFLOW_COUNT, to -inf as a float
-    # product does, and the term is then 1.0
+    # product does, and the term is then -1.0
     with np.errstate(over="ignore") if max(counts) > _OVERFLOW_COUNT else _UNGUARDED:
         products = np.multiply.outer(counts, logs[:cut]).ravel()
-    np.negative(_libm(np.expm1, products).reshape(len(counts), cut), out=rows[:, :cut])
+    return _libm(np.expm1, products).reshape(len(counts), cut)
 
 
 def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -647,18 +684,22 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (and Knuth's TwoSum's, in five operations a step in place of two).  z is
     exact wherever the exponent of s_prev is at least that of x (Dekker,
     Numer. Math. 18, 1971), and wherever the addition is exact, for then
-    z = x.  The series rows meet the first: every term of a mean row lies in
-    [0, 1] and the first, at n = 0, is 1.0, so the running sum is at least 1
-    from column 1 on, and column 0 adds to 0.0, exactly.  A variance row
-    weights P(N > n), which is 1.0 below n = a >= 2, by 2n + 1: its first
-    three terms are 1, 3 and at most 5, whose additions are exact or
-    dominated, and from n = 3 on the sum before n, at least n^2 P(N > n),
-    dominates (2n + 1) P(N > n).  Past a row's own stop its terms are
-    still those, out to the farthest stop of the pass, and then zeros,
-    which add exactly.  The signed rows of a curve block need not meet either
-    condition, but z is exact at every addition of each row whose cell the
-    block keeps (the rest are redone in exact integers), which the tests
-    check block by block for a = 2..64.
+    z = x.  The series rows meet the first.  They hold the negated terms
+    -P(N > n) as :func:`_coverage_terms` forms them, and negation commutes
+    with every rounding here, so the replay of a negated row is, bit for
+    bit, the negation of the replay of the terms; :func:`_series` flips the
+    sign where it reads a sum.  Every term of a mean row lies in [0, 1] and
+    the first, at n = 0, is 1.0, so the running sum is at least 1 in
+    magnitude from column 1 on, and column 0 adds to 0.0, exactly.  A
+    variance row weights P(N > n), which is 1.0 below n = a >= 2, by
+    2n + 1: its first three terms are 1, 3 and at most 5, whose additions
+    are exact or dominated, and from n = 3 on the sum before n, at least
+    n^2 P(N > n), dominates (2n + 1) P(N > n).  Past a row's own stop its
+    terms are still those, out to the farthest stop of the pass.  The signed
+    rows of a curve block need not meet either condition, but z is exact at
+    every addition of each row whose cell the block keeps (the rest are
+    redone in exact integers), which the tests check block by block for
+    a = 2..64.
 
     ``np.add.accumulate`` (what ``cumsum`` calls, at half its fixed cost)
     adds strictly left to right, so it replays the running sum and then
@@ -677,14 +718,15 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(a: int, counts: tuple[float, ...],
-             second_moment: bool) -> list[tuple[_Line, int]]:
+             second_moment: bool) -> list[tuple[_Line, int, float]]:
     """For each bank count q of one pass at bank size ``a``, as the finite
     floats ``counts``, the tail line of its mean and, with
-    ``second_moment``, of its variance, and the least n that line
-    certifies, where the series stops.  One flat list, q by q, each q's
-    mean then its variance.  This is the one solve of a tail line:
-    :func:`_tail_bound` reads the line, here in the walk and in
-    :func:`_series` at each stop.
+    ``second_moment``, of its variance, the least n that line certifies,
+    where the series stops, and the bound there, which the walk formed last.
+    One flat list of (line, stop, bound), q by q, each q's mean then its
+    variance.  This is the one solve of a tail line: :func:`_tail_bound`
+    reads the line, here in the walk, whose last bound :func:`_series`
+    reports.
 
     The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
     2n + 2a - 1 for the variance: in logarithms the line c - r*n, plus
@@ -725,10 +767,17 @@ def _windows(a: int, counts: tuple[float, ...],
             # integer, and then by one step.  So the walk starts one step
             # short of ceil(root).
             first = max(math.ceil(root) - 1, 0)
-            while _tail_bound(line, first) > _LIMIT:
+            while (bound := _tail_bound(line, first)) > _LIMIT:
                 first += 1
-            windows.append((line, first))
+            windows.append((line, first, bound))
     return windows
+
+
+# Row 0 ones and row 1 the variance's weights 2n + 1, for every n below the
+# widest tail start, as a pass forms no column past its own (0.72 MiB): a pass
+# multiplies its term rows by them
+_WEIGHTS = np.ones((2, max(_TAIL_STARTS)))
+_WEIGHTS[1] = np.arange(1.0, 2.0 * _WEIGHTS.shape[1], 2.0)
 
 
 def _series(a: int, qs: tuple[int, ...],
@@ -740,15 +789,20 @@ def _series(a: int, qs: tuple[int, ...],
     (2n+1) * P(N > n), less the square of the unweighted sum at the
     variance's stop.  Each sum stops at the least n whose tail bound is at
     most 1e-11, found before any term is formed, for both moments of every
-    q by one solve (:func:`_windows`), so the terms of a sum are those of
-    n in [0, stop).  Each q's row of terms is formed once, out to the
-    farthest stop of the pass, by one :func:`_coverage_terms` call for
-    every q, and the weighted rows follow.  Every row is nonnegative and
+    q by one solve (:func:`_windows`), which also gives the bound there, so
+    the terms of a sum are those of n in [0, stop).  Each q's row of
+    negated terms is formed once, out to the farthest stop of the pass or
+    the tail start, whichever is first, by one :func:`_coverage_terms` call
+    for every q.  One multiply by :data:`_WEIGHTS` lays each q's row, and
+    its weighted row with ``second_moment``, into one fresh C-contiguous
+    array: no buffer is zero-filled and no row negated.  Every row is
     dominated by its running sum, so one :func:`_fast2sum_running` call
     replays them all strictly left to right, and column stop - 1 of its
-    running sums and corrections is, bit for bit, Neumaier's loop stopped
-    there: each moment reads its totals at its own stop, no row is padded
-    past it, and each q gets what a call for it alone gives.
+    running sums and corrections is, bit for bit, the negation of
+    Neumaier's loop stopped there; a stop past the tail start reads the
+    last column, as the zero terms past it add exactly.  Each moment reads
+    its totals at its own stop, no row is padded past it, and each q gets
+    what a call for it alone gives.
     """
     if a == 1:
         exact = SeriesEstimate(1.0, 0.0, 1), SeriesEstimate(0.0, 0.0, 1)
@@ -756,19 +810,20 @@ def _series(a: int, qs: tuple[int, ...],
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = tuple(map(float, qs))
     windows = _windows(a, counts, second_moment)
-    width = max(stop for _, stop in windows)
-    rows = np.zeros((len(windows), width))
-    _coverage_terms(a, counts, width, rows[::k])
-    if second_moment:
-        np.multiply(rows[::2], np.arange(1.0, 2 * width, 2.0), out=rows[1::2])
+    rows = _coverage_terms(a, counts, max(stop for _, stop, _ in windows))
+    cut = rows.shape[1]
+    # rebinding frees the term rows before the replay allocates its own; kept
+    # alive through it, they cost fig_low's build about 10% loop-cold
+    rows = (rows.reshape(len(counts), 1, cut) * _WEIGHTS[:k, :cut]).reshape(-1, cut)
     sums, lows = _fast2sum_running(rows)
     estimates = []
-    for row, (line, stop) in enumerate(windows):
-        value = sums.item(row, stop - 1) + lows.item(row, stop - 1)
+    for row, (_, stop, bound) in enumerate(windows):
+        column = min(stop, cut) - 1
+        value = -(sums.item(row, column) + lows.item(row, column))
         if row % k:  # E N^2 less the square of the unweighted sum at this stop
-            t = sums.item(row - 1, stop - 1) + lows.item(row - 1, stop - 1)
+            t = sums.item(row - 1, column) + lows.item(row - 1, column)
             value -= t * t
-        estimates.append(SeriesEstimate(value, _tail_bound(line, stop), stop))
+        estimates.append(SeriesEstimate(value, bound, stop))
     return [tuple(estimates[i:i + k]) for i in range(0, len(estimates), k)]
 
 

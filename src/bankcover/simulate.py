@@ -284,8 +284,11 @@ def run_experiment(config: SimulationConfig) -> SimulationResult:
     thread, which saves a pool's start-up and hand-offs.  The
     histogram is a sum over blocks, so it and every statistic derived from
     it are independent of ``workers``: block b is a pure function of
-    (a, q, reps, seed, b).
+    (a, q, reps, seed, b).  A ``config`` that is not a
+    :class:`SimulationConfig` raises ``InvalidSpecError``.
     """
+    if not isinstance(config, SimulationConfig):
+        raise InvalidSpecError(f"config must be a SimulationConfig, got {_shown(config)}")
     spec, reps, seed = config.spec, config.reps, config.seed
     blocks = -(-reps // _block_size(spec.q))
     threads = min(config.workers, blocks, _available_cpus())

@@ -17,7 +17,7 @@ from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
 from .asymptotics import centred_mean_prediction, variance_bounds
-from .coupon import InvalidSpecError, _default_means
+from .coupon import InvalidSpecError, _default_means, _shown
 
 __all__ = [
     "TABLE_A",
@@ -193,8 +193,11 @@ def render_figure_svg(artifact: TableArtifact) -> str:
     Deterministic output: same artifact, same bytes.  Axes are labelled with
     the question count ``q`` and the mean coverage time ``E N_q``.  A table
     without the value header, or without rows, or whose values are not all
-    finite with the largest above 0, raises ``InvalidSpecError``.
+    finite with the largest above 0, raises ``InvalidSpecError``, as does
+    an ``artifact`` that is not a :class:`TableArtifact`.
     """
+    if not isinstance(artifact, TableArtifact):
+        raise InvalidSpecError(f"a figure needs a TableArtifact, got {_shown(artifact)}")
     if artifact.header != _VALUE_HEADER or not artifact.rows:
         raise InvalidSpecError(
             f"cannot draw table {artifact.name!r}: a figure needs the header "

@@ -49,6 +49,7 @@ from .coupon import (
     _cdf_cells,
     _default_means,
     _onto_rows,
+    _shown,
     expected_single_bank,
     expected_tests,
     expected_tests_multisum,
@@ -397,7 +398,11 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
 
 def format_report(results: list[CheckResult]) -> str:
     """Human-readable one-line-per-check report with a final summary; for no
-    results, the summary alone."""
+    results, the summary alone.  ``results`` must be a list or tuple of
+    :class:`CheckResult`, or ``InvalidSpecError`` is raised."""
+    if not isinstance(results, (list, tuple)) or not all(
+            isinstance(r, CheckResult) for r in results):
+        raise InvalidSpecError(f"results must be a list of CheckResult, got {_shown(results)}")
     width = max((len(r.name) for r in results), default=0)
     lines = []
     for r in results:

@@ -7,6 +7,7 @@ import pkgutil
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bankcover
@@ -24,14 +25,18 @@ from bankcover import (
     expected_tests,
     expected_tests_multisum,
     local_pmf_approx,
+    render_figure_svg,
     run_checks,
+    run_experiment,
     single_bank_cdf,
     single_bank_survival,
     test_count_cdf,
     test_count_pmf,
+    variance_bounds,
     variance_tests,
 )
 from bankcover.cli import EXIT_OK, EXIT_USAGE, main
+from bankcover.validate import format_report
 
 SUBMODULES = {
     info.name: importlib.import_module(f"bankcover.{info.name}")
@@ -186,3 +191,222 @@ def test_an_unknown_check_level_is_a_typed_error():
     with pytest.raises(InvalidSpecError) as got:
         run_checks("slow")
     assert str(got.value) == "level must be one of ('quick', 'full'), got 'slow'"
+
+
+# Each entry point with a fast path for valid int arguments, called with one
+# odd argument in one position and valid ones elsewhere.  The outcome is the
+# value's bits as float.hex (p and abs_err; a CentringData's four fields) or
+# the InvalidSpecError message, "{}" standing for the repr of the odd
+# argument: the outcomes of the checked paths, pinned before the fast paths
+# were added.  np.int64(5) is refused wherever an int is asked for.
+ODD_ARGS = {"np.int64(5)": np.int64(5), "True": True, "5.0": 5.0, "0": 0, "-1": -1, "65": 65,
+            "2**70": 2 ** 70, "10**400": 10 ** 400}
+PARITY_CALLS = {
+    "single_bank_survival": (single_bank_survival, (12, 100)),
+    "single_bank_cdf": (single_bank_cdf, (12, 100)),
+    "test_count_cdf": (test_count_cdf, (BankSpec(12, 1000), 120)),
+    "test_count_pmf": (test_count_pmf, (BankSpec(12, 1000), 120)),
+    "local_pmf_approx": (local_pmf_approx, (13, 3625, 0)),
+    "centring": (centring, (13, 3625)),
+    "centred_mean_prediction": (centred_mean_prediction, (13, 3625)),
+}
+PARITY = {
+    ('single_bank_survival', 0): (
+        'a must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'a must be an integer, got {}',
+        'need a >= 1, got {}',
+        'need a >= 1, got {}',
+        'a={} exceeds the supported maximum of 64 alternatives',
+        'a={} exceeds the supported maximum of 64 alternatives',
+        'a={} exceeds the supported maximum of 64 alternatives',
+    ),
+    ('single_bank_survival', 1): (
+        'test count must be an integer, got {}',
+        '0x1.0000000000000p+0 0x0.0p+0',
+        'test count must be an integer, got {}',
+        '0x1.0000000000000p+0 0x0.0p+0',
+        'test count must be >= 0, got {}',
+        '0x1.53f6e94fd95f1p-5 0x1.0f8fefe13764ap-51',
+        '0x0.0p+0 0x0.0000000000040p-1022',
+        '0x0.0p+0 0x0.0000000000040p-1022',
+    ),
+    ('single_bank_cdf', 0): (
+        'a must be an integer, got {}',
+        '0x1.0000000000000p+0 0x0.0p+0',
+        'a must be an integer, got {}',
+        'need a >= 1, got {}',
+        'need a >= 1, got {}',
+        'a={} exceeds the supported maximum of 64 alternatives',
+        'a={} exceeds the supported maximum of 64 alternatives',
+        'a={} exceeds the supported maximum of 64 alternatives',
+    ),
+    ('single_bank_cdf', 1): (
+        'test count must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'test count must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'test count must be >= 0, got {}',
+        '0x1.eac0916b026a1p-1 0x1.4f8fefe13764ap-51',
+        '0x1.0000000000000p+0 0x1.0000000000000p-53',
+        '0x1.0000000000000p+0 0x1.0000000000000p-53',
+    ),
+    ('test_count_cdf', 0): (
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+    ),
+    ('test_count_cdf', 1): (
+        'test count must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'test count must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'test count must be >= 0, got {}',
+        '0x1.cdc1039e14d59p-62 0x1.0000000000008p-53',
+        '0x1.0000000000000p+0 0x1.0000000000000p-53',
+        '0x1.0000000000000p+0 0x1.0000000000000p-53',
+    ),
+    ('test_count_pmf', 0): (
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+        'spec must be a BankSpec, got {}',
+    ),
+    ('test_count_pmf', 1): (
+        'test count must be an integer, got {}',
+        '0x0.0p+0 0x0.0p+0',
+        'test count must be an integer, got {}',
+        'test count must be >= 1, got {}',
+        'test count must be >= 1, got {}',
+        '0x1.c4513e23c5af0p-62 0x1.0000000000004p-52',
+        '0x0.0p+0 0x1.0000000000000p-52',
+        '0x0.0p+0 0x1.0000000000000p-52',
+    ),
+    ('local_pmf_approx', 0): (
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'asymptotics need a >= 2, got {}',
+        '0x1.75c95ce92ff40p-8',
+        'asymptotics need a <= 2**53, got an a of 71 bits',
+        'asymptotics need a <= 2**53, got an a of 1329 bits',
+    ),
+    ('local_pmf_approx', 1): (
+        'need q >= 1, got {}',
+        '0x1.e2010d31c2860p-6',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        '0x1.e22d8679f92a0p-6',
+        '0x1.e233d197f76c0p-6',
+        '0x1.e2252e9a868f0p-6',
+    ),
+    ('local_pmf_approx', 2): (
+        '0x1.c0d0455b78330p-6',
+        '0x1.e0a07df7fba30p-6',
+        '0x1.c0d0455b78330p-6',
+        '0x1.e24f4de57b020p-6',
+        '0x1.e0ec3314d9410p-6',
+        '0x1.c8f3926fe8000p-12',
+        '0x0.0p+0',
+        '0x0.0p+0',
+    ),
+    ('centring', 0): (
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'asymptotics need a >= 2, got {}',
+        '0x1.fc0a8b0fc03e4p-7 0x1.8eeca5ee8530dp+9 798 0x1.b297ba14c3400p-1',
+        'asymptotics need a <= 2**53, got an a of 71 bits',
+        'asymptotics need a <= 2**53, got an a of 1329 bits',
+    ),
+    ('centring', 1): (
+        'need q >= 1, got {}',
+        '0x1.47dadcbbdba83p-4 0x1.005bab2207abdp+5 33 0x1.6eac881eaf400p-5',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        '0x1.47dadcbbdba83p-4 0x1.50c97b62fe093p+6 85 0x1.92f6c5fc12600p-3',
+        '0x1.47dadcbbdba83p-4 0x1.3f1ccab5717b2p+9 639 0x1.ccab5717b2000p-3',
+        '0x1.47dadcbbdba83p-4 0x1.68969e7753227p+13 11539 0x1.a79dd4c89c000p-1',
+    ),
+    ('centred_mean_prediction', 0): (
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'a must be an integer, got {}',
+        'asymptotics need a >= 2, got {}',
+        'asymptotics need a >= 2, got {}',
+        '0x1.a18a0b94f7d99p+9',
+        'asymptotics need a <= 2**53, got an a of 71 bits',
+        'asymptotics need a <= 2**53, got an a of 1329 bits',
+    ),
+    ('centred_mean_prediction', 1): (
+        'need q >= 1, got {}',
+        '0x1.3a0c8156821cep+5',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        'need q >= 1, got {}',
+        '0x1.6da1e67d3b41bp+6',
+        '0x1.42b7d818b9223p+9',
+        '0x1.68d04f4d879cep+13',
+    ),
+}
+
+
+def parity_outcome(fn, args) -> str:
+    try:
+        got = fn(*args)
+    except InvalidSpecError as exc:
+        return str(exc)
+    if isinstance(got, ProbValue):
+        return f"{got.p.hex()} {got.abs_err.hex()}"
+    if isinstance(got, float):
+        return got.hex()
+    return f"{got.decay_rate.hex()} {got.centre.hex()} {got.centre_ceil} {got.centre_frac.hex()}"
+
+
+@pytest.mark.parametrize("call,position", PARITY)
+def test_odd_arguments_keep_their_outcomes(call, position):
+    fn, valid = PARITY_CALLS[call]
+    got, want = [], []
+    for (label, odd), expected in zip(ODD_ARGS.items(), PARITY[call, position], strict=True):
+        args = list(valid)
+        args[position] = odd
+        # twice, so a memo left by the first call cannot change the second
+        got += [parity_outcome(fn, args), parity_outcome(fn, args)]
+        want += [expected.replace("{}", repr(odd))] * 2
+    assert got == want
+
+
+# Entry points that once raised a bare TypeError or AttributeError for an
+# argument of the wrong type; each now names the type it expects.
+WRONG_TYPES = {
+    "variance_bounds": (lambda: variance_bounds([2]), "a must be an integer, got [2]"),
+    "render_figure_svg": (lambda: render_figure_svg(None),
+                          "a figure needs a TableArtifact, got None"),
+    "run_experiment": (lambda: run_experiment(None),
+                       "config must be a SimulationConfig, got None"),
+    "format_report": (lambda: format_report(None),
+                      "results must be a list of CheckResult, got None"),
+}
+
+
+@pytest.mark.parametrize("site", WRONG_TYPES)
+def test_a_wrong_type_is_a_typed_error(site):
+    call, message = WRONG_TYPES[site]
+    with pytest.raises(InvalidSpecError) as got:
+        call()
+    assert type(got.value) is InvalidSpecError and str(got.value) == message
+    # raised as the first error, not while handling another
+    assert got.value.__context__ is None and got.value.__cause__ is None

@@ -226,14 +226,16 @@ class TestValidate:
 
     def test_quick_builds_no_row_of_values(self):
         # the checks want curve probabilities alone: they read the blocks'
-        # cells, and no row of ProbValues is built or cached for them
+        # cells, and no row of ProbValues is built, cached or kept in the
+        # survival reads' memo for them
         script = textwrap.dedent("""
-            from bankcover.coupon import _point_row, _survival_block
+            from bankcover import coupon
             from bankcover.validate import run_checks
 
             assert all(result.passed for result in run_checks("quick"))
-            assert _survival_block.cache_info().currsize > 0
-            assert _point_row.cache_info().currsize == 0, _point_row.cache_info()
+            assert coupon._survival_block.cache_info().currsize > 0
+            assert coupon._point_row.cache_info().currsize == 0, coupon._point_row.cache_info()
+            assert coupon._last_s is coupon._NO_ROW
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(bankcover.__file__).parents[1]))
         done = subprocess.run(

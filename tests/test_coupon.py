@@ -1004,9 +1004,13 @@ class TestWidestWindow:
         assert tuple(e.terms for e in moments) == terms
         for e in moments:
             assert 0.0 < e.tail_bound <= LIMIT, e
-        # each moment stops at the least n its line certifies
+        # each moment stops at the least n its line certifies, and reports
+        # the bound the walk formed there, which is the line's at that n
         windows = coupon._windows(a, (float(self.Q),), True)
-        assert [first for _, first in windows] == [e.terms for e in moments]
+        assert [(stop, bits(bound)) for _, stop, bound in windows] == [
+            (e.terms, bits(e.tail_bound)) for e in moments]
+        assert [bits(coupon._tail_bound(line, stop)) for line, stop, _ in windows] == [
+            bits(e.tail_bound) for e in moments]
 
     def test_no_bank_size_is_wider(self):
         ends = [coupon._windows(a, (float(self.Q),), True)[1][1]
@@ -1216,6 +1220,13 @@ def bits(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def forget_rows() -> None:
+    """Empty the row store and the survival reads' memo, so that the next
+    read of any row builds it."""
+    coupon._point_row.cache_clear()
+    coupon._last_s = coupon._NO_ROW
+
+
 def series_outcome(estimate: tuple) -> tuple:
     """The bits of a series' value and tail bound with its term count."""
     value, tail, terms = estimate
@@ -1282,14 +1293,14 @@ def series_replays():
     whether the Fast2Sum replay's running sums and corrections are
     :func:`twosum_running`'s, bit for bit.  Checked as each matrix is
     replayed, so none is kept.  The curve blocks filled on the way share the
-    replay; their rows have a sign bit set (column k = 2 is negated, as a
-    negative number or as -0.0) and a series row never has one, so they
+    replay; a series row holds the negated terms, each with its sign bit
+    set, and a block row's column 0 (k = 1) has it clear, so the block rows
     pass straight through (TestSurvivalBlocks checks them)."""
     real = coupon._fast2sum_running
     checked = []
 
     def replay(rows):
-        if np.signbit(rows).any():
+        if not np.signbit(rows).all():
             return real(rows)
         sums, lows = twosum_running(rows)
         fast_sums, fast_lows = real(rows)
@@ -1321,8 +1332,8 @@ class TestFast2SumReplay:
 
     def test_every_term_is_dominated_or_added_exactly(self, series_replays):
         assert [(shape, inexact) for shape, _, inexact, _ in series_replays if inexact] == []
-        # the exact additions that are not dominated: 0 + 1 at column 0 of
-        # every row, and 1 + 3 at column 1 of a variance row
+        # the exact additions that are not dominated: 0 - 1 at column 0 of
+        # every row, and -1 - 3 at column 1 of a variance row
         assert sum(larger for _, larger, _, _ in series_replays) > len(series_replays)
 
     def test_matches_twosum_bit_for_bit(self, series_replays):
@@ -1487,6 +1498,8 @@ class TestMomentPair:
         first, other = BankSpec(12, 1000), BankSpec(12, 1001)
         pair = expected_tests(first), variance_tests(first)
         assert len(calls) == 1
+        # one pass forms the terms out to the variance's stop
+        assert calls[0][2] == pair[1].terms
         assert (expected_tests(first), variance_tests(first)) == pair
         assert len(calls) == 1
         variance_tests(other)
@@ -1931,14 +1944,16 @@ class TestPointReads:
             assert read(a, y) == ProbValue(v.p, v.abs_err)
 
     def test_row_cache_is_bounded_and_small(self):
-        # documented bound: at most 256 rows of 256 values, under 7 MiB with
-        # the cache's own bookkeeping; measured on a few rows whose blocks
-        # are filled before tracing starts
+        # documented bound: at most 256 rows of 256 values in the store, and
+        # one more row in the survival reads' memo, under 7 MiB with the
+        # cache's own bookkeeping; measured on a few rows whose blocks are
+        # filled before tracing starts.  The memo holds the row the last
+        # survival read used, the store's own object while the store keeps it
         assert coupon._point_row.cache_info().maxsize == 256
         keys = [(a, j) for a in (10, 40, MAX_ALTERNATIVES) for j in (0, 1)]
         for a, j in keys:
             coupon._survival_block(a, j)
-        coupon._point_row.cache_clear()
+        forget_rows()
         tracemalloc.start()
         try:
             for a, j in keys:
@@ -1949,7 +1964,11 @@ class TestPointReads:
             tracemalloc.stop()
         rows = coupon._point_row.cache_info().currsize
         assert rows == 2 * len(keys)
-        assert held / rows * 256 < 7 * 2 ** 20
+        assert held / rows * (256 + 1) < 7 * 2 ** 20
+        a, j = keys[-1]
+        lo = coupon._BLOCK * j
+        assert coupon._last_s[:3] == (a, lo, lo + coupon._BLOCK)
+        assert coupon._last_s[3] is coupon._point_row(a, j, 0)
 
     def test_tail_start_table(self):
         starts = coupon._TAIL_STARTS
@@ -1990,7 +2009,7 @@ class TestPointReads:
         # cell raises there, on the direct call and on a read, and no block
         # and no row of values is cached
         coupon._survival_block.cache_clear()
-        coupon._point_row.cache_clear()
+        forget_rows()
         monkeypatch.setattr(coupon, name, value)
         for j in (0, 1):
             with pytest.raises(ValueError, match=message):
@@ -2001,8 +2020,138 @@ class TestPointReads:
                 single_bank_cdf(10, coupon._BLOCK * j + 40)
         assert coupon._survival_block.cache_info().currsize == 0
         assert coupon._point_row.cache_info().currsize == 0
+        assert coupon._last_s is coupon._NO_ROW
         monkeypatch.undo()
         for y in (40, coupon._BLOCK + 40):
             want, _route = reference_curve_point(10, y)
             got = single_bank_survival(10, y), single_bank_cdf(10, y)
             assert bits(*(c for v in got for c in (v.p, v.abs_err))) == bits(*want)
+
+
+class TestRequestWork:
+    """What one exact request forms, counted, not timed: a pmf window reads
+    each cdf cell once, a sweep reads one row per block, and the memos that
+    make it so give every thread its own (a, y) or (a, q, n)."""
+
+    A, Q = 13, 3625
+
+    def test_pmf_window_forms_each_cell_once(self, monkeypatch):
+        # 16 pmfs around centre_ceil form 17 cells, not 32, and each is the
+        # clamped cdf difference at n and n - 1 with the sum of their bounds
+        spec, ceil = BankSpec(self.A, self.Q), centring(self.A, self.Q).centre_ceil
+        monkeypatch.setattr(coupon, "_last_cell", (0, 0.0, 0, (0.0, 0.0)))
+        cells = []
+        real = coupon._count_cell
+        monkeypatch.setattr(coupon, "_count_cell", lambda *args: cells.append(args) or real(*args))
+        window = [(n, test_count_pmf(spec, n)) for n in range(ceil - 8, ceil + 8)]
+        assert sorted(n for _, _, n in cells) == list(range(ceil - 9, ceil + 8))
+        monkeypatch.undo()
+        for n, got in window:
+            hi, lo = test_count_cdf(spec, n), test_count_cdf(spec, n - 1)
+            want = max(hi.p - lo.p, 0.0), hi.abs_err + lo.abs_err
+            assert bits(got.p, got.abs_err) == bits(*want), n
+
+    @pytest.mark.parametrize("stop", ["request", "past the tail start"])
+    def test_sweep_reads_one_row_per_block(self, monkeypatch, stop):
+        # the request's sweep, from a to 3 / rate past the centre, and one
+        # that crosses block edges and the tail start: one _point_row call
+        # per block below the tail start, whatever the reads before held
+        c = centring(self.A, self.Q)
+        end = (c.centre_ceil + math.ceil(3 / c.decay_rate) if stop == "request"
+               else coupon._TAIL_STARTS[self.A] + 300)
+        forget_rows()
+        rows = []
+        real = coupon._point_row
+        monkeypatch.setattr(coupon, "_point_row", lambda *args: rows.append(args) or real(*args))
+        sweep = [single_bank_survival(self.A, y) for y in range(self.A, end + 1)]
+        blocks = sorted({y // coupon._BLOCK for y in range(self.A, end + 1)
+                         if y < coupon._TAIL_STARTS[self.A]})
+        assert rows == [(self.A, j, 0) for j in blocks]
+        monkeypatch.undo()
+        forget_rows()
+        assert sweep == [single_bank_survival(self.A, y) for y in range(self.A, end + 1)]
+
+    def test_weights_cover_every_pass(self):
+        # the variance's weights 2n + 1, built once at import, reach the
+        # widest tail start, past which no pass forms a column
+        weights = coupon._WEIGHTS
+        width = max(coupon._TAIL_STARTS)
+        assert weights.shape == (2, width) and weights.flags.c_contiguous
+        assert (weights[0] == 1.0).all() and (weights[1] == np.arange(1.0, 2 * width, 2.0)).all()
+
+    @pytest.mark.parametrize("kind", ["survival", "pmf"])
+    def test_a_read_inside_a_lookup_gets_its_own_value(self, monkeypatch, kind):
+        # a thread may switch while a read looks its row up or forms its
+        # cell, and another read may then run: one run there, inside the
+        # lookup, must find no memo that names the new row or cell before
+        # it holds it, so it gets what it gets alone
+        if kind == "pmf":
+            spec = BankSpec(13, 3625)
+            read, name, first, outer, inner = (
+                test_count_pmf, "_count_cell", (spec, 139), (spec, 140), (spec, 141))
+        else:
+            read, name, first, outer, inner = (
+                single_bank_survival, "_point_row", (40, 300), (13, 100), (13, 101))
+        forget_rows()
+        want = [bits(v.p, v.abs_err) for v in (read(*outer), read(*inner))]
+        forget_rows()
+        # the memo now holds another bank size's row, or the cell below the
+        # outer read's, so the outer read makes one lookup
+        read(*first)
+        real, calls, got = getattr(coupon, name), [], []
+
+        def lookup(*args):
+            calls.append(args)
+            if len(calls) == 1:  # the outer read's lookup runs the inner read
+                got.append(read(*inner))
+            return real(*args)
+
+        monkeypatch.setattr(coupon, name, lookup)
+        got.insert(0, read(*outer))
+        assert [bits(v.p, v.abs_err) for v in got] == want
+
+    def test_threads_alternating_bank_sizes_and_specs_read_their_own(self):
+        # four threads, more than the cores CI has, the interpreter switching
+        # between them often; each reads the survival at two bank sizes and
+        # the pmf of two specs, in turn (a sweep of one size, then the
+        # other; a pmf window of one spec, then the other) or interleaved,
+        # read by read, so that every read misses its memo and sets it.
+        # Each read gives the bits one thread alone gets
+        sizes, specs = (13, 40), (BankSpec(13, 3625), BankSpec(40, 100))
+        ys = range(40, 700, 7)
+        windows = [range(centring(spec.a, spec.q).centre_ceil - 8,
+                         centring(spec.a, spec.q).centre_ceil + 8) for spec in specs]
+
+        def outcomes(k: int) -> list[bytes]:
+            if k % 2:  # interleaved
+                values = [single_bank_survival(a, y) for y in ys for a in sizes]
+                values += [test_count_pmf(spec, n) for pair in zip(*windows)
+                           for spec, n in zip(specs, pair)]
+            else:
+                values = [single_bank_survival(a, y) for a in sizes for y in ys]
+                values += [test_count_pmf(spec, n) for spec, window in zip(specs, windows)
+                           for n in window]
+            return [bits(v.p, v.abs_err) for v in values]
+
+        want = [outcomes(0), outcomes(1)]
+        start = threading.Barrier(4, timeout=60)
+        wrong = []
+
+        def ask(i: int) -> None:
+            start.wait()
+            for k in range(i, i + 40):
+                if outcomes(k) != want[k % 2]:
+                    wrong.append((i, k))
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
