@@ -19,7 +19,8 @@ under 5.5 MiB; the variance series for every a in 2..64 at q = 1e6 reads
 for block 0, which holds the exact-integer cells) against about 0.06 ms for
 one lone point.  Past the first y where every term of the closed form
 underflows, the curve is the constant tail S = 0, F = 1 and needs no block;
-that y is kept per a in a table built at import.  So a point read is one
+that y is kept per a in a table built at import, and the q-bank cdf there
+is 1 with its bound in closed form.  So a point read is one
 guard on its arguments, one lookup (the table, then a cached row of ready
 values) and one index; a survival read first tries the row the last
 survival read used, which holds y for 255 of the 256 reads of a sweep over
@@ -49,11 +50,11 @@ are formed in one pass.  No term count is capped: over the whole domain
 a = 64 and q at the float maximum, sums 47,981 terms.  A q that no float
 can hold (from 2**1024 - 2**970 on) never reaches a series:
 :class:`BankSpec` refuses it with ``InvalidSpecError``, so every count
-here converts to a finite float.  One function (:func:`_windows`) solves
-the lines of both moments of every q of a pass, root and walk; the
-logarithm of the limit is formed once at import, the two that depend on
-a alone once a pass, and log q once a q.  :func:`_tail_bound` is the one
-definition of the bound, read by the walk and at each stop.  One kernel
+here converts to a finite float.  One function (:func:`_windows`) forms,
+solves, walks and reads the lines of both moments of every q of a pass,
+and gives each stop with the bound there; the logarithm of the limit is
+formed once at import, the two that depend on a alone once a pass, and
+log q once a q.  One kernel
 (:func:`_series`) sums both moments of every q at one bank size a:
 log1p(-S(n)) is read from the blocks once per call and shared, the
 products q * log1p(-S(n)) of every q go through one ``expm1`` call (the
@@ -127,9 +128,7 @@ _MULTISUM_MAX_A = 6
 _MULTISUM_MAX_Q = 4
 
 _ULP = 2.0 ** -53
-_MIN_NORMAL = sys.float_info.min
 _TINY = 2.0 ** -1074  # the least subnormal float
-_LOG_MAX = math.log(sys.float_info.max)
 # Past this bank count, q * log1p(-S) can overflow (|log1p(-S)| < 37 where finite).
 _OVERFLOW_COUNT = sys.float_info.max / 37.0
 # The least integer that float() cannot hold: half an ulp past the float
@@ -299,11 +298,6 @@ def _tail_start(a: int) -> int:
 _TAIL_STARTS = (0, 0) + tuple(_tail_start(a) for a in range(2, MAX_ALTERNATIVES + 1))
 
 
-def _frozen(values: np.ndarray) -> memoryview:
-    values.flags.writeable = False  # the cache hands the buffer to every caller
-    return memoryview(values)
-
-
 def _libm(ufunc: np.ufunc, *operands: np.ndarray) -> np.ndarray:
     """``ufunc`` over contiguous 1-D float arrays of one length, each element
     bit for bit what the platform libm gives it: ``math.expm1``,
@@ -357,10 +351,12 @@ def _survival_block(a: int, j: int) -> memoryview:
     nothing, and no row of values is built from it; the point reads rely on
     them.
 
-    The five rows lie end to end in one read-only ``memoryview`` of
-    5 * _BLOCK doubles, about 10.7 KiB with its array, view and cache entry:
-    y's S, bound, F, bound and log1p(-S) are at i + k * _BLOCK, k = 0..4,
-    i = y % _BLOCK.
+    The five rows lie end to end in one ``memoryview`` of 5 * _BLOCK
+    doubles, about 10.7 KiB with its array, view and cache entry: y's S,
+    bound, F, bound and log1p(-S) are at i + k * _BLOCK, k = 0..4,
+    i = y % _BLOCK.  The cache hands the same buffer to every caller, so
+    the fill marks its array read-only before it wraps it: neither the
+    view nor an array over it can be written.
     """
     lo = _BLOCK * j
     start = max(lo, a)  # fewer tests than alternatives cannot cover the bank
@@ -411,16 +407,15 @@ def _survival_block(a: int, j: int) -> memoryview:
     below = curves[0] < 1.0
     curves[4] = -math.inf
     curves[4, below] = _libm(np.log1p, -curves[0, below])
-    return _frozen(block)
+    block.flags.writeable = False
+    return memoryview(block)
 
 
-# Laid out as a block: from _TAIL_STARTS[a] on, S = 0 and F = 1, and log1p(-S)
-# is -0.0.  There every power underflows, so S < a * 2**-1075; the bound is the
-# blocks' floor at a = 64, which holds for every a, and F's adds an ulp
+# From _TAIL_STARTS[a] on, S = 0 and F = 1.  There every power underflows, so
+# S < a * 2**-1075; the bound is the blocks' floor at a = 64, which holds for
+# every a, and F's adds an ulp.  What the point reads return there, and at
+# a = 1, whose S is 1 at y = 0 and 0 from y = 1 on, exactly
 _TAIL_ERR = MAX_ALTERNATIVES * _TINY
-_TAIL_BLOCK = _frozen(np.repeat((0.0, _TAIL_ERR, 1.0, _TAIL_ERR + _ULP, -0.0), _BLOCK))
-# what the point reads return there, and at a = 1, whose S is 1 at y = 0 and 0
-# from y = 1 on, exactly
 _TAIL_S, _TAIL_F = ProbValue(0.0, _TAIL_ERR), ProbValue(1.0, _TAIL_ERR + _ULP)
 _ONE_BANK_S = ProbValue(1.0, 0.0), ProbValue(0.0, 0.0)
 _ONE_BANK_F = _ONE_BANK_S[::-1]
@@ -549,16 +544,18 @@ def _count_cell(a: int, q: float, y: int) -> tuple[float, float]:
     however large q is.  The power's own rounding, a few ulps of q * S
     relative to p, lies under the first part, since s_err is at least 16
     ulps of S on the float route; the exact cells all have S above 0.7,
-    where F = 1 - S is read rounded once and p is its power.
+    where F = 1 - S is read rounded once and p is its power.  From the
+    tail start on, S = 0 with the bound ``_TAIL_ERR``, and no block is
+    read: p = exp(q * log1p(-0.0)) is 1.0 and S - s_err < 0, so the bound
+    is q * ``_TAIL_ERR`` + ulp, which lies below 2**-43 for every finite q.
     """
     if y < a:
         return 0.0, 0.0
     if a == 1:
         return 1.0, 0.0
-    if y < _TAIL_STARTS[a]:
-        b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
-    else:
-        b, i = _TAIL_BLOCK, 0
+    if y >= _TAIL_STARTS[a]:
+        return 1.0, q * _TAIL_ERR + _ULP  # the constant tail, as above
+    b, i = _survival_block(a, y // _BLOCK), y % _BLOCK
     s = b[i]
     if s < 0.5:
         # log1p(-s), formed with the block; -0.0 where s is 0.0, so p is 1.0
@@ -630,19 +627,6 @@ def test_count_pmf(spec: BankSpec, n: int) -> ProbValue:
 # library functions, not tests; keep pytest from collecting them by name
 test_count_cdf.__test__ = False  # type: ignore[attr-defined]
 test_count_pmf.__test__ = False  # type: ignore[attr-defined]
-
-
-# (c, r, offset) of a tail line: in logarithms its bound is c - r*n, plus
-# log(2n + offset) when an offset is given; see _windows
-_Line = tuple[float, float, int | None]
-
-
-def _tail_bound(line: _Line, n: int) -> float:
-    """The bound on ``line`` at test count ``n``: inf above the float
-    range, and never below the smallest normal float, so never zero."""
-    c, r, offset = line
-    log_tail = c - r * n if offset is None else c - r * n + math.log(2 * n + offset)
-    return math.inf if log_tail >= _LOG_MAX else max(math.exp(log_tail), _MIN_NORMAL)
 
 
 def _coverage_terms(a: int, counts: tuple[float, ...], width: int) -> np.ndarray:
@@ -718,15 +702,13 @@ def _fast2sum_running(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(a: int, counts: tuple[float, ...],
-             second_moment: bool) -> list[tuple[_Line, int, float]]:
+             second_moment: bool) -> list[tuple[int, float]]:
     """For each bank count q of one pass at bank size ``a``, as the finite
-    floats ``counts``, the tail line of its mean and, with
-    ``second_moment``, of its variance, the least n that line certifies,
-    where the series stops, and the bound there, which the walk formed last.
-    One flat list of (line, stop, bound), q by q, each q's mean then its
-    variance.  This is the one solve of a tail line: :func:`_tail_bound`
-    reads the line, here in the walk, whose last bound :func:`_series`
-    reports.
+    floats ``counts``, the least n that the tail line of its mean and, with
+    ``second_moment``, of its variance certifies, where the series stops,
+    and the bound there, which the walk formed last.  One flat list of
+    (stop, bound), q by q, each q's mean then its variance.  This is the
+    one place that forms, solves, walks and reads a tail line.
 
     The tail bound is 2a**3/(a-1) * q * decay**n, decay = (a-1)/a, times
     2n + 2a - 1 for the variance: in logarithms the line c - r*n, plus
@@ -735,7 +717,10 @@ def _windows(a: int, counts: tuple[float, ...],
     series reaches, so the line stays a bound.  The line meets the limit at
     a root, excess / r, excess = c - log(1e-11), refined for the variance's
     weight by three fixed-point steps, and the least n the bound certifies
-    is walked up to from the root.
+    is walked up to from the root, one step short of ceil(root).  c is at
+    least log 16 and r at most log 2, so the root is above 40, and every
+    logarithm the walk reads lies within r of log(1e-11), between -26.1 and
+    -24.6: its exp is a normal float, never inf and never 0.
 
     The logarithm of the limit is a module constant, and the two that
     depend on a alone, r and log(2a**3/(a-1)), are formed once per call.
@@ -750,7 +735,6 @@ def _windows(a: int, counts: tuple[float, ...],
         c = log_scale + math.log(count) + 1e-9
         excess = c - _LOG_LIMIT
         for offset in (None, 2 * a - 1)[:1 + second_moment]:
-            line = c, r, offset
             root = excess / r
             if offset is not None:
                 # for the weight 2n + offset, each fixed-point step starts
@@ -766,10 +750,11 @@ def _windows(a: int, counts: tuple[float, ...],
             # past that n only where the root is within rounding of an
             # integer, and then by one step.  So the walk starts one step
             # short of ceil(root).
-            first = max(math.ceil(root) - 1, 0)
-            while (bound := _tail_bound(line, first)) > _LIMIT:
+            first = math.ceil(root) - 1
+            while (bound := math.exp(c - r * first if offset is None else
+                                     c - r * first + math.log(2 * first + offset))) > _LIMIT:
                 first += 1
-            windows.append((line, first, bound))
+            windows.append((first, bound))
     return windows
 
 
@@ -810,14 +795,14 @@ def _series(a: int, qs: tuple[int, ...],
     k = 1 + second_moment  # window and row k * i + j are q_i's mean (j = 0) and variance (j = 1)
     counts = tuple(map(float, qs))
     windows = _windows(a, counts, second_moment)
-    rows = _coverage_terms(a, counts, max(stop for _, stop, _ in windows))
+    rows = _coverage_terms(a, counts, max(stop for stop, _ in windows))
     cut = rows.shape[1]
     # rebinding frees the term rows before the replay allocates its own; kept
     # alive through it, they cost fig_low's build about 10% loop-cold
     rows = (rows.reshape(len(counts), 1, cut) * _WEIGHTS[:k, :cut]).reshape(-1, cut)
     sums, lows = _fast2sum_running(rows)
     estimates = []
-    for row, (_, stop, bound) in enumerate(windows):
+    for row, (stop, bound) in enumerate(windows):
         column = min(stop, cut) - 1
         value = -(sums.item(row, column) + lows.item(row, column))
         if row % k:  # E N^2 less the square of the unweighted sum at this stop

@@ -12,6 +12,7 @@ import math
 import numbers
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
@@ -103,7 +104,9 @@ class TableArtifact:
         """Write :meth:`to_csv` to ``path`` and return it as a ``Path``.
 
         A file that already holds exactly these bytes keeps its data and
-        gets a new modification time (see :func:`_write_text`).
+        gets a new modification time (see :func:`_write_text`).  A ``path``
+        that is neither a ``str`` nor an ``os.PathLike`` raises
+        ``InvalidSpecError``.
         """
         return _write_text(path, self.to_csv())
 
@@ -120,8 +123,11 @@ def _write_text(path: str | Path, text: str) -> Path:
     device, a FIFO) is only written, and a file that cannot be read or
     written is truncated and written as by the plain write, which raises
     each error (a missing directory, a directory at the path, a read-only
-    file).
+    file).  A ``path`` that is neither a ``str`` nor an ``os.PathLike``
+    raises ``InvalidSpecError``.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidSpecError(f"a table is written to a str or os.PathLike path, got {_shown(path)}")
     path = Path(path)
     data = text.encode("utf-8")
     try:
@@ -185,6 +191,14 @@ def build_table(name: str) -> TableArtifact:
 _SERIES_COLORS = ("#3465a4", "#cc0000", "#4e9a06", "#75507b", "#c17d11")
 _SVG_WIDTH = 720
 _SVG_HEIGHT = 480
+_FLOAT_MAX = sys.float_info.max
+
+
+def _placeable(x) -> bool:
+    """Whether a figure can place ``x``: an int or a float (a bool, a numpy
+    float64) within the float range, which it compares and scales without
+    an error; an int is compared exactly, never converted."""
+    return isinstance(x, (int, float)) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 def render_figure_svg(artifact: TableArtifact) -> str:
@@ -192,9 +206,11 @@ def render_figure_svg(artifact: TableArtifact) -> str:
 
     Deterministic output: same artifact, same bytes.  Axes are labelled with
     the question count ``q`` and the mean coverage time ``E N_q``.  A table
-    without the value header, or without rows, or whose values are not all
-    finite with the largest above 0, raises ``InvalidSpecError``, as does
-    an ``artifact`` that is not a :class:`TableArtifact`.
+    without the value header, or without rows, or with a row that is not a
+    tuple (or list) (a, q, value, rounded) whose a and q are finite ints or
+    floats, or whose values are not all finite ints or floats with the
+    largest above 0, raises ``InvalidSpecError``, as does an ``artifact``
+    that is not a :class:`TableArtifact`.
     """
     if not isinstance(artifact, TableArtifact):
         raise InvalidSpecError(f"a figure needs a TableArtifact, got {_shown(artifact)}")
@@ -203,14 +219,21 @@ def render_figure_svg(artifact: TableArtifact) -> str:
             f"cannot draw table {artifact.name!r}: a figure needs the header "
             f"{','.join(_VALUE_HEADER)} and at least one row")
     series: dict[int, list[tuple[int, float]]] = {}
-    for a, q, value, _rounded in artifact.rows:
+    for i, row in enumerate(artifact.rows):
+        if not (isinstance(row, (tuple, list)) and len(row) == 4
+                and _placeable(row[0]) and _placeable(row[1])):
+            raise InvalidSpecError(
+                f"cannot draw table {artifact.name!r}: row {i} is not (a, q, value, rounded) "
+                "with a and q finite ints or floats")
+        a, q, value, _rounded = row
         series.setdefault(a, []).append((q, value))
 
     xs = [q for pts in series.values() for q, _ in pts]
     ys = [v for pts in series.values() for _, v in pts]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) * 1.05
-    if not (all(map(math.isfinite, ys)) and 0.0 < y_hi < math.inf):  # the y axis must scale
+    # the y axis must scale; a value that is not placeable makes y_hi nan
+    y_lo, y_hi = 0.0, max(ys) * 1.05 if all(map(_placeable, ys)) else math.nan
+    if not 0.0 < y_hi < math.inf:
         raise InvalidSpecError(
             f"cannot draw table {artifact.name!r}: a figure needs finite values "
             "with the largest above 0")

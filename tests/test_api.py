@@ -17,6 +17,8 @@ from bankcover import (
     ProbValue,
     SeriesEstimate,
     SimulationConfig,
+    TableArtifact,
+    build_table,
     cdf_oracle,
     centred_mean_prediction,
     centring,
@@ -389,12 +391,35 @@ def test_odd_arguments_keep_their_outcomes(call, position):
     assert got == want
 
 
-# Entry points that once raised a bare TypeError or AttributeError for an
-# argument of the wrong type; each now names the type it expects.
+def fig_low_with(row) -> TableArtifact:
+    """The ``fig_low`` table named 'odd', its row 3 replaced by ``row``."""
+    table = build_table("fig_low")
+    rows = list(table.rows)
+    rows[3] = row
+    return TableArtifact("odd", table.header, tuple(rows))
+
+
+_ROW_MESSAGE = ("cannot draw table 'odd': row 3 is not (a, q, value, rounded) "
+                "with a and q finite ints or floats")
+
+# Entry points that once raised a bare TypeError, ValueError or
+# AttributeError for an argument of the wrong type or shape; each now says
+# what it expects.
 WRONG_TYPES = {
     "variance_bounds": (lambda: variance_bounds([2]), "a must be an integer, got [2]"),
     "render_figure_svg": (lambda: render_figure_svg(None),
                           "a figure needs a TableArtifact, got None"),
+    "render_figure_svg str value": (
+        lambda: render_figure_svg(fig_low_with((5, 4, "49.9", "49.9"))),
+        "cannot draw table 'odd': a figure needs finite values with the largest above 0"),
+    "render_figure_svg None q": (
+        lambda: render_figure_svg(fig_low_with((5, None, 49.9, "49.9"))), _ROW_MESSAGE),
+    "render_figure_svg 3-tuple": (
+        lambda: render_figure_svg(fig_low_with((5, 4, 49.9))), _ROW_MESSAGE),
+    "TableArtifact.write None": (lambda: build_table("sd_bounds").write(None),
+                                 "a table is written to a str or os.PathLike path, got None"),
+    "TableArtifact.write int": (lambda: build_table("sd_bounds").write(123),
+                                "a table is written to a str or os.PathLike path, got 123"),
     "run_experiment": (lambda: run_experiment(None),
                        "config must be a SimulationConfig, got None"),
     "format_report": (lambda: format_report(None),

@@ -678,21 +678,6 @@ class TestExpectedTests:
     def test_float_protocol(self):
         assert float(expected_tests(BankSpec(2, 1))) == pytest.approx(3.0, abs=1e-9)
 
-    def test_failing_cap_raises_before_any_term(self, monkeypatch):
-        # a q that no float can hold makes no spec: BankSpec refuses it with
-        # the one message, so neither moment forms a window or a term
-        calls = []
-        for name in ("_windows", "_coverage_terms"):
-            real = getattr(coupon, name)
-            monkeypatch.setattr(coupon, name, lambda *args, real=real: (
-                calls.append(args) or real(*args)))
-        for fn in (expected_tests, variance_tests):
-            with pytest.raises(InvalidSpecError) as got:
-                fn(BankSpec(20, 10 ** 400))
-            assert str(got.value) == ("q is beyond the float range "
-                                      "(q must be below 2**1024 - 2**970)")
-        assert calls == []
-
     @pytest.mark.parametrize("a", [2, MAX_ALTERNATIVES])
     def test_limit_is_the_least_q_no_float_holds(self, a):
         # 2**1024 - 2**970 - 1 rounds down to the float maximum and answers
@@ -821,9 +806,10 @@ def two_alternative_cdf_interval(q: int, n: int) -> tuple[float, float]:
     return _exp_neg(t * (1 + x)), _exp_neg(t)
 
 
-class TestBankCountBeyondFloatRange:
+class TestLargestBankCount:
     """q = TOP_Q lies past the float maximum, to which it rounds, and is the
-    largest bank count a spec takes; one more is refused."""
+    largest bank count a spec takes: the q-bank cdf and pmf still cover the
+    true values."""
 
     Q = TOP_Q
     # log2(TOP_Q) is about 1024, so the true cdf climbs from 0 to 1 near
@@ -845,26 +831,6 @@ class TestBankCountBeyondFloatRange:
             lo_prev, hi_prev = two_alternative_cdf_interval(self.Q, n - 1)
             lo, hi = lo_n - hi_prev, hi_n - lo_prev
             assert max(abs(v.p - lo), abs(v.p - hi)) <= v.abs_err, (n, v, lo, hi)
-
-    @pytest.mark.parametrize("a", [2, 10, MAX_ALTERNATIVES])
-    def test_series_are_never_certified(self, a):
-        # one past TOP_Q no float can hold, so no sum could be certified: the
-        # spec refuses the q as out of domain, and no series is asked for it
-        for fn in (expected_tests, variance_tests):
-            with pytest.raises(InvalidSpecError, match="q is beyond the float range"):
-                fn(BankSpec(a, self.Q + 1))
-
-    def test_series_raise_before_summing(self, monkeypatch):
-        # nothing past the float range can be certified, so no term is computed
-        calls = []
-        real = coupon._coverage_terms
-        monkeypatch.setattr(
-            coupon, "_coverage_terms", lambda *args: calls.append(args) or real(*args)
-        )
-        for fn in (expected_tests, variance_tests):
-            with pytest.raises(InvalidSpecError):
-                fn(BankSpec(10, self.Q + 1))
-        assert calls == []
 
 
 def decimal_moments(a: int, q: int) -> tuple[float, float]:
@@ -1005,16 +971,16 @@ class TestWidestWindow:
         for e in moments:
             assert 0.0 < e.tail_bound <= LIMIT, e
         # each moment stops at the least n its line certifies, and reports
-        # the bound the walk formed there, which is the line's at that n
-        windows = coupon._windows(a, (float(self.Q),), True)
-        assert [(stop, bits(bound)) for _, stop, bound in windows] == [
-            (e.terms, bits(e.tail_bound)) for e in moments]
-        assert [bits(coupon._tail_bound(line, stop)) for line, stop, _ in windows] == [
-            bits(e.tail_bound) for e in moments]
+        # the bound there, bit for bit
+        want = [certified_window(a, self.Q, second) for second in (False, True)]
+        assert library_windows(a, self.Q) == want
+        assert [(e.terms, bits(e.tail_bound)) for e in moments] == want
 
     def test_no_bank_size_is_wider(self):
-        ends = [coupon._windows(a, (float(self.Q),), True)[1][1]
-                for a in range(2, MAX_ALTERNATIVES + 1)]
+        windows = [library_windows(a, self.Q) for a in range(2, MAX_ALTERNATIVES + 1)]
+        assert windows == [[certified_window(a, self.Q, second) for second in (False, True)]
+                           for a in range(2, MAX_ALTERNATIVES + 1)]
+        ends = [variance for _, (variance, _) in windows]
         assert max(ends) == ends[-1] == 47981
 
 
@@ -1121,14 +1087,19 @@ def neumaier(values) -> float:
     return s + c
 
 
+def reference_constants(a: int, q: float) -> tuple[float, float]:
+    """(c, r) of the tail line of (a, q): c = log(2a**3/(a-1)) + log q,
+    raised by 1e-9, and r = -log((a-1)/a), formed as the library forms them."""
+    return math.log(2.0 * a ** 3 / (a - 1)) + math.log(q) + 1e-9, -math.log((a - 1) / a)
+
+
 def reference_line(a: int, q: float, second_moment: bool):
     """n -> 2a**3/(a-1) * q * decay**n, times 2n + 2a - 1 for the variance,
     from its logarithm c - r*n (+ log(2n + 2a - 1)) with c raised by 1e-9:
     inf above the float range, and at least the smallest normal float; the
     tests' own copy of the library's tail line, rounded as it rounds.  c and
     r are formed once, for a caller that reads the line at every n."""
-    c = math.log(2.0 * a ** 3 / (a - 1)) + math.log(q) + 1e-9
-    r = -math.log((a - 1) / a)
+    c, r = reference_constants(a, q)
     log_max = math.log(sys.float_info.max)
 
     def tail(n: int) -> float:
@@ -1147,10 +1118,20 @@ def reference_tail(a: int, q: float, n: int, second_moment: bool) -> float:
     return reference_line(a, q, second_moment)(n)
 
 
-def library_line(a: int, q: float, second_moment: bool) -> tuple:
-    """The tail line of the mean or the variance series of (a, q), as the
-    library's window solve forms it."""
-    return coupon._windows(a, (float(q),), True)[second_moment][0]
+def certified_window(a: int, q: float, second_moment: bool) -> tuple[int, bytes]:
+    """The least n whose :func:`reference_line` bound is at most ``LIMIT``,
+    and the bits of that bound: what the library's window solve must give.
+    The line never increases in n (``TestTailLine``), so a bisection finds
+    the n."""
+    line = reference_line(a, float(q), second_moment)
+    first = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: line(n) <= LIMIT)
+    return first, bits(line(first))
+
+
+def library_windows(a: int, q: float) -> list[tuple[int, bytes]]:
+    """The library's (stop, bound bits) for the mean and the variance of
+    (a, q), from one window solve."""
+    return [(stop, bits(bound)) for stop, bound in coupon._windows(a, (float(q),), True)]
 
 
 def crossing_counts(a: int, n: int, second_moment: bool) -> tuple[float, float]:
@@ -1175,11 +1156,6 @@ def crossing_counts(a: int, n: int, second_moment: bool) -> tuple[float, float]:
         else:
             hi = mid
     return as_float(lo), as_float(hi)
-
-
-def library_tail(a: int, q: int, n: int, second_moment: bool) -> float:
-    """The library's series tail bound from test count ``n`` on."""
-    return coupon._tail_bound(library_line(a, q, second_moment), n)
 
 
 def reference_series(a: int, q: int, second_moment: bool,
@@ -1370,10 +1346,10 @@ class TestSeriesSweep:
             for second, qs in ((False, (*FIG_HIGH_Q, 10 ** 6, *spread)), (True, (1, 10, 10 ** 4))):
                 for q, est in zip(qs, self._assert_sweep(a, qs, second)):
                     # every sum stops at the least n whose tail bound meets
-                    # the limit; the bound never increases
-                    first = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
-                        library_tail(a, q, n, second) <= LIMIT))
-                    assert est.terms == first, (a, q, second)
+                    # the limit, with the bound there, as its window solve gives
+                    want = certified_window(a, q, second)
+                    assert (est.terms, bits(est.tail_bound)) == want, (a, q, second)
+                    assert library_windows(a, q)[second] == want, (a, q, second)
 
     def test_two_and_three_alternatives_with_repeated_q(self):
         for a in (2, 3):
@@ -1431,13 +1407,14 @@ class TestSeriesSweep:
             f = bisect.bisect_left(range(sys.maxsize), True, key=lambda n: (
                 reference_tail(a, drawn, n, second) <= LIMIT))
             counts = crossing_counts(a, f, second)
-            c, r, _ = library_line(a, counts[0], second)
+            c, r = reference_constants(a, counts[0])
             if draws[second] == 6 or not (second or (c - math.log(LIMIT)) / r > f):
                 continue
             draws[second] += 1
             fn = variance_tests if second else expected_tests
             for q, first in zip(map(int, counts), (f, f + 1)):
-                assert coupon._windows(a, (float(q),), True)[second][1] == first, (a, q, second)
+                window = certified_window(a, q, second)
+                assert window[0] == first and library_windows(a, q)[second] == window, (a, q, second)
                 got = series_outcome(astuple(fn(BankSpec(a, q))))
                 want = series_outcome(reference_series(
                     a, q, second, survival=lambda n: single_bank_survival(a, n).p))
@@ -1478,7 +1455,8 @@ class TestMomentPair:
         spec = BankSpec(a, q)
         mean_stop, stop = expected_tests(spec).terms, variance_tests(spec).terms
         assert mean_stop < stop
-        assert library_tail(a, q, mean_stop, False) <= LIMIT < library_tail(a, q, mean_stop, True)
+        assert library_windows(a, q) == [certified_window(a, q, second) for second in (False, True)]
+        assert reference_tail(a, q, mean_stop, False) <= LIMIT < reference_tail(a, q, mean_stop, True)
         survival = lambda n: single_bank_survival(a, n).p  # noqa: E731
         want = [series_outcome(reference_series(a, q, second, survival))
                 for second in (False, True)]
@@ -1552,15 +1530,16 @@ def exact_series_tail(a: int, q: float, n: int, second_moment: bool) -> mpmath.m
 
 
 class TestTailLine:
-    """The one tail line against the exact geometric tail it bounds."""
+    """The tests' tail line against the exact geometric tail it bounds, and
+    the library's window solve against that line."""
 
     TOP, LEAST = sys.float_info.max, sys.float_info.min
 
     @classmethod
     def _cases(cls):
-        """(a, q, second moment, tail line, sampled n) over a = 2..64, q from
-        1 to 1e306, both moments; n runs from 0 to past the point where the
-        bound stops at the smallest normal float."""
+        """(a, q, second moment, :func:`reference_line`, sampled n) over
+        a = 2..64, q from 1 to 1e306, both moments; n runs from 0 to past the
+        point where the bound stops at the smallest normal float."""
         for a in range(2, MAX_ALTERNATIVES + 1):
             qs = [1.0, 10.0, 1e3, 1e6, 1e12, 1e50, 1e100, 1e200, 1e288, 1e300, 1e306]
             # the q past which the former direct product 2a**3/(a-1) * q * decay**n
@@ -1573,12 +1552,10 @@ class TestTailLine:
             power_end = 1 + math.ceil(math.log(cls.LEAST) / math.log((a - 1) / a))
             for second in (False, True):
                 for q in qs:
-                    line = library_line(a, q, second)
+                    line = reference_line(a, q, second)
                     span = range(400_000)
-                    finite = bisect.bisect_left(
-                        span, True, key=lambda n: coupon._tail_bound(line, n) < math.inf)
-                    floor = bisect.bisect_left(
-                        span, True, key=lambda n: coupon._tail_bound(line, n) == cls.LEAST)
+                    finite = bisect.bisect_left(span, True, key=lambda n: line(n) < math.inf)
+                    floor = bisect.bisect_left(span, True, key=lambda n: line(n) == cls.LEAST)
                     ns = {0, 1, 2, *(floor * k // 8 for k in range(1, 10))}
                     for edge in (finite, floor, power_end):
                         ns.update(n for n in (edge - 1, edge, edge + 1) if n >= 0)
@@ -1588,7 +1565,7 @@ class TestTailLine:
         checked = 0
         for a, q, second, line, ns in self._cases():
             for n in ns:
-                got = coupon._tail_bound(line, n)
+                got = line(n)
                 exact = exact_series_tail(a, q, n, second)
                 if got == math.inf:
                     # the line is past log(float max): so is the exact tail, to 1e-9
@@ -1600,27 +1577,28 @@ class TestTailLine:
         assert checked > 30_000
 
     def test_walk_starts_at_the_least_certified_n(self):
-        # every case line's window starts at the least n whose bound meets
-        # the limit; and so it does where the last bits of the line decide
-        # that n: over each bank size's range of n, the two neighbouring
-        # floats q whose lines straddle the limit at n certify from n and
-        # from n + 1
+        # every case's window is the least n whose bound on the line meets
+        # the limit, with the line's bound there, bit for bit; and so it is
+        # where the last bits of the line decide that n: over each bank
+        # size's range of n, the two neighbouring floats q whose lines
+        # straddle the limit at n certify from n and from n + 1
         for a, q, second, line, ns in self._cases():
-            first = coupon._windows(a, (float(q),), True)[second][1]
-            assert coupon._tail_bound(line, first) <= LIMIT, (a, q, second)
-            assert first == 0 or coupon._tail_bound(line, first - 1) > LIMIT, (a, q, second)
+            first, bound = library_windows(a, q)[second]
+            assert bound == bits(line(first)) and line(first) <= LIMIT, (a, q, second)
+            assert first == 0 or line(first - 1) > LIMIT, (a, q, second)
         for a in range(2, MAX_ALTERNATIVES + 1):
             for second in (False, True):
-                least, most = (coupon._windows(a, (q,), True)[second][1] for q in (1.0, self.TOP))
+                least, most = (library_windows(a, q)[second][0] for q in (1.0, self.TOP))
                 for n in range(least + 1, most, max(1, (most - least) // 8)):
                     for q, want in zip(crossing_counts(a, n, second), (n, n + 1)):
-                        assert coupon._windows(a, (q,), True)[second][1] == want, (a, q, second)
+                        line = reference_line(a, q, second)
+                        assert library_windows(a, q)[second] == (want, bits(line(want))), (
+                            a, q, second)
 
     def test_bound_never_increases(self):
         for a, q, second, line, ns in self._cases():
             for n in ns:
-                assert coupon._tail_bound(line, n) >= coupon._tail_bound(line, n + 1), (
-                    a, q, second, n)
+                assert line(n) >= line(n + 1), (a, q, second, n)
 
     @staticmethod
     def _passes():
@@ -1778,7 +1756,7 @@ class TestSurvivalBlocks:
         # row: it is math.log1p(-S) bit for bit wherever S < 1, and -inf
         # exactly where S is 1.0, whose log1p(-1) is a domain error
         n = coupon._BLOCK
-        blocks = {"tail": coupon._TAIL_BLOCK}
+        blocks = {}
         for a in range(2, MAX_ALTERNATIVES + 1):
             for j in {0, 1, (coupon._TAIL_STARTS[a] - 1) // n}:
                 blocks[a, j] = coupon._survival_block(a, j)
@@ -1796,27 +1774,38 @@ class TestSurvivalBlocks:
         # Fast2Sum replay exact; its errors are exact wherever its
         # s - s_prev is.  The domain is finite, so this checks it whole:
         # every block below the tail start of every a = 2..64, filled afresh,
-        # has the bytes it has with TwoSum's replay
+        # has the bytes it has with TwoSum's replay.  Over every stored cell
+        # of an a, block by block and across each block edge, S never
+        # increases and F never decreases
         fill = coupon._survival_block.__wrapped__
+        n = coupon._BLOCK
         keys = [(a, j) for a in range(2, MAX_ALTERNATIVES + 1)
-                for j in range(-(-coupon._TAIL_STARTS[a] // coupon._BLOCK))]
+                for j in range(-(-coupon._TAIL_STARTS[a] // n))]
         assert len(keys) == 5991
-        differ = []
+        differ, unordered = [], []
         for a, j in keys:
-            fast = fill(a, j).tobytes()
+            block = fill(a, j)
+            fast = block.tobytes()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(coupon, "_fast2sum_running", twosum_running)
                 if fill(a, j).tobytes() != fast:
                     differ.append((a, j))
+            cells = np.frombuffer(block, float)
+            # each curve with the last cell of the block before it, if any
+            surv = cells[:n] if j == 0 else np.concatenate(([last_s], cells[:n]))
+            cdf = cells[2 * n:3 * n] if j == 0 else np.concatenate(([last_f], cells[2 * n:3 * n]))
+            if (np.diff(surv) > 0.0).any() or (np.diff(cdf) < 0.0).any():
+                unordered.append((a, j))
+            last_s, last_f = surv[-1], cdf[-1]
         assert differ == []
+        assert unordered == []
 
     def test_cached_blocks_are_read_only(self):
         # the cache hands every caller the same buffer: neither it nor an
-        # array over it can be written, in any of the five rows; the
-        # constant tail is shared the same way
+        # array over it can be written, in any of the five rows
         blocks = [coupon._survival_block(a, j)
                   for a, j in itertools.product((10, MAX_ALTERNATIVES), (0, 1))]
-        for block in blocks + [coupon._TAIL_BLOCK]:
+        for block in blocks:
             assert len(block) == 5 * coupon._BLOCK
             for i in (0, coupon._BLOCK - 1, 2 * coupon._BLOCK, 4 * coupon._BLOCK - 1,
                       4 * coupon._BLOCK, 5 * coupon._BLOCK - 1):
@@ -1916,19 +1905,26 @@ class TestPointReads:
     @pytest.mark.parametrize("a", range(1, MAX_ALTERNATIVES + 1))
     def test_reads_are_the_block_cells(self, a):
         # at the first and last count of blocks 0 and 1 and of the last block
-        # before the constant tail, and around the tail start, both reads are
-        # the block's (S, bound) and (F, bound) cells, bit for bit; a = 1 has
-        # no blocks, and its S is 1 at y = 0 and 0 from y = 1 on, exactly
+        # before the constant tail, both reads are the block's (S, bound) and
+        # (F, bound) cells, bit for bit, and from the tail start on the
+        # constant tail's; a = 1 has no blocks, and its S is 1 at y = 0 and 0
+        # from y = 1 on, exactly.  In the constant tail the q-bank cdf is 1.0
+        # with the bound the general formula gives at S = 0: q times the S
+        # bound, plus an ulp
         n, cut = coupon._BLOCK, coupon._TAIL_STARTS[a]
         last = (cut - 1) // n * n
         edges = {0, n - 1, n, 2 * n - 1, last, last + n - 1, cut - 1, cut, cut + 1, 10 ** 400}
         for y in sorted(y for y in edges if y >= 0):  # a = 1 has cut = 0
             if a == 1:
                 cells = (1.0, 0.0, 0.0, 0.0) if y == 0 else (0.0, 0.0, 1.0, 0.0)
-            else:
-                block, i = ((coupon._survival_block(a, y // n), y % n) if y < cut
-                            else (coupon._TAIL_BLOCK, 0))
+            elif y < cut:
+                block, i = coupon._survival_block(a, y // n), y % n
                 cells = tuple(block[i + k * n] for k in range(4))
+            else:
+                cells = 0.0, _TAIL_ERR, 1.0, _TAIL_ERR + _ULP
+                for q in (1, 10 ** 6, TOP_Q):
+                    v = test_count_cdf(BankSpec(a, q), y)
+                    assert bits(v.p, v.abs_err) == bits(1.0, float(q) * _TAIL_ERR + _ULP), (a, y, q)
             s, f = single_bank_survival(a, y), single_bank_cdf(a, y)
             assert bits(s.p, s.abs_err, f.p, f.abs_err) == bits(*cells), (a, y)
 
